@@ -53,40 +53,83 @@ def _stage(model_id, stage, fn, *args):
         raise CheckError(model_id, stage, exc) from exc
 
 
-def _diag_samples(reps, spec, draws_val, seed, owner_id, source_id):
+def _diag_samples(reps, spec, anchor, stream):
     vals = np.empty(len(reps))
     for r, rep in enumerate(reps):
-        stream = seed.stream(owner_id, "diag", source_id, r)
-        vals[r] = validation_diagnostic(rep, spec, draws_val, stream)
+        vals[r] = validation_diagnostic(rep, spec, anchor, stream.substream(r))
     return vals
 
 
-def heldout_predictive_check(split: DataSplit, model, spec=None, R=200,
-                             alpha=0.1, seed=None, fit_in=None,
-                             draws_val=None, reps=None) -> CheckOutcome:
-    """Locate x_out's diagnostic within replicates of the x_in fit.
+class _Engine:
+    """The per-model products that the checks and pairs of one call share.
 
-    Already-computed fits or replicate sets may be passed in so a study can
-    share them; given the same seed the results are identical either way.
+    Each product is computed once and kept under the stream label it is
+    drawn from: ``fit-<part>`` for a fit, ``rep`` for the replicates, and
+    ``diag/<source>`` for the diagnostics of a source model's replicates
+    under an owner's diagnostic.  Replicates are drawn from the fit to the
+    source part and shaped like x_out; diagnostics are anchored on the fit
+    to the anchor part.  ``specs`` maps each diagnostic owner to its
+    DiagnosticSpec, None for the model's default.
     """
-    if spec is None:
-        spec = DiagnosticSpec(model)
-    if fit_in is None:
-        fit_in = _stage(model.id, "fit x_in", model.fit, split.x_in,
-                        seed.stream(model.id, "fit-in"))
-    if draws_val is None:
-        draws_val = _stage(model.id, "fit x_val", model.fit, split.x_val,
-                           seed.stream(model.id, "fit-val"))
-    if reps is None:
-        reps = _stage(model.id, "replicate", model.replicate, fit_in,
-                      split.x_out, R, seed.stream(model.id, "rep"))
-    d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
-                   split.x_out, spec, draws_val,
-                   seed.stream(model.id, "diag", "observed"))
-    d_rep = _stage(model.id, "replicate diagnostics", _diag_samples,
-                   reps, spec, draws_val, seed, model.id, model.id)
-    p = float((d_rep > d_obs).mean())
-    return CheckOutcome(p, pass_fail(p, alpha), d_rep, d_obs, model.id)
+
+    def __init__(self, seed, R, specs, x_out, source, anchor):
+        self.seed, self.R, self.x_out = seed, R, x_out
+        self.source, self.anchor = source, anchor      # (part name, data)
+        self.specs = {m: DiagnosticSpec(m) if s is None else s for m, s in specs.items()}
+        self._kept = {}
+
+    @classmethod
+    def of_split(cls, split: DataSplit, seed, R, specs):
+        return cls(seed, R, specs, split.x_out, ("in", split.x_in), ("val", split.x_val))
+
+    def _once(self, model, label, stage, fn, *args):
+        key = (model, label)
+        if key not in self._kept:
+            self._kept[key] = _stage(model.id, stage, fn, *args,
+                                     self.seed.stream(model.id, label))
+        return self._kept[key]
+
+    def fit(self, model, part):
+        name, data = part
+        return self._once(model, f"fit-{name}", f"fit x_{name}", model.fit, data)
+
+    def reps(self, model):
+        return self._once(model, "rep", "replicate", model.replicate,
+                          self.fit(model, self.source), self.x_out, self.R)
+
+    def samples(self, owner, source):
+        anchor = self.fit(owner, self.anchor)
+        stage = "replicate diagnostics" if source is owner else "cross diagnostics"
+        return self._once(owner, f"diag/{source.id}", stage, _diag_samples,
+                          self.reps(source), self.specs[owner], anchor)
+
+    def prepare(self, model):
+        """Fit both parts and draw the replicates, in that order."""
+        self.fit(model, self.source)
+        self.fit(model, self.anchor)
+        self.reps(model)
+
+    def check(self, model, alpha) -> CheckOutcome:
+        self.prepare(model)
+        d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
+                       self.x_out, self.specs[model], self.fit(model, self.anchor),
+                       self.seed.stream(model.id, "diag", "observed"))
+        d_rep = self.samples(model, model)
+        p = float((d_rep > d_obs).mean())
+        return CheckOutcome(p, pass_fail(p, alpha), d_rep, d_obs, model.id)
+
+    def pair(self, owner, source, tau) -> PpnOutcome:
+        samples_a = self.samples(owner, owner)
+        samples_b = self.samples(owner, source)
+        sym_kl = sym_kl_estimate(samples_a, samples_b)
+        return PpnOutcome(sym_kl, sym_kl <= tau, samples_a, samples_b,
+                          owner.id, source.id)
+
+
+def heldout_predictive_check(split: DataSplit, model, spec=None, R=200,
+                             alpha=0.1, seed=None) -> CheckOutcome:
+    """Locate x_out's diagnostic within replicates of the x_in fit."""
+    return _Engine.of_split(split, seed, R, {model: spec}).check(model, alpha)
 
 
 def posterior_predictive_pvalue(x_obs, model, spec=None, R=200,
@@ -94,57 +137,25 @@ def posterior_predictive_pvalue(x_obs, model, spec=None, R=200,
     """Classical double-use p-value: reference and anchor share x_obs.
 
     Provided for comparison studies only; unlike the heldout check it is
-    not calibrated.
+    not calibrated.  The one fit to x_obs is both the replicate source and
+    the anchor.
     """
-    if spec is None:
-        spec = DiagnosticSpec(model)
-    fit = _stage(model.id, "fit x_obs", model.fit, x_obs,
-                 seed.stream(model.id, "fit-obs"))
-    reps = _stage(model.id, "replicate", model.replicate, fit, x_obs, R,
-                  seed.stream(model.id, "rep"))
-    d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
-                   x_obs, spec, fit, seed.stream(model.id, "diag", "observed"))
-    d_rep = _stage(model.id, "replicate diagnostics", _diag_samples,
-                   reps, spec, fit, seed, model.id, model.id)
-    p = float((d_rep > d_obs).mean())
-    return CheckOutcome(p, pass_fail(p, alpha), d_rep, d_obs, model.id)
+    obs = ("obs", x_obs)
+    return _Engine(seed, R, {model: spec}, x_obs, obs, obs).check(model, alpha)
 
 
 def ppn_check(split: DataSplit, model_a, model_b, spec_a=None, R=200,
-              tau=1.0, seed=None, verified_passed=False, draws_val_a=None,
-              reps_a=None, reps_b=None, samples_a=None) -> PpnOutcome:
+              tau=1.0, seed=None, verified_passed=False) -> PpnOutcome:
     """Can replicates from model_b pass for model_a's own replicates?
 
     Both replicate sets are conditioned on x_in and scored by model_a's
     validation diagnostic; closeness is the symmetrized KL between the two
     diagnostic sample sets.
     """
-    if spec_a is None:
-        spec_a = DiagnosticSpec(model_a)
     if not verified_passed:
         warnings.warn("pairwise null run without verified heldout passes; "
                       "interpret with care", stacklevel=2)
-    if draws_val_a is None:
-        draws_val_a = _stage(model_a.id, "fit x_val", model_a.fit, split.x_val,
-                             seed.stream(model_a.id, "fit-val"))
-    if samples_a is None:
-        if reps_a is None:
-            fit_a = _stage(model_a.id, "fit x_in", model_a.fit, split.x_in,
-                           seed.stream(model_a.id, "fit-in"))
-            reps_a = _stage(model_a.id, "replicate", model_a.replicate, fit_a,
-                            split.x_out, R, seed.stream(model_a.id, "rep"))
-        samples_a = _stage(model_a.id, "replicate diagnostics", _diag_samples,
-                           reps_a, spec_a, draws_val_a, seed, model_a.id, model_a.id)
-    if reps_b is None:
-        fit_b = _stage(model_b.id, "fit x_in", model_b.fit, split.x_in,
-                       seed.stream(model_b.id, "fit-in"))
-        reps_b = _stage(model_b.id, "replicate", model_b.replicate, fit_b,
-                        split.x_out, R, seed.stream(model_b.id, "rep"))
-    samples_b = _stage(model_a.id, "cross diagnostics", _diag_samples,
-                       reps_b, spec_a, draws_val_a, seed, model_a.id, model_b.id)
-    sym_kl = sym_kl_estimate(samples_a, samples_b)
-    return PpnOutcome(sym_kl, sym_kl <= tau, samples_a, samples_b,
-                      model_a.id, model_b.id)
+    return _Engine.of_split(split, seed, R, {model_a: spec_a}).pair(model_a, model_b, tau)
 
 
 def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
@@ -170,42 +181,20 @@ def ppn_study(split: DataSplit, models, specs=None, config: StudyConfig = None,
     if config is None:
         config = StudyConfig()
     if specs is None:
-        specs = [DiagnosticSpec(m) for m in models]
-    spec_of = {m.id: s for m, s in zip(models, specs)}
-    fits_in, draws_val, reps = {}, {}, {}
+        specs = [None] * len(models)
+    engine = _Engine.of_split(split, seed, config.R, dict(zip(models, specs)))
     for model in models:
-        fits_in[model.id] = _stage(model.id, "fit x_in", model.fit, split.x_in,
-                                   seed.stream(model.id, "fit-in"))
-        draws_val[model.id] = _stage(model.id, "fit x_val", model.fit,
-                                     split.x_val, seed.stream(model.id, "fit-val"))
-        reps[model.id] = _stage(model.id, "replicate", model.replicate,
-                                fits_in[model.id], split.x_out, config.R,
-                                seed.stream(model.id, "rep"))
-    diagonal = []
-    for model in models:
-        diagonal.append(heldout_predictive_check(
-            split, model, spec_of[model.id], config.R, config.alpha, seed,
-            fits_in[model.id], draws_val[model.id], reps[model.id]))
-    passed = {c.model_id for c in diagonal if c.passed}
-    survivors = [m for m in models if m.id in passed]
-    samples_own = {c.model_id: c.diagnostic_replicates
-                   for c in diagonal if c.passed}
+        engine.prepare(model)
+    diagonal = [engine.check(model, config.alpha) for model in models]
+    survivors = [m for m, c in zip(models, diagonal) if c.passed]
     if config.mode == MODE_CHAIN:
         pairs_to_run = [(survivors[i + 1], survivors[i])
                         for i in range(len(survivors) - 1)]
     else:
         pairs_to_run = [(a, b) for a in survivors for b in survivors if a is not b]
-    off_diagonal = []
-    outcome = {}
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for owner, source in pairs_to_run:
-            res = ppn_check(split, owner, source, spec_of[owner.id], config.R,
-                            config.tau, seed, draws_val_a=draws_val[owner.id],
-                            reps_b=reps[source.id],
-                            samples_a=samples_own[owner.id])
-            off_diagonal.append(res)
-            outcome[(owner.id, source.id)] = res
+    off_diagonal = [engine.pair(owner, source, config.tau)
+                    for owner, source in pairs_to_run]
+    outcome = {(p.diagnostic_owner, p.data_source): p for p in off_diagonal}
     verdicts = []
     if config.mode == MODE_FULL:
         for i, a in enumerate(survivors):

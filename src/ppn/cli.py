@@ -71,11 +71,34 @@ def _build_parser():
     return parser
 
 
-def _parse_model_arg(text, chain):
-    if ":" in text:
-        family, k = text.rsplit(":", 1)
-        return make_model(family, int(k), **chain)
-    return make_model(text)
+def _as(kind, value, what):
+    """value converted by kind (int or float), or a ParameterError naming what."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError):
+        noun = "an integer" if kind is int else "a number"
+        raise ParameterError(f"{what} must be {noun}, not {value!r}") from None
+
+
+def _model_from(entry, chain):
+    """A model and its DiagnosticSpec from one config entry.
+
+    An entry is a descriptor such as "gmm:3" or "regression-A", or a dict
+    with family, K, an optional reduction, and the family's own settings.
+    The top-level chain block gives every model its default settings.
+    """
+    if isinstance(entry, str):
+        family, _, K = entry.partition(":")
+        entry = {"family": family, "K": K} if K else {"family": family}
+    if not isinstance(entry, dict) or "family" not in entry:
+        raise ParameterError(f"model entry {entry!r} names no family")
+    settings = dict(chain)
+    settings.update({k: v for k, v in entry.items()
+                     if k not in ("family", "K", "reduction")})
+    K = entry.get("K")
+    model = make_model(entry["family"], None if K is None else _as(int, K, "K"),
+                       **settings)
+    return model, DiagnosticSpec(model, entry.get("reduction"))
 
 
 def _load_config(path):
@@ -88,8 +111,9 @@ def _load_config(path):
 
 def _seed_from(config):
     env = os.environ.get("PPN_SEED")
-    root = int(env) if env is not None else int(config.get("seed", 0))
-    return Seed(root)
+    if env is not None:
+        return Seed(_as(int, env, "PPN_SEED"))
+    return Seed(_as(int, config.get("seed", 0), "seed"))
 
 
 def _split_from(config, data, seed):
@@ -112,43 +136,7 @@ def _load_data(config, path_or_none, seed):
     preset = data_cfg["preset"]
     if preset not in GENERATORS:
         raise ParameterError(f"unknown data preset {preset!r}")
-    return GENERATORS[preset](int(data_cfg.get("n", 500)), seed)
-
-
-def _models_from(config):
-    chain = config.get("chain", {})
-    out = []
-    for entry in config.get("models", []):
-        if isinstance(entry, str):
-            out.append(_parse_model_arg(entry, chain))
-        else:
-            kwargs = dict(chain)
-            kwargs.update({k: v for k, v in entry.items()
-                           if k not in ("family", "K", "reduction")})
-            if entry["family"].startswith("regression"):
-                out.append(make_model(entry["family"]))
-            else:
-                out.append(make_model(entry["family"], int(entry["K"]), **kwargs))
-    return out
-
-
-def _specs_from(config, models):
-    reductions = {}
-    for entry in config.get("models", []):
-        if isinstance(entry, dict) and "reduction" in entry:
-            key = entry["family"] + (f"-K{entry['K']}" if "K" in entry else "")
-        else:
-            continue
-        reductions[key] = entry["reduction"]
-    by_id = {"regression-A": "reg-A", "regression-B": "reg-B"}
-    specs = []
-    for model in models:
-        red = None
-        for key, val in reductions.items():
-            if by_id.get(key, key) == model.id:
-                red = val
-        specs.append(DiagnosticSpec(model, red))
-    return specs
+    return GENERATORS[preset](_as(int, data_cfg.get("n", 500), "n"), seed)
 
 
 def _write_json(path, payload):
@@ -165,36 +153,36 @@ def _run(args) -> int:
         return 0
     config = _load_config(args.config)
     seed = _seed_from(config)
-    study_cfg = StudyConfig(R=int(config.get("R", 200)),
-                            alpha=float(config.get("alpha", 0.1)),
-                            tau=float(config.get("tau", 1.0)),
+    study_cfg = StudyConfig(R=_as(int, config.get("R", 200), "R"),
+                            alpha=_as(float, config.get("alpha", 0.1), "alpha"),
+                            tau=_as(float, config.get("tau", 1.0), "tau"),
                             mode=config.get("mode", "full"))
     chain = config.get("chain", {})
     if args.command == "check":
         data = _load_data(config, args.data, seed)
         split = _split_from(config, data, seed)
-        model = _parse_model_arg(args.model, chain)
-        outcome = heldout_predictive_check(split, model, None, study_cfg.R,
+        model, spec = _model_from(args.model, chain)
+        outcome = heldout_predictive_check(split, model, spec, study_cfg.R,
                                            study_cfg.alpha, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
     if args.command == "ppn":
         data = _load_data(config, args.data, seed)
         split = _split_from(config, data, seed)
-        model_a = _parse_model_arg(args.model_a, chain)
-        model_b = _parse_model_arg(args.model_b, chain)
+        model_a, spec_a = _model_from(args.model_a, chain)
+        model_b, _ = _model_from(args.model_b, chain)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            outcome = ppn_check(split, model_a, model_b, None, study_cfg.R,
+            outcome = ppn_check(split, model_a, model_b, spec_a, study_cfg.R,
                                 study_cfg.tau, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
     if args.command == "study":
         data = _load_data(config, None, seed)
         split = _split_from(config, data, seed)
-        models = _models_from(config)
-        specs = _specs_from(config, models)
-        report = ppn_study(split, models, specs, study_cfg, seed)
+        entries = [_model_from(entry, chain) for entry in config.get("models", [])]
+        report = ppn_study(split, [m for m, _ in entries], [s for _, s in entries],
+                           study_cfg, seed)
         emit_report(report, args.out_dir)
         return 0
     raise ParameterError(f"unknown command {args.command!r}")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -127,22 +128,34 @@ class Dataset:
 
     @staticmethod
     def from_csv(text: str) -> "Dataset":
-        """Parse the CSV form written by to_csv."""
+        """Parse the CSV form written by to_csv.
+
+        Columns named c<digits> hold covariates; every other column holds
+        values.  Every row needs one number per header column.
+        """
         lines = [ln for ln in text.splitlines() if ln.strip()]
+        level_sizes = None
+        if lines and lines[0].startswith("#levels="):
+            level_sizes = lines[0].split("=", 1)[1].split(",")
+            lines = lines[1:]
         if not lines:
             raise DataError("empty CSV")
-        level_sizes = None
-        if lines[0].startswith("#levels="):
-            level_sizes = tuple(int(s) for s in lines[0].split("=", 1)[1].split(","))
-            lines = lines[1:]
-        header = lines[0].split(",")
-        body = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]])
-        if level_sizes is not None:
-            return Dataset.from_codes(body.astype(int), level_sizes)
-        n_cov = sum(1 for c in header if c.startswith("c"))
-        d = len(header) - n_cov
-        cov = body[:, d:] if n_cov else None
-        return Dataset(body[:, :d], cov)
+        header = [c.strip() for c in lines[0].split(",")]
+        rows = [ln.split(",") for ln in lines[1:]]
+        for i, row in enumerate(rows, 1):
+            if len(row) != len(header):
+                raise DataError(f"CSV row {i} has {len(row)} cells for "
+                                f"{len(header)} header columns")
+        try:
+            sizes = None if level_sizes is None else [int(s) for s in level_sizes]
+            body = np.array([[float(v) for v in row] for row in rows]).reshape(
+                len(rows), len(header))
+        except ValueError as exc:
+            raise DataError(f"CSV entry is not a number: {exc}") from None
+        if sizes is not None:
+            return Dataset.from_codes(body.astype(int), sizes)
+        is_cov = np.array([re.fullmatch(r"c\d+", c) is not None for c in header])
+        return Dataset(body[:, ~is_cov], body[:, is_cov] if is_cov.any() else None)
 
 
 @dataclass(frozen=True)

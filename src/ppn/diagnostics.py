@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Dataset
-from .errors import DomainError, DimensionError, ParameterError, WiringError
+from .errors import ParameterError, WiringError
 from .models import REDUCTION_AVERAGE, REDUCTION_MAP
 
 
@@ -44,14 +44,3 @@ def validation_diagnostic(x: Dataset, spec: DiagnosticSpec, draws, stream) -> fl
         return float(spec.model.diagnostic_batch(x, [state], stream)[0])
     vals = spec.model.diagnostic_batch(x, draws.batch(spec.B), stream)
     return float(np.mean(vals))
-
-
-def chi2_overall_diagnostic(x: Dataset, predictive_mean, predictive_var) -> float:
-    """Standardized squared deviation summed over all cells."""
-    mean = np.asarray(predictive_mean, dtype=float)
-    var = np.asarray(predictive_var, dtype=float)
-    if mean.shape != x.values.shape or var.shape != x.values.shape:
-        raise DimensionError("predictive moments must match the data shape")
-    if np.any(var <= 0):
-        raise DomainError("predictive variances must be positive")
-    return float((((x.values - mean) ** 2) / var).sum())

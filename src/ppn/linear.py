@@ -53,12 +53,6 @@ class RegressionPosteriorB:
         return REGRESSION_PRED_VAR + np.einsum("ij,jk,ik->i", centered, self.gram_inv, centered)
 
 
-def _regression_y(x: Dataset) -> np.ndarray:
-    if x.kind != CONTINUOUS or x.d != 1:
-        raise DataError("regression expects a single continuous response column")
-    return x.values[:, 0]
-
-
 def regression_fit_A(y_in, covariates=None) -> RegressionPosteriorA:
     """Store the response mean; the predictive is Normal(mean, fixed var)."""
     y_in = np.asarray(y_in, dtype=float).ravel()

@@ -97,7 +97,6 @@ class PosteriorDraws:
 
     states: tuple
     model_id: str
-    source_id: str = ""
     loglik: np.ndarray = field(default=None)
     logpost: np.ndarray = field(default=None)
     _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
@@ -315,11 +314,6 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     return picked.sum(axis=0)
 
 
-def gmm_loglik_diagnostic(x: Dataset, state: GmmState, stream) -> float:
-    """Single-state form of the log-likelihood diagnostic."""
-    return float(gmm_loglik_diagnostic_batch(x, [state], stream)[0])
-
-
 def _require_onehot(x: Dataset):
     if x.kind != CATEGORICAL:
         raise DataError("expected one-hot categorical data")
@@ -435,8 +429,3 @@ def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
         with np.errstate(divide="ignore"):
             d += 2.0 * np.where(obs > 0, -np.log(np.maximum(obs, 1e-300)), np.inf).sum(0)
     return d
-
-
-def multmix_chi2_diagnostic(x: Dataset, state: MultMixState) -> float:
-    """Single-state form of the discrepancy."""
-    return float(multmix_chi2_diagnostic_batch(x, [state])[0])

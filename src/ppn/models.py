@@ -9,6 +9,8 @@ reduction.  Fits always come back as PosteriorDraws, even when the
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from .core import Dataset
@@ -130,16 +132,26 @@ class PpcaModel:
         return np.array([linear.ppca_reconstruction_diagnostic(x, s) for s in states])
 
 
-def make_model(family: str, K: int = None, **kwargs):
-    """Build a model adapter from a config-style description."""
-    if family == "gmm":
-        return GmmModel(K, **kwargs)
-    if family == "multmix":
-        return MultMixModel(K, **kwargs)
-    if family == "ppca":
-        return PpcaModel(K, **kwargs)
-    if family == "regression-A":
-        return RegressionModelA()
-    if family == "regression-B":
-        return RegressionModelB()
-    raise ParameterError(f"unknown model family {family!r}")
+_FAMILIES = {"gmm": GmmModel, "multmix": MultMixModel, "ppca": PpcaModel,
+             "regression-A": RegressionModelA, "regression-B": RegressionModelB}
+
+
+def make_model(family: str, K: int = None, **settings):
+    """Build a model adapter from a config-style description.
+
+    The mixture and PPCA families need K and the regression families take
+    none.  ``settings`` are the family's own keywords (the chain schedule
+    of gmm and multmix, tol and max_iters of ppca); any other is refused.
+    """
+    cls = _FAMILIES.get(family)
+    if cls is None:
+        raise ParameterError(f"unknown model family {family!r}")
+    takes = inspect.signature(cls).parameters
+    if ("K" in takes) != (K is not None):
+        raise ParameterError(f"model family {family!r} "
+                             f"{'needs' if 'K' in takes else 'takes no'} K")
+    unknown = sorted(set(settings) - set(takes))
+    if unknown:
+        raise ParameterError(f"model family {family!r} takes no setting "
+                             + ", ".join(map(repr, unknown)))
+    return cls(**settings) if K is None else cls(K, **settings)

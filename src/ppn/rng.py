@@ -70,54 +70,6 @@ def categorical(stream: VariateStream, p, size: int) -> np.ndarray:
     return np.minimum((u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1), len(p) - 1)
 
 
-def sample(dist, count: int, stream: VariateStream) -> np.ndarray:
-    """Draw ``count`` i.i.d. variates from a named distribution.
-
-    ``dist`` is a tuple naming the distribution and its parameters:
-      ("normal", mu, var), ("mvnormal_diag", mean_vec, var_vec),
-      ("inverse_gamma", a, b), ("dirichlet", alpha_vec),
-      ("categorical", p_vec), ("multinomial", p_vec, 1).
-    """
-    if count < 0:
-        raise ParameterError("count must be nonnegative")
-    g = stream.generator
-    name, *params = dist
-    if name == "normal":
-        mu, var = params
-        if var <= 0:
-            raise ParameterError("normal variance must be positive")
-        return mu + np.sqrt(var) * g.standard_normal(count)
-    if name == "mvnormal_diag":
-        mean, var = (np.asarray(p, dtype=float) for p in params)
-        if np.any(var <= 0):
-            raise ParameterError("diagonal covariance entries must be positive")
-        return mean + np.sqrt(var) * g.standard_normal((count, len(mean)))
-    if name == "inverse_gamma":
-        a, b = params
-        if a <= 0 or b <= 0:
-            raise ParameterError("inverse-gamma shape and scale must be positive")
-        # reciprocal of a Gamma(a, 1/b) draw
-        return 1.0 / g.gamma(a, 1.0 / b, size=count)
-    if name == "dirichlet":
-        alpha = np.asarray(params[0], dtype=float)
-        if np.any(alpha <= 0):
-            raise ParameterError("dirichlet concentrations must be positive")
-        gam = g.gamma(alpha, 1.0, size=(count, len(alpha)))
-        return gam / gam.sum(axis=1, keepdims=True)
-    if name == "categorical":
-        return categorical(stream, params[0], count)
-    if name == "multinomial":
-        p, trials = params
-        if trials != 1:
-            raise ParameterError("only single-trial multinomials are supported")
-        p = _check_prob_vector(p, "p")
-        idx = categorical(stream, p, count)
-        out = np.zeros((count, len(p)))
-        out[np.arange(count), idx] = 1.0
-        return out
-    raise ParameterError(f"unknown distribution {name!r}")
-
-
 def chi_square_cdf(x: float, k: float) -> float:
     """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2)."""
     if x < 0:

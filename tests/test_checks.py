@@ -1,5 +1,7 @@
 """Check and study orchestration tests built on cheap synthetic adapters."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -49,6 +51,56 @@ class SquaredErrorModel(NormalModel):
 class BrokenModel(NormalModel):
     def fit(self, x, stream):
         raise StateError("synthetic fit failure")
+
+
+class CountingModel(NormalModel):
+    """Counts its fit and replicate calls."""
+
+    def __init__(self, model_id):
+        super().__init__(model_id)
+        self.calls = Counter()
+
+    def fit(self, x, stream):
+        self.calls["fit"] += 1
+        return super().fit(x, stream)
+
+    def replicate(self, fit, like, R, stream):
+        self.calls["replicate"] += 1
+        return super().replicate(fit, like, R, stream)
+
+
+class FaultyModel(SquaredErrorModel):
+    """Raises StateError when fitting or scoring the data a predicate picks,
+    or when replicating."""
+
+    def __init__(self, model_id="faulty", fit_fails=None, score_fails=None,
+                 replicate_fails=False):
+        super().__init__(model_id)
+        self.fit_fails = fit_fails or (lambda x: False)
+        self.score_fails = score_fails or (lambda x: False)
+        self.replicate_fails = replicate_fails
+
+    def fit(self, x, stream):
+        if self.fit_fails(x):
+            raise StateError("synthetic fit failure")
+        return super().fit(x, stream)
+
+    def replicate(self, fit, like, R, stream):
+        if self.replicate_fails:
+            raise StateError("synthetic replicate failure")
+        return super().replicate(fit, like, R, stream)
+
+    def diagnostic_batch(self, x, states, stream):
+        if self.score_fails(x):
+            raise StateError("synthetic diagnostic failure")
+        return super().diagnostic_batch(x, states, stream)
+
+
+class SevensModel(NormalModel):
+    """Replicates every cell as 7.0."""
+
+    def replicate(self, fit, like, R, stream):
+        return [Dataset(np.full((like.n, 1), 7.0)) for _ in range(R)]
 
 
 def _split(n=60, d=1, seed=0):
@@ -239,3 +291,66 @@ class TestStudy:
         r1 = ppn_study(split, models, seed=Seed(16))
         r2 = ppn_study(split, models, seed=Seed(16))
         assert r1.to_json() == r2.to_json()
+
+
+class TestEngine:
+    """The study and the public functions share one staging path."""
+
+    def test_study_matches_the_public_functions(self):
+        split = _split(seed=7)
+        models = [NormalModel(f"m{i}", rep_sd=(1.0 + 0.1 * i,)) for i in range(3)]
+        report = ppn_study(split, models, config=StudyConfig(R=80), seed=Seed(7))
+        assert len(report.off_diagonal) == 6
+        for model, check in zip(models, report.diagonal):
+            alone = heldout_predictive_check(split, model, R=80, seed=Seed(7))
+            assert check.p_value == alone.p_value
+            assert check.diagnostic_observed == alone.diagnostic_observed
+            assert np.array_equal(check.diagnostic_replicates, alone.diagnostic_replicates)
+        by_id = {m.id: m for m in models}
+        for pair in report.off_diagonal:
+            alone = ppn_check(split, by_id[pair.diagnostic_owner], by_id[pair.data_source],
+                              R=80, seed=Seed(7), verified_passed=True)
+            assert pair.sym_kl == alone.sym_kl and pair.fools == alone.fools
+            assert np.array_equal(pair.samples_a, alone.samples_a)
+            assert np.array_equal(pair.samples_b, alone.samples_b)
+
+    def test_study_fits_each_part_once_and_replicates_once(self):
+        split = _split(seed=7)
+        models = [CountingModel(f"m{i}") for i in range(3)]
+        report = ppn_study(split, models, seed=Seed(7))
+        assert len(report.off_diagonal) == 6
+        for model in models:
+            assert model.calls == {"fit": 2, "replicate": 1}
+
+    def test_classical_pvalue_fits_once(self):
+        model = CountingModel("m")
+        x_obs = Dataset(Seed(1).stream("obs").generator.standard_normal((40, 1)))
+        posterior_predictive_pvalue(x_obs, model, R=20, seed=Seed(1))
+        assert model.calls == {"fit": 1, "replicate": 1}
+
+    @pytest.mark.parametrize("stage", [
+        "fit x_in", "fit x_val", "replicate", "observed diagnostic",
+        "replicate diagnostics", "cross diagnostics", "fit x_obs"])
+    def test_failure_names_model_and_stage(self, stage):
+        split = _split()
+        faults = {
+            "fit x_in": dict(fit_fails=lambda x: x is split.x_in),
+            "fit x_val": dict(fit_fails=lambda x: x is split.x_val),
+            "replicate": dict(replicate_fails=True),
+            "observed diagnostic": dict(score_fails=lambda x: x is split.x_out),
+            "replicate diagnostics": dict(score_fails=lambda x: x is not split.x_out),
+            "cross diagnostics": dict(score_fails=lambda x: np.all(x.values == 7.0)),
+            "fit x_obs": dict(fit_fails=lambda x: True),
+        }
+        model = FaultyModel("bad-model", **faults[stage])
+        calls = {
+            "cross diagnostics": lambda: ppn_check(split, model, SevensModel("sevens"),
+                                                   R=5, seed=Seed(4), verified_passed=True),
+            "fit x_obs": lambda: posterior_predictive_pvalue(split.x_in, model, R=5,
+                                                             seed=Seed(4)),
+        }
+        run = calls.get(stage, lambda: heldout_predictive_check(split, model, R=5,
+                                                                seed=Seed(4)))
+        with pytest.raises(CheckError) as exc:
+            run()
+        assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)

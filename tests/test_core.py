@@ -75,6 +75,23 @@ class TestDataset:
         with pytest.raises(DataError):
             Dataset.from_csv("")
 
+    def test_csv_covariates_are_c_digit_columns(self):
+        back = Dataset.from_csv("x1,cost\n1.0,2.0\n3.0,4.0\n")
+        assert back.d == 2 and back.covariates is None
+        back = Dataset.from_csv("c2,cost,c10\n1.0,2.0,3.0\n")
+        assert np.array_equal(back.values, [[2.0]])
+        assert np.array_equal(back.covariates, [[1.0, 3.0]])
+
+    @pytest.mark.parametrize("text", [
+        "x1,x2\n1.0,2.0\n3.0\n",
+        "x1\n1.0,2.0\n",
+        "x1,c1\n1.0,abc\n",
+        "#levels=2,x\nv1,v2\n0,1\n",
+    ], ids=["short-row", "long-row", "non-numeric-cell", "non-numeric-levels"])
+    def test_csv_malformed_raises_data_error(self, text):
+        with pytest.raises(DataError):
+            Dataset.from_csv(text)
+
 
 class TestSplit:
     def test_exact_division(self):

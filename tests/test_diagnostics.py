@@ -1,11 +1,11 @@
-"""Validation-diagnostic reduction and generic chi-square diagnostic tests."""
+"""Validation-diagnostic reduction tests."""
 
 import numpy as np
 import pytest
 
 from ppn.core import Dataset
-from ppn.diagnostics import DiagnosticSpec, chi2_overall_diagnostic, validation_diagnostic
-from ppn.errors import DomainError, DimensionError, ParameterError, WiringError
+from ppn.diagnostics import DiagnosticSpec, validation_diagnostic
+from ppn.errors import ParameterError, WiringError
 from ppn.mixtures import PosteriorDraws
 from ppn.models import RegressionModelA
 from ppn.rng import Seed
@@ -101,29 +101,3 @@ class TestValidationDiagnostic:
             DiagnosticSpec(model, reduction="median")
         with pytest.raises(ParameterError):
             DiagnosticSpec(model, B=0)
-
-
-class TestChi2Overall:
-    def test_zero_at_means(self):
-        x = Dataset(np.array([[1.0, 2.0]]))
-        assert chi2_overall_diagnostic(x, x.values, np.ones_like(x.values)) == 0.0
-
-    def test_two_sd_offset(self):
-        x = Dataset(np.array([[2.0]]))
-        assert chi2_overall_diagnostic(x, np.array([[0.0]]), np.array([[1.0]])) == 4.0
-
-    def test_law_of_large_numbers(self):
-        n = 10**4
-        g = Seed(1).stream("lln").generator
-        mean = np.zeros((n, 1))
-        var = np.full((n, 1), 2.0)
-        x = Dataset(mean + np.sqrt(var) * g.standard_normal((n, 1)))
-        stat = chi2_overall_diagnostic(x, mean, var)
-        assert abs(stat / n - 1.0) < 0.05
-
-    def test_errors(self):
-        x = Dataset(np.array([[1.0]]))
-        with pytest.raises(DimensionError):
-            chi2_overall_diagnostic(x, np.zeros((2, 1)), np.ones((2, 1)))
-        with pytest.raises(DomainError):
-            chi2_overall_diagnostic(x, np.zeros((1, 1)), np.zeros((1, 1)))

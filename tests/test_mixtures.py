@@ -12,8 +12,7 @@ from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
 from ppn.mixtures import (ChainConfig, GmmState, MultMixState, PosteriorDraws,
                           gmm_full_loglik, gmm_gibbs_fit,
-                          gmm_loglik_diagnostic, gmm_loglik_diagnostic_batch,
-                          gmm_predictive, multmix_chi2_diagnostic,
+                          gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_gibbs_fit,
                           multmix_predictive)
 from ppn.rng import Seed
@@ -162,12 +161,12 @@ class TestGmmDiagnostic:
     def test_zero_residual_unit_variance(self):
         state = _gmm_state([[1.0, 2.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 2.0]]))
-        assert gmm_loglik_diagnostic(x, state, Seed(0).stream("d")) == 0.0
+        assert gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))[0] == 0.0
 
     def test_unit_residual(self):
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 0.0]]))
-        assert abs(gmm_loglik_diagnostic(x, state, Seed(0).stream("d")) + 0.5) < 1e-12
+        assert abs(gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))[0] + 0.5) < 1e-12
 
     def test_symmetric_components_deterministic(self):
         # identical components: the label draw cannot change the value
@@ -175,7 +174,7 @@ class TestGmmDiagnostic:
                          np.array([[1.0, 1.0], [1.0, 1.0]]),
                          np.zeros(1, dtype=int), np.array([0.5, 0.5]))
         x = Dataset(np.array([[1.0, 0.0]]))
-        vals = [gmm_loglik_diagnostic(x, state, Seed(i).stream("d")) for i in range(5)]
+        vals = [gmm_loglik_diagnostic_batch(x, [state], Seed(i).stream("d"))[0] for i in range(5)]
         assert np.allclose(vals, -0.5)
 
     def test_label_permutation_invariance_in_expectation(self):
@@ -185,9 +184,9 @@ class TestGmmDiagnostic:
         flipped = GmmState(state.means[::-1].copy(), state.variances[::-1].copy(),
                            state.assignments, state.weights[::-1].copy())
         x = gen_gmm_data(40, Seed(12))
-        a = np.mean([gmm_loglik_diagnostic(x, state, Seed(i).stream("p"))
+        a = np.mean([gmm_loglik_diagnostic_batch(x, [state], Seed(i).stream("p"))[0]
                      for i in range(400)])
-        b = np.mean([gmm_loglik_diagnostic(x, flipped, Seed(i).stream("q"))
+        b = np.mean([gmm_loglik_diagnostic_batch(x, [flipped], Seed(i).stream("q"))[0]
                      for i in range(400)])
         assert abs(a - b) < 3.0
 
@@ -208,7 +207,7 @@ class TestGmmDiagnostic:
         for w1 in (0.5, 0.9):
             state = GmmState(np.zeros((2, 1)), np.array([[1.0], [np.e ** 2]]),
                              np.zeros(1, dtype=int), np.array([1.0 - w1, w1]))
-            share = -gmm_loglik_diagnostic(x, state, Seed(3).stream("w", w1)) / x.n
+            share = -gmm_loglik_diagnostic_batch(x, [state], Seed(3).stream("w", w1))[0] / x.n
             expected = w1 / np.e / (1.0 - w1 + w1 / np.e)
             assert abs(share - expected) < 0.03
 
@@ -254,7 +253,7 @@ class TestGmmDiagnostic:
         x = gen_multmix_data(5, seed=Seed(0))
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DataError):
-            gmm_loglik_diagnostic(x, state, Seed(0).stream("d"))
+            gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))
 
 
 class TestMultMixFit:
@@ -316,13 +315,13 @@ class TestMultMixDiagnostic:
                              (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])),
                              np.zeros(1, dtype=int))
         x = Dataset.from_codes([[0, 0]], (2, 3))
-        assert multmix_chi2_diagnostic(x, state) == 0.0
+        assert multmix_chi2_diagnostic_batch(x, [state])[0] == 0.0
 
     def test_half_probability_single_variable(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.5, 0.5]]),),
                              np.zeros(1, dtype=int))
         x = Dataset.from_codes([[0]], (2,))
-        assert abs(multmix_chi2_diagnostic(x, state) - 2 * np.log(2)) < 1e-12
+        assert abs(multmix_chi2_diagnostic_batch(x, [state])[0] - 2 * np.log(2)) < 1e-12
 
     def test_doubling_additivity(self):
         data = gen_multmix_data(40, seed=Seed(17))
@@ -330,8 +329,8 @@ class TestMultMixDiagnostic:
         state = fit.states[0]
         doubled = Dataset(np.vstack([data.values, data.values]),
                           kind="categorical-onehot", level_sizes=data.level_sizes)
-        single = multmix_chi2_diagnostic(data, state)
-        assert abs(multmix_chi2_diagnostic(doubled, state) - 2 * single) < 1e-9
+        single = multmix_chi2_diagnostic_batch(data, [state])[0]
+        assert abs(multmix_chi2_diagnostic_batch(doubled, [state])[0] - 2 * single) < 1e-9
 
     def test_label_permutation_invariance(self):
         data = gen_multmix_data(40, seed=Seed(18))
@@ -340,14 +339,14 @@ class TestMultMixDiagnostic:
         flipped = MultMixState(s.weights[::-1].copy(),
                                tuple(t[::-1].copy() for t in s.tables),
                                s.assignments)
-        assert abs(multmix_chi2_diagnostic(data, s)
-                   - multmix_chi2_diagnostic(data, flipped)) < 1e-9
+        assert abs(multmix_chi2_diagnostic_batch(data, [s])[0]
+                   - multmix_chi2_diagnostic_batch(data, [flipped])[0]) < 1e-9
 
     def test_zero_cell_sentinel(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.0, 1.0]]),),
                              np.zeros(1, dtype=int))
         x = Dataset.from_codes([[0]], (2,))
-        assert multmix_chi2_diagnostic(x, state) == np.inf
+        assert multmix_chi2_diagnostic_batch(x, [state])[0] == np.inf
 
     def test_batch_shape(self):
         data = gen_multmix_data(20, seed=Seed(19))

@@ -6,9 +6,11 @@ import os
 import numpy as np
 import pytest
 
+from ppn import cli
 from ppn.checks import StudyConfig, ppn_study
 from ppn.cli import main
 from ppn.core import Dataset, split_data
+from ppn.errors import PpnError
 from ppn.report import emit_report, render_grid_svg
 from ppn.rng import Seed
 
@@ -92,6 +94,20 @@ def _study_config(tmp_path, **overrides):
     return str(path)
 
 
+# Config and data inputs that must end in exit code 2 and one error line.
+CLI_PROBES = {
+    "chain-with-ppca": {"config": {
+        "chain": {"iters": 60, "burnin": 20, "thin": 2},
+        "models": [{"family": "ppca", "K": 1}, {"family": "gmm", "K": 1}]}},
+    "seed-env-not-integer": {"env": "abc"},
+    "model-K-not-integer": {"model": "gmm:x"},
+    "R-not-integer": {"config": {"R": "abc"}},
+    "model-without-K": {"config": {"models": [{"family": "gmm"}, "gmm:2"]}},
+    "ragged-csv": {"csv": "x1,x2\n1.0,2.0\n3.0\n"},
+    "non-numeric-csv": {"csv": "x1,x2\n1.0,abc\n"},
+}
+
+
 class TestCli:
     def test_generate_csv_roundtrip(self, tmp_path):
         out = tmp_path / "data.csv"
@@ -171,3 +187,43 @@ class TestCli:
         assert payload["diag_owner"] == "gmm-K1"
         assert payload["data_source"] == "gmm-K2"
         assert payload["sym_kl"] >= 0.0
+
+    def test_reduction_reaches_the_entry_model(self, tmp_path, monkeypatch):
+        seen = {}
+
+        def fake_study(split, models, specs, config, seed):
+            seen.update({m.id: s.reduction for m, s in zip(models, specs)})
+            raise PpnError("stop after building the models")
+
+        monkeypatch.setattr(cli, "ppn_study", fake_study)
+        cfg = _study_config(tmp_path, models=[
+            {"family": "regression-A", "reduction": "average"},
+            {"family": "regression-B"}, "gmm:2",
+            {"family": "gmm", "K": 3, "reduction": "map"}])
+        assert main(["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert seen == {"reg-A": "average", "reg-B": "map", "gmm-K2": "average",
+                        "gmm-K3": "map"}
+
+    @pytest.mark.parametrize("probe", sorted(CLI_PROBES))
+    def test_bad_input_exits_2_with_one_error_line(self, probe, tmp_path,
+                                                   monkeypatch, capsys):
+        spec = CLI_PROBES[probe]
+        overrides = dict(spec.get("config", {}))
+        if "csv" in spec:
+            bad = tmp_path / "bad.csv"
+            bad.write_text(spec["csv"])
+            overrides["data"] = {"path": str(bad)}
+        cfg = _study_config(tmp_path, **overrides)
+        if "model" in spec:
+            data = tmp_path / "data.csv"
+            main(["generate", "gmm", "--n", "30", "--out", str(data)])
+            argv = ["check", "--data", str(data), "--model", spec["model"],
+                    "--config", cfg, "--out", str(tmp_path / "check.json")]
+        else:
+            argv = ["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]
+        if "env" in spec:
+            monkeypatch.setenv("PPN_SEED", spec["env"])
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: "), err

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppn.errors import DegenerateSampleError, DomainError, ParameterError
-from ppn.rng import Seed, VariateStream, categorical, chi_square_cdf, ks_distance, sample
+from ppn.rng import Seed, VariateStream, categorical, chi_square_cdf, ks_distance
 
 
 def _series_gamma_p(s, x):
@@ -51,22 +51,8 @@ class TestStreams:
 
 
 class TestSample:
-    def test_normal_moments(self):
-        draws = sample(("normal", 0.0, 1.0), 10**6, Seed(0).stream("n"))
-        assert abs(draws.mean()) < 4e-3
-        assert abs(draws.var() - 1.0) < 0.01
-
-    def test_dirichlet_symmetric_mean(self):
-        draws = sample(("dirichlet", (2.0, 2.0)), 10**6, Seed(0).stream("d"))
-        assert abs(draws[:, 0].mean() - 0.5) < 0.005
-
-    def test_dirichlet_simplex(self):
-        draws = sample(("dirichlet", (0.5, 1.0, 3.0)), 1000, Seed(0).stream("d3"))
-        assert np.all(draws >= 0)
-        assert np.allclose(draws.sum(axis=1), 1.0, atol=1e-12)
-
     def test_categorical_degenerate(self):
-        draws = sample(("categorical", (1.0, 0.0, 0.0)), 500, Seed(0).stream("c"))
+        draws = categorical(Seed(0).stream("c"), (1.0, 0.0, 0.0), 500)
         assert np.all(draws == 0)
 
     def test_categorical_frequencies(self):
@@ -75,38 +61,10 @@ class TestSample:
         freq = np.bincount(draws, minlength=3) / 10**5
         assert np.allclose(freq, p, atol=0.01)
 
-    def test_inverse_gamma_reciprocal_mean(self):
-        # X ~ IG(a, b) means 1/X ~ Gamma(a, 1/b) with mean a/b
-        draws = sample(("inverse_gamma", 3.0, 2.0), 10**6, Seed(0).stream("ig"))
-        assert abs((1.0 / draws).mean() - 1.5) < 0.01
-
-    def test_mvnormal_diag_moments(self):
-        draws = sample(("mvnormal_diag", (1.0, -2.0), (4.0, 0.25)), 10**5,
-                       Seed(0).stream("mv"))
-        assert np.allclose(draws.mean(axis=0), (1.0, -2.0), atol=0.03)
-        assert np.allclose(draws.var(axis=0), (4.0, 0.25), rtol=0.03)
-
-    def test_multinomial_one_trial(self):
-        draws = sample(("multinomial", (0.5, 0.5), 1), 100, Seed(0).stream("m"))
-        assert draws.shape == (100, 2)
-        assert np.all(draws.sum(axis=1) == 1)
-
-    @pytest.mark.parametrize("dist,field", [
-        (("normal", 0.0, -1.0), "variance"),
-        (("mvnormal_diag", (0.0,), (0.0,)), "covariance"),
-        (("inverse_gamma", -1.0, 1.0), "shape"),
-        (("dirichlet", (1.0, -1.0)), "concentration"),
-        (("categorical", (0.5, 0.4)), "sum to 1"),
-        (("multinomial", (0.5, 0.5), 2), "single-trial"),
-    ])
-    def test_invalid_parameters_named(self, dist, field):
+    def test_categorical_must_sum_to_one(self):
         with pytest.raises(ParameterError) as err:
-            sample(dist, 10, Seed(0).stream("bad"))
-        assert field in str(err.value)
-
-    def test_unknown_distribution(self):
-        with pytest.raises(ParameterError):
-            sample(("cauchy", 0.0, 1.0), 10, Seed(0).stream("u"))
+            categorical(Seed(0).stream("bad"), (0.5, 0.4), 10)
+        assert "sum to 1" in str(err.value)
 
 
 class TestChiSquareCdf:
