@@ -104,9 +104,12 @@ def _model_from(entry, chain):
 def _load_config(path):
     try:
         with open(path) as fh:
-            return json.load(fh)
+            config = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(config, dict):
+        raise ParameterError(f"config {path} must hold a JSON object")
+    return config
 
 
 def _seed_from(config):
@@ -128,8 +131,8 @@ def _load_data(config, path_or_none, seed):
         with open(path_or_none) as fh:
             return Dataset.from_csv(fh.read())
     data_cfg = config.get("data")
-    if data_cfg is None:
-        raise ParameterError("config must name a data preset or a data file")
+    if not isinstance(data_cfg, dict) or not ("path" in data_cfg or "preset" in data_cfg):
+        raise ParameterError("config data must be an object with a preset or a path")
     if "path" in data_cfg:
         with open(data_cfg["path"]) as fh:
             return Dataset.from_csv(fh.read())
@@ -158,6 +161,8 @@ def _run(args) -> int:
                             tau=_as(float, config.get("tau", 1.0), "tau"),
                             mode=config.get("mode", "full"))
     chain = config.get("chain", {})
+    if not isinstance(chain, dict):
+        raise ParameterError("config chain must be an object of chain settings")
     if args.command == "check":
         data = _load_data(config, args.data, seed)
         split = _split_from(config, data, seed)

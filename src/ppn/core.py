@@ -179,7 +179,10 @@ def split_data(data: Dataset, fractions, seed) -> DataSplit:
     Sizes are floor-allocated from the fractions with any remainder rows
     assigned to x_in.  The permutation is a pure function of the seed.
     """
-    fractions = np.asarray(fractions, dtype=float)
+    try:
+        fractions = np.asarray(fractions, dtype=float)
+    except (TypeError, ValueError):
+        raise ParameterError(f"fractions must be three positive reals, not {fractions!r}") from None
     if fractions.shape != (3,) or np.any(fractions <= 0):
         raise ParameterError("fractions must be three positive reals")
     if abs(fractions.sum() - 1.0) > 1e-9:

@@ -10,6 +10,7 @@ variable.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,6 +41,11 @@ class ChainConfig:
     thin: int = 5
 
     def __post_init__(self):
+        try:
+            for steps in (self.iters, self.burnin, self.thin):
+                operator.index(steps)
+        except TypeError:
+            raise ParameterError("iters, burnin and thin must be integers") from None
         if not (self.iters > self.burnin >= 0 and self.thin >= 1):
             raise ParameterError("need iters > burnin >= 0 and thin >= 1")
 
@@ -319,13 +325,16 @@ def _require_onehot(x: Dataset):
         raise DataError("expected one-hot categorical data")
 
 
-def multmix_full_loglik(x: Dataset, state: MultMixState) -> float:
+def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
+    """Mixture log-likelihood of x at each state."""
     codes = x.codes()
-    logp = np.log(state.weights)[None, :]
-    for j, table in enumerate(state.tables):
-        with np.errstate(divide="ignore"):
-            logp = logp + np.log(table[:, codes[:, j]]).T
-    return float(logsumexp(logp, axis=1).sum())
+    logp = np.log(np.stack([s.weights for s in states]))[:, None, :]    # B x 1 x K
+    with np.errstate(divide="ignore"):
+        for j in range(codes.shape[1]):
+            table = np.stack([s.tables[j] for s in states])             # B x K x L
+            logp = logp + np.log(table[:, :, codes[:, j]]).transpose(0, 2, 1)
+    # one 1-d sum per state, whose pairwise order a 2-d reduction need not keep
+    return np.array([row.sum() for row in logsumexp(logp, axis=2)])
 
 
 def _multmix_log_prior(state: MultMixState) -> float:
@@ -352,31 +361,33 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
     level_sizes = x.level_sizes
     weights = g.dirichlet(np.full(K, MULTMIX_ALPHA_PI))
     tables = [g.dirichlet(np.full(L, MULTMIX_ALPHA), size=K) for L in level_sizes]
-    states, logliks, logposts = [], [], []
-    J = len(level_sizes)
+    states = []
+    sizes = np.array(level_sizes)
+    ends = np.concatenate(([0], np.cumsum(K * sizes)))
     for it in range(iters):
-        logp = np.log(weights)[None, :]
-        for j in range(J):
-            logp = logp + np.log(tables[j][:, codes[:, j]]).T
-        probs = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        # class responsibilities: log tables gathered levels-first, n x K
+        logp = np.log(weights)
+        for j, table in enumerate(tables):
+            logp = logp + np.log(table.T)[codes[:, j]]
+        # inverse-CDF label draw on the unnormalized responsibilities
+        cum = np.cumsum(np.exp(logp - logp.max(axis=1, keepdims=True)), axis=1)
         u = g.random(n)
-        z = np.minimum((np.cumsum(probs, axis=1)[:, :-1] < u[:, None]).sum(1), K - 1)
+        z = (cum[:, :-1] < (u * cum[:, -1])[:, None]).sum(1)
         counts = np.bincount(z, minlength=K)
         weights = g.dirichlet(MULTMIX_ALPHA_PI + counts)
+        # every table's K x L cell counts, laid end to end
+        cells = np.bincount((z[:, None] * sizes + codes + ends[:-1]).ravel(), minlength=ends[-1])
+        # Dirichlet rows via normalized Gamma draws: one call for all tables
+        # draws the same variates, in the same order, as one call per table
+        gam = g.gamma(MULTMIX_ALPHA + cells)
         for j, L in enumerate(level_sizes):
-            cell = np.zeros((K, L))
-            np.add.at(cell, (z, codes[:, j]), 1.0)
-            # Dirichlet rows via normalized Gamma draws, all classes at once
-            gam = g.gamma(MULTMIX_ALPHA + cell)
-            tables[j] = gam / gam.sum(axis=1, keepdims=True)
+            block = gam[ends[j]:ends[j + 1]].reshape(K, L)
+            tables[j] = block / block.sum(axis=1, keepdims=True)
         if it >= burnin and (it - burnin) % thin == 0:
-            state = MultMixState(weights.copy(), tuple(t.copy() for t in tables), z.copy())
-            states.append(state)
-            ll = multmix_full_loglik(x, state)
-            logliks.append(ll)
-            logposts.append(ll + _multmix_log_prior(state))
-    return PosteriorDraws(tuple(states), f"multmix-K{K}", loglik=np.array(logliks),
-                          logpost=np.array(logposts))
+            states.append(MultMixState(weights, tuple(tables), z))
+    loglik = multmix_full_loglik(x, states)
+    logpost = np.array([ll + _multmix_log_prior(s) for ll, s in zip(loglik, states)])
+    return PosteriorDraws(tuple(states), f"multmix-K{K}", loglik=loglik, logpost=logpost)
 
 
 def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
@@ -400,32 +411,68 @@ def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> lis
     return reps
 
 
+@dataclass(frozen=True)
+class _MultMixStack:
+    """Arrays of B categorical mixture states stacked for scoring, levels
+    first, so that indexing a table by the level codes gives n x K x B."""
+
+    log_weights: np.ndarray    # K x B
+    tables: tuple              # per variable, L x K x B
+    log_tables: tuple          # per variable, L x K x B; log 0 = -inf
+
+    @classmethod
+    def of(cls, states):
+        K = np.size(states[0].weights)
+        shapes = tuple(np.shape(t) for t in states[0].tables)
+        if any(len(shape) != 2 or shape[0] != K for shape in shapes) or any(
+                np.shape(s.weights) != (K,) or tuple(np.shape(t) for t in s.tables) != shapes
+                for s in states):
+            raise StateError("every state needs K class weights and one K-row table "
+                             "per variable, all of one shape")
+        weights = np.stack([s.weights for s in states], axis=-1)
+        tables = tuple(np.ascontiguousarray(
+            np.stack([s.tables[j] for s in states], axis=-1).transpose(1, 0, 2), dtype=float)
+            for j in range(len(shapes)))
+        # checked before any log; a zero weight or cell is probability 0
+        if not all(np.all((a >= 0) & (a < np.inf)) for a in (weights, *tables)):
+            raise StateError("class weights and table cells must be finite and non-negative")
+        with np.errstate(divide="ignore"):
+            return cls(np.log(weights), tables, tuple(np.log(t) for t in tables))
+
+
 def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
     """Deviance-style discrepancy of x at each state.
 
     Predicted cell probabilities mix the class tables by each row's posterior
     class responsibility; the statistic is twice the summed log shortfall at
-    the observed cells.  A zero predicted probability at an observed cell
-    yields an infinite value.
+    the observed cells.  Rows with zero likelihood under every class get
+    uniform responsibilities, and a zero predicted probability at an observed
+    cell yields an infinite value.  The stacked state arrays are kept on a
+    StateBatch (see PosteriorDraws.batch) and rebuilt for any other sequence
+    of states.
     """
     _require_onehot(x)
+    stack = _stacked(states, _MultMixStack.of)
+    if tuple(len(t) for t in stack.tables) != x.level_sizes:
+        raise DimensionError("state level sizes do not match data")
     codes = x.codes()
-    J = codes.shape[1]
-    weights = np.stack([s.weights for s in states])    # B x K
-    logp = np.log(weights)[None, :, :]                 # n x B x K
+    # log w_k + sum_j log table_j[k, code], gathered as n x K x B
+    logits = stack.log_weights + stack.log_tables[0][codes[:, 0]]
+    for j in range(1, codes.shape[1]):
+        logits += stack.log_tables[j][codes[:, j]]
+    top = logits.max(axis=1, keepdims=True)
+    dead = np.isneginf(top)
+    if dead.any():
+        # zero likelihood under every class: uniform responsibilities
+        np.copyto(logits, 0.0, where=dead)
+        top[dead] = 0.0
+    logits -= top
+    resp = np.exp(logits, out=logits)
+    resp /= resp.sum(axis=1, keepdims=True)
+    # predicted probability of each observed cell: sum_k resp * table
+    obs = np.empty((codes.shape[1],) + resp.shape[::2])
+    for j in range(codes.shape[1]):
+        np.einsum("nkb,nkb->nb", resp, stack.tables[j][codes[:, j]], out=obs[j])
     with np.errstate(divide="ignore"):
-        for j in range(J):
-            table = np.stack([s.tables[j] for s in states])   # B x K x L
-            logp = logp + np.transpose(np.log(table[:, :, codes[:, j]]), (2, 0, 1))
-    with np.errstate(invalid="ignore"):
-        # rows with zero likelihood under every class get uniform weight
-        gap = logp - logsumexp(logp, axis=2, keepdims=True)
-    resp = np.where(np.isnan(gap), 1.0 / logp.shape[2], np.exp(gap))
-    d = np.zeros(len(states))
-    for j in range(J):
-        table = np.stack([s.tables[j] for s in states])
-        pred = np.einsum("nbk,bkl->nbl", resp, table)
-        obs = np.take_along_axis(pred, codes[:, j][:, None, None], axis=2)[:, :, 0]
-        with np.errstate(divide="ignore"):
-            d += 2.0 * np.where(obs > 0, -np.log(np.maximum(obs, 1e-300)), np.inf).sum(0)
-    return d
+        # rows summed before variables; 0.0 - keeps a perfect prediction at +0.0
+        return 0.0 - 2.0 * np.log(obs).sum(axis=1).sum(axis=0)

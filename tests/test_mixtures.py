@@ -10,12 +10,13 @@ import pytest
 from ppn.core import Dataset
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
-from ppn.mixtures import (ChainConfig, GmmState, MultMixState, PosteriorDraws,
-                          gmm_full_loglik, gmm_gibbs_fit,
+from ppn.mixtures import (MULTMIX_ALPHA, ChainConfig, GmmState, MultMixState,
+                          PosteriorDraws, gmm_full_loglik, gmm_gibbs_fit,
                           gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_gibbs_fit,
                           multmix_predictive)
 from ppn.rng import Seed
+from scipy.special import logsumexp
 
 
 def _gmm_state(means, variances, n=1):
@@ -289,6 +290,45 @@ class TestMultMixFit:
         with pytest.raises(DataError):
             multmix_gibbs_fit(gen_gmm_data(10, Seed(0)), 2, stream=Seed(0).stream("f"))
 
+    def test_loglik_matches_per_state_reference(self):
+        data = gen_multmix_data(90, seed=Seed(26))
+        codes = data.codes()
+        fit = multmix_gibbs_fit(data, 3, 60, 20, 4, Seed(26).stream("f"))
+        ref = []
+        for s in fit.states:
+            logp = np.log(s.weights)[None, :]
+            for j, t in enumerate(s.tables):
+                logp = logp + np.log(t[:, codes[:, j]]).T
+            ref.append(float(logsumexp(logp, axis=1).sum()))
+        assert np.array_equal(fit.loglik, ref)
+
+    def test_cell_counts_match_add_at(self):
+        # every iteration is kept, so the gamma shapes of iteration it must be
+        # the prior plus the cell counts of state it's labels, table by table
+        class Recording:
+            def __init__(self, g):
+                self.g, self.shapes = g, []
+
+            def gamma(self, shape, *args):
+                self.shapes.append(np.array(shape))
+                return self.g.gamma(shape, *args)
+
+            def __getattr__(self, name):
+                return getattr(self.g, name)
+
+        data = gen_multmix_data(60, seed=Seed(23))
+        codes, sizes = data.codes(), data.level_sizes
+        rec = Recording(Seed(23).stream("f").generator)
+        fit = multmix_gibbs_fit(data, 3, 30, 0, 1, type("S", (), {"generator": rec}))
+        assert len(rec.shapes) == 30
+        for shape, state in zip(rec.shapes, fit.states):
+            cells = []
+            for j, L in enumerate(sizes):
+                cell = np.zeros((3, L))
+                np.add.at(cell, (state.assignments, codes[:, j]), 1.0)
+                cells.append(cell.ravel())
+            assert np.array_equal(shape, MULTMIX_ALPHA + np.concatenate(cells))
+
 
 class TestMultMixPredictive:
     def test_frequencies_match_posterior(self):
@@ -354,6 +394,80 @@ class TestMultMixDiagnostic:
         vals = multmix_chi2_diagnostic_batch(data, fit.states)
         assert vals.shape == (len(fit.states),)
         assert np.all(vals > 0)
+
+    @staticmethod
+    def _reference(x, state):
+        """Responsibilities by logsumexp, predicted cells over every level."""
+        codes = x.codes()
+        logp = np.log(state.weights) + sum(np.log(t[:, codes[:, j]]).T
+                                           for j, t in enumerate(state.tables))
+        resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        return sum(-2.0 * np.log((resp @ t)[np.arange(x.n), codes[:, j]]).sum()
+                   for j, t in enumerate(state.tables))
+
+    def test_stacked_batch_matches_per_state_reference(self):
+        data = gen_multmix_data(150, seed=Seed(24))
+        x = gen_multmix_data(70, seed=Seed(25))
+        for K in (1, 3):
+            fit = multmix_gibbs_fit(data, K, 200, 100, 4, Seed(24).stream("f", K))
+            ref = np.array([self._reference(x, s) for s in fit.states])
+            batch = fit.batch()
+            assert fit.batch() is batch
+            for _ in range(2):  # the second call scores the kept stacked arrays
+                got = multmix_chi2_diagnostic_batch(x, batch)
+                assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
+            head = multmix_chi2_diagnostic_batch(x, fit.batch(7))
+            assert np.array_equal(head, multmix_chi2_diagnostic_batch(x, list(fit.states[:7])))
+        # the stacked arrays belong to the draws and go with them
+        kept = weakref.ref(batch.stacked)
+        del fit, batch
+        gc.collect()
+        assert kept() is None
+
+    def test_zero_likelihood_row_gets_uniform_responsibilities(self):
+        # the row (0, 0) is impossible under both classes; uniform weights
+        # predict (0 + 0.4) / 2 and (0.8 + 0) / 2, not the class weights
+        state = MultMixState(np.array([0.9, 0.1]),
+                             (np.array([[0.0, 1.0], [0.4, 0.6]]),
+                              np.array([[0.8, 0.2], [0.0, 1.0]])),
+                             np.zeros(1, dtype=int))
+        x = Dataset.from_codes([[0, 0]], (2, 2))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = multmix_chi2_diagnostic_batch(x, [state])[0]
+        assert abs(got + 2.0 * np.log(0.2 * 0.4)) < 1e-12
+
+    def test_bad_states_raise_on_every_call_without_warning(self):
+        x = Dataset.from_codes([[0, 1], [1, 0]], (2, 2))
+        table = np.array([[0.5, 0.5], [0.25, 0.75]])
+
+        def state(weights, t0=table, t1=table):
+            return MultMixState(np.array(weights), (t0, t1), np.zeros(1, dtype=int))
+
+        bad = [state([1.2, -0.2]), state([0.5, np.nan]), state([0.5, np.inf]),
+               state([0.5, 0.5], t0=np.array([[1.5, -0.5], [0.5, 0.5]])),
+               state([0.5, 0.5], t1=np.array([[np.nan, 1.0], [0.5, 0.5]])),
+               state([0.5, 0.5], t0=table[:1]),
+               state([0.5, 0.5], t1=np.ones(2) / 2),
+               state([1.0])]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for s in bad:
+                batch = PosteriorDraws((s,), "multmix").batch()
+                for _ in range(2):
+                    with pytest.raises(StateError):
+                        multmix_chi2_diagnostic_batch(x, batch)
+            mixed = PosteriorDraws((state([0.5, 0.5]), state([1.0, 0.0, 0.0])), "multmix")
+            with pytest.raises(StateError):
+                multmix_chi2_diagnostic_batch(x, mixed.batch())
+            # a zero weight or cell is probability 0, not an error
+            zeros = state([1.0, 0.0], t0=np.array([[1.0, 0.0], [1.0, 0.0]]))
+            good = PosteriorDraws((zeros,), "multmix").batch()
+            assert multmix_chi2_diagnostic_batch(x, good)[0] == np.inf
+            assert np.isfinite(multmix_chi2_diagnostic_batch(
+                Dataset.from_codes([[0, 1]], (2, 2)), good)[0])
+            with pytest.raises(DimensionError):
+                multmix_chi2_diagnostic_batch(Dataset.from_codes([[0, 1]], (2, 3)), good)
 
 
 class TestPosteriorDraws:

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -105,6 +107,12 @@ CLI_PROBES = {
     "model-without-K": {"config": {"models": [{"family": "gmm"}, "gmm:2"]}},
     "ragged-csv": {"csv": "x1,x2\n1.0,2.0\n3.0\n"},
     "non-numeric-csv": {"csv": "x1,x2\n1.0,abc\n"},
+    "data-not-object": {"config": {"data": "x"}},
+    "data-without-preset-or-path": {"config": {"data": {"n": 90}}},
+    "config-is-a-list": {"json": [{"data": {"preset": "gmm"}}]},
+    "fractions-not-numbers": {"config": {"fractions": "abc"}},
+    "chain-not-object": {"config": {"chain": [60, 20, 2]}},
+    "chain-not-integer": {"config": {"chain": {"iters": "abc"}, "models": ["gmm:1"]}},
 }
 
 
@@ -204,6 +212,15 @@ class TestCli:
         assert seen == {"reg-A": "average", "reg-B": "map", "gmm-K2": "average",
                         "gmm-K3": "map"}
 
+    def test_python_dash_m_runs_the_cli(self):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [os.path.dirname(os.path.dirname(cli.__file__))]
+            + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        done = subprocess.run([sys.executable, "-m", "ppn", "--help"], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.startswith("usage: ppn")
+
     @pytest.mark.parametrize("probe", sorted(CLI_PROBES))
     def test_bad_input_exits_2_with_one_error_line(self, probe, tmp_path,
                                                    monkeypatch, capsys):
@@ -214,6 +231,9 @@ class TestCli:
             bad.write_text(spec["csv"])
             overrides["data"] = {"path": str(bad)}
         cfg = _study_config(tmp_path, **overrides)
+        if "json" in spec:
+            with open(cfg, "w") as fh:
+                json.dump(spec["json"], fh)
         if "model" in spec:
             data = tmp_path / "data.csv"
             main(["generate", "gmm", "--n", "30", "--out", str(data)])
