@@ -134,6 +134,9 @@ def _load_data(config, path_or_none, seed):
     if not isinstance(data_cfg, dict) or not ("path" in data_cfg or "preset" in data_cfg):
         raise ParameterError("config data must be an object with a preset or a path")
     if "path" in data_cfg:
+        # open() takes an integer as a file descriptor: 0 would read stdin
+        if not isinstance(data_cfg["path"], str):
+            raise ParameterError(f"config data path must be a string, not {data_cfg['path']!r}")
         with open(data_cfg["path"]) as fh:
             return Dataset.from_csv(fh.read())
     preset = data_cfg["preset"]

@@ -133,11 +133,36 @@ def _require_continuous(x: Dataset):
         raise DataError("expected continuous data")
 
 
-def gmm_full_loglik(x: Dataset, means, variances, weights) -> float:
-    """Mixture log-likelihood at the given mixing weights, constants included."""
-    comp = -0.5 * (((x.values[:, None, :] - means) ** 2) / variances
-                   + np.log(2 * np.pi * variances)).sum(-1)
-    return float(logsumexp(comp + np.log(weights), axis=1).sum())
+def _component_sums(columns, means, variances, log_terms):
+    """Sum over d of (x_d - mean)^2 / variance + log_term, K x n.
+
+    Built data dimension first (D x K x n, from columns D x 1 x n), so that
+    every step runs along the rows, and summed over D in the order numpy
+    sums the last axis of an n x K x D array: one value after another below
+    eight values, in pairwise blocks from eight on.
+    """
+    terms = columns - means.T[:, :, None]
+    terms *= terms
+    terms /= variances.T[:, :, None]
+    terms += log_terms.T[:, :, None]
+    if len(terms) >= 8:
+        return np.ascontiguousarray(np.moveaxis(terms, 0, -1)).sum(-1)
+    total = terms[0]
+    for t in terms[1:]:
+        total += t
+    return total
+
+
+def gmm_full_loglik(x: Dataset, states) -> np.ndarray:
+    """Mixture log-likelihood of x at each state, constants included."""
+    columns = np.ascontiguousarray(x.values.T)[:, None, :]    # D x 1 x n
+    logp = np.empty((len(states), x.n, states[0].K))
+    for out, s in zip(logp, states):
+        comp = _component_sums(columns, s.means, s.variances, np.log(2 * np.pi * s.variances))
+        comp *= -0.5
+        np.add(comp.T, np.log(s.weights), out=out)
+    # one 1-d sum per state, whose pairwise order a 2-d reduction need not keep
+    return np.array([row.sum() for row in logsumexp(logp, axis=2)])
 
 
 def _gmm_log_prior(means, variances, weights) -> float:
@@ -200,28 +225,36 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
     g = stream.generator
     data = x.values
     n, D = data.shape
+    columns = np.ascontiguousarray(data.T)[:, None, :]    # D x 1 x n
+    dims = np.arange(D)
     means, variances = _kmeans_init(data, K)
     weights = np.full(K, 1.0 / K)
-    states, logliks, logposts = [], [], []
+    states = []
     for it in range(iters):
-        # assignments: weighted diagonal Gaussian responsibilities
-        comp = np.log(weights) - 0.5 * (((data[:, None, :] - means) ** 2) / variances
-                                        + np.log(variances)).sum(-1)
-        e = np.exp(comp - comp.max(axis=1, keepdims=True))
-        cum = np.cumsum(e, axis=1)
+        # assignments: weighted diagonal Gaussian responsibilities, K x n
+        comp = _component_sums(columns, means, variances, np.log(variances))
+        comp *= 0.5
+        np.subtract(np.log(weights)[:, None], comp, out=comp)
+        comp -= comp.max(axis=0)
+        # inverse-CDF label draw on the unnormalized responsibilities
+        cum = np.exp(comp, out=comp)
+        for k in range(1, K):
+            cum[k] += cum[k - 1]
         u = g.random(n)
-        z = (cum[:, :-1] < (u * cum[:, -1])[:, None]).sum(1)
+        z = (cum[:-1] < u * cum[-1]).sum(0)
         counts = np.bincount(z, minlength=K)
         # conjugate Dirichlet update for the mixing weights
         weights = g.dirichlet(GMM_ALPHA_PI + counts)
-        sums = np.stack([np.bincount(z, data[:, d], K) for d in range(D)], axis=1)
+        # per component and dimension, rows summed in order: bin z * D + d
+        bins = (z[:, None] * D + dims).ravel()
+        sums = np.bincount(bins, data.ravel(), K * D).reshape(K, D)
         # conjugate Normal update for each mean coordinate
         prec = counts[:, None] / variances + 1.0 / GMM_MEAN_VAR
         post_mean = (sums / variances) / prec
         means = post_mean + g.standard_normal((K, D)) / np.sqrt(prec)
         # conjugate Inverse-Gamma update for each variance coordinate
         resid = (data - means[z]) ** 2
-        sq = np.stack([np.bincount(z, resid[:, d], K) for d in range(D)], axis=1)
+        sq = np.bincount(bins, resid.ravel(), K * D).reshape(K, D)
         shape = GMM_IG_SHAPE + counts[:, None] / 2.0
         scale = GMM_IG_SCALE + sq / 2.0
         variances = 1.0 / g.gamma(shape, 1.0 / scale)
@@ -231,12 +264,11 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
             means[empty] = np.sqrt(GMM_MEAN_VAR) * g.standard_normal((k_empty, D))
             variances[empty] = 1.0 / g.gamma(GMM_IG_SHAPE, 1.0 / GMM_IG_SCALE, size=(k_empty, D))
         if it >= burnin and (it - burnin) % thin == 0:
-            states.append(GmmState(means.copy(), variances.copy(), z.copy(), weights.copy()))
-            ll = gmm_full_loglik(x, means, variances, weights)
-            logliks.append(ll)
-            logposts.append(ll + _gmm_log_prior(means, variances, weights))
-    return PosteriorDraws(tuple(states), f"gmm-K{K}", loglik=np.array(logliks),
-                          logpost=np.array(logposts))
+            # every array here is rebuilt, not updated, by the next sweep
+            states.append(GmmState(means, variances, z, weights))
+    loglik = gmm_full_loglik(x, states)
+    logpost = loglik + np.array([_gmm_log_prior(s.means, s.variances, s.weights) for s in states])
+    return PosteriorDraws(tuple(states), f"gmm-K{K}", loglik=loglik, logpost=logpost)
 
 
 def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
@@ -298,25 +330,30 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     n = x.n
     # log w_k - (Mahalanobis + log det) / 2, one data dimension at a time
     logits = np.empty((K, n, B))
+    work = np.empty((n, B))
     for k in range(K):
-        lk = logits[k]
-        lk[...] = stack.offset[k]
         for d in range(D):
-            sq = x.values[:, d, None] - stack.means[d, k]
-            sq *= sq
-            sq *= stack.half_prec[d, k]
-            lk -= sq
-    e = logits - logits.max(axis=0)
-    np.exp(e, out=e)
-    # inverse-CDF label draw on the unnormalized responsibilities
-    threshold = stream.generator.random((n, B)) * e.sum(axis=0)
-    labels = np.zeros((n, B), dtype=np.intp)
-    cum = e[0].copy()
+            np.subtract(x.values[:, d, None], stack.means[d, k], out=work)
+            work *= work
+            work *= stack.half_prec[d, k]
+            np.subtract(logits[k] if d else stack.offset[k], work, out=logits[k])
+    # the diagnostic is the logit at the drawn label less its log weight;
+    # with one component the label is 0 and nothing needs drawing
+    picked = logits[0] - stack.log_weights[0]
+    if K == 1:
+        return picked.sum(axis=0)
+    cum = logits - logits.max(axis=0)
+    np.exp(cum, out=cum)
+    # cumulative unnormalized responsibilities, added in the order of a sum
+    # over axis 0, so that cum[-1] is their total
     for k in range(1, K):
-        labels += cum < threshold
-        cum += e[k]
-    picked = np.take_along_axis(logits, labels[None], axis=0)[0]
-    picked -= stack.log_weights[labels, np.arange(B)]
+        cum[k] += cum[k - 1]
+    # inverse-CDF label draw: cum only grows along k, so the last k with
+    # cum[k - 1] < threshold is the drawn label
+    threshold = stream.generator.random((n, B)) * cum[-1]
+    for k in range(1, K):
+        np.subtract(logits[k], stack.log_weights[k], out=work)
+        np.putmask(picked, cum[k - 1] < threshold, work)
     return picked.sum(axis=0)
 
 
@@ -337,15 +374,20 @@ def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
     return np.array([row.sum() for row in logsumexp(logp, axis=2)])
 
 
-def _multmix_log_prior(state: MultMixState) -> float:
-    def dirichlet_logpdf(p, alpha):
-        a = np.full(len(p), alpha)
-        return float(((a - 1) * np.log(p)).sum() + gammaln(a.sum()) - gammaln(a).sum())
+def _dirichlet_log_density(p, alpha) -> np.ndarray:
+    """Symmetric Dirichlet(alpha) log density of each row of p (... x L)."""
+    a = np.full(p.shape[-1], alpha)
+    return ((a - 1) * np.log(p)).sum(axis=-1) + gammaln(a.sum()) - gammaln(a).sum()
 
-    lp = dirichlet_logpdf(state.weights, MULTMIX_ALPHA_PI)
-    for table in state.tables:
-        for row in table:
-            lp += dirichlet_logpdf(row, MULTMIX_ALPHA)
+
+def _multmix_log_prior(states) -> np.ndarray:
+    """Log prior density of each state: the weights' Dirichlet term, then
+    each table row's, added in turn."""
+    lp = _dirichlet_log_density(np.stack([s.weights for s in states]), MULTMIX_ALPHA_PI)
+    for j in range(len(states[0].tables)):
+        rows = _dirichlet_log_density(np.stack([s.tables[j] for s in states]), MULTMIX_ALPHA)
+        for k in range(rows.shape[1]):
+            lp += rows[:, k]
     return lp
 
 
@@ -386,7 +428,7 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
         if it >= burnin and (it - burnin) % thin == 0:
             states.append(MultMixState(weights, tuple(tables), z))
     loglik = multmix_full_loglik(x, states)
-    logpost = np.array([ll + _multmix_log_prior(s) for ll, s in zip(loglik, states)])
+    logpost = loglik + _multmix_log_prior(states)
     return PosteriorDraws(tuple(states), f"multmix-K{K}", loglik=loglik, logpost=logpost)
 
 

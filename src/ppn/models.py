@@ -10,6 +10,8 @@ reduction.  Fits always come back as PosteriorDraws, even when the
 from __future__ import annotations
 
 import inspect
+import numbers
+import operator
 
 import numpy as np
 
@@ -116,6 +118,12 @@ class PpcaModel:
     default_reduction = REDUCTION_MAP
 
     def __init__(self, K, tol=1e-8, max_iters=1000):
+        if not isinstance(tol, numbers.Real):
+            raise ParameterError(f"tol must be a number, not {tol!r}")
+        try:
+            operator.index(max_iters)
+        except TypeError:
+            raise ParameterError(f"max_iters must be an integer, not {max_iters!r}") from None
         self.K = int(K)
         self.tol = tol
         self.max_iters = max_iters

@@ -9,6 +9,7 @@ give bit-identical results.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 from dataclasses import dataclass
 
@@ -42,11 +43,16 @@ class VariateStream:
     """
 
     def __init__(self, seed: Seed, label: str):
-        digest = hashlib.sha256(f"{seed.root}\x1f{label}".encode()).digest()
-        key = np.frombuffer(digest, dtype=np.uint64)[:2]
         self.seed = seed
         self.label = label
-        self.generator = np.random.Generator(np.random.Philox(key=key))
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        """The stream's Philox generator, built on first use: many streams
+        (one per replicate diagnostic, say) are never drawn from."""
+        digest = hashlib.sha256(f"{self.seed.root}\x1f{self.label}".encode()).digest()
+        key = np.frombuffer(digest, dtype=np.uint64)[:2]
+        return np.random.Generator(np.random.Philox(key=key))
 
     def substream(self, *labels) -> "VariateStream":
         return VariateStream(self.seed, self.label + "/" + "/".join(str(x) for x in labels))

@@ -24,6 +24,8 @@ from ppn.rng import Seed, chi_square_cdf, ks_distance
 
 from test_rng import _series_gamma_p
 
+pytestmark = pytest.mark.acceptance
+
 SEEDS = (1, 2, 3, 4, 5)
 
 

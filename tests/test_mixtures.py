@@ -10,13 +10,15 @@ import pytest
 from ppn.core import Dataset
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
-from ppn.mixtures import (MULTMIX_ALPHA, ChainConfig, GmmState, MultMixState,
-                          PosteriorDraws, gmm_full_loglik, gmm_gibbs_fit,
+from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR,
+                          MULTMIX_ALPHA, MULTMIX_ALPHA_PI, ChainConfig, GmmState,
+                          MultMixState, PosteriorDraws, _component_sums, _kmeans_init,
+                          _multmix_log_prior, gmm_full_loglik, gmm_gibbs_fit,
                           gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_gibbs_fit,
                           multmix_predictive)
 from ppn.rng import Seed
-from scipy.special import logsumexp
+from scipy.special import gammaln, logsumexp
 
 
 def _gmm_state(means, variances, n=1):
@@ -24,6 +26,85 @@ def _gmm_state(means, variances, n=1):
     variances = np.atleast_2d(np.asarray(variances, dtype=float))
     K = means.shape[0]
     return GmmState(means, variances, np.zeros(n, dtype=int), np.full(K, 1.0 / K))
+
+
+def _gmm_gibbs_reference(x, K, iters, burnin, thin, stream):
+    """Reference Gibbs sweep: responsibilities n x K x D summed by numpy,
+    one bincount per data dimension, and each retained state's
+    log-likelihood and log prior on its own.  Returns (states, loglik, logpost)."""
+    g = stream.generator
+    data = x.values
+    n, D = data.shape
+    means, variances = _kmeans_init(data, K)
+    weights = np.full(K, 1.0 / K)
+    states, logliks, logposts = [], [], []
+    for it in range(iters):
+        comp = np.log(weights) - 0.5 * (((data[:, None, :] - means) ** 2) / variances
+                                        + np.log(variances)).sum(-1)
+        e = np.exp(comp - comp.max(axis=1, keepdims=True))
+        cum = np.cumsum(e, axis=1)
+        u = g.random(n)
+        z = (cum[:, :-1] < (u * cum[:, -1])[:, None]).sum(1)
+        counts = np.bincount(z, minlength=K)
+        weights = g.dirichlet(GMM_ALPHA_PI + counts)
+        sums = np.stack([np.bincount(z, data[:, d], K) for d in range(D)], axis=1)
+        prec = counts[:, None] / variances + 1.0 / GMM_MEAN_VAR
+        post_mean = (sums / variances) / prec
+        means = post_mean + g.standard_normal((K, D)) / np.sqrt(prec)
+        resid = (data - means[z]) ** 2
+        sq = np.stack([np.bincount(z, resid[:, d], K) for d in range(D)], axis=1)
+        shape = GMM_IG_SHAPE + counts[:, None] / 2.0
+        scale = GMM_IG_SCALE + sq / 2.0
+        variances = 1.0 / g.gamma(shape, 1.0 / scale)
+        empty = counts == 0
+        if empty.any():
+            k_empty = int(empty.sum())
+            means[empty] = np.sqrt(GMM_MEAN_VAR) * g.standard_normal((k_empty, D))
+            variances[empty] = 1.0 / g.gamma(GMM_IG_SHAPE, 1.0 / GMM_IG_SCALE, size=(k_empty, D))
+        if it >= burnin and (it - burnin) % thin == 0:
+            states.append(GmmState(means.copy(), variances.copy(), z.copy(), weights.copy()))
+            comp = -0.5 * (((data[:, None, :] - means) ** 2) / variances
+                           + np.log(2 * np.pi * variances)).sum(-1)
+            ll = float(logsumexp(comp + np.log(weights), axis=1).sum())
+            a, b = GMM_IG_SHAPE, GMM_IG_SCALE
+            lp = -0.5 * (means**2 / GMM_MEAN_VAR + np.log(2 * np.pi * GMM_MEAN_VAR)).sum()
+            lp += (a * np.log(b) - gammaln(a) - (a + 1) * np.log(variances) - b / variances).sum()
+            lp += ((GMM_ALPHA_PI - 1) * np.log(weights).sum() + gammaln(K * GMM_ALPHA_PI)
+                   - K * gammaln(GMM_ALPHA_PI))
+            logliks.append(ll)
+            logposts.append(ll + float(lp))
+    return states, np.array(logliks), np.array(logposts)
+
+
+def _gmm_diagnostic_reference(x, states, stream):
+    """Reference scoring kernel: a label array, then the logits and log
+    weights gathered at those labels."""
+    means = np.stack([s.means for s in states]).transpose(2, 1, 0)      # D x K x B
+    variances = np.stack([s.variances for s in states])
+    log_weights = np.log(np.stack([s.weights for s in states])).T      # K x B
+    half_prec = (0.5 / variances).transpose(2, 1, 0)
+    offset = log_weights - 0.5 * np.log(variances).sum(-1).T
+    D, K, B = means.shape
+    n = x.n
+    logits = np.empty((K, n, B))
+    for k in range(K):
+        logits[k] = offset[k]
+        for d in range(D):
+            sq = x.values[:, d, None] - means[d, k]
+            sq *= sq
+            sq *= half_prec[d, k]
+            logits[k] -= sq
+    e = logits - logits.max(axis=0)
+    np.exp(e, out=e)
+    threshold = stream.generator.random((n, B)) * e.sum(axis=0)
+    labels = np.zeros((n, B), dtype=np.intp)
+    cum = e[0].copy()
+    for k in range(1, K):
+        labels += cum < threshold
+        cum += e[k]
+    picked = np.take_along_axis(logits, labels[None], axis=0)[0]
+    picked -= log_weights[labels, np.arange(B)]
+    return picked.sum(axis=0)
 
 
 class TestChainConfig:
@@ -114,17 +195,50 @@ class TestGmmFit:
 
     def test_full_loglik_weighted_closed_form(self):
         y = np.array([[0.0]])
-        ll = gmm_full_loglik(Dataset(y), np.array([[0.0], [1.0]]),
-                             np.array([[1.0], [1.0]]), np.array([0.25, 0.75]))
+        state = GmmState(np.array([[0.0], [1.0]]), np.array([[1.0], [1.0]]),
+                         np.zeros(1, dtype=int), np.array([0.25, 0.75]))
+        ll = gmm_full_loglik(Dataset(y), [state])
         phi = lambda v: np.exp(-0.5 * v * v) / np.sqrt(2 * np.pi)
-        assert abs(ll - np.log(0.25 * phi(0.0) + 0.75 * phi(1.0))) < 1e-12
+        assert ll.shape == (1,)
+        assert abs(ll[0] - np.log(0.25 * phi(0.0) + 0.75 * phi(1.0))) < 1e-12
 
     def test_full_loglik_k1_closed_form(self):
         y = np.array([[0.5], [-0.5]])
-        ll = gmm_full_loglik(Dataset(y), np.array([[0.0]]), np.array([[1.0]]),
-                             np.array([1.0]))
+        ll = gmm_full_loglik(Dataset(y), [_gmm_state([[0.0]], [[1.0]])])[0]
         expected = -0.5 * (2 * np.log(2 * np.pi) + 0.25 + 0.25)
         assert abs(ll - expected) < 1e-12
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_fit_matches_per_dimension_reference(self, K):
+        # the sweep on the chain's own stream, on two seeds and on three
+        # points, where components go empty and are refreshed from the prior
+        tiny = Dataset(np.array([[0.0, 0.0], [0.1, 0.1], [3.0, 2.0]]))
+        for data, label in ((gen_gmm_data(120, Seed(1)), 1), (gen_gmm_data(120, Seed(2)), 2),
+                            (tiny, "tiny")):
+            fit = gmm_gibbs_fit(data, K, 60, 20, 2, Seed(K).stream("f", label))
+            ref = _gmm_gibbs_reference(data, K, 60, 20, 2, Seed(K).stream("f", label))
+            assert len(fit.states) == len(ref[0]) == 20
+            for got, want in zip(fit.states, ref[0]):
+                for name in ("means", "variances", "assignments", "weights"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+            assert np.array_equal(fit.loglik, ref[1])
+            assert np.array_equal(fit.logpost, ref[2])
+        if K > 3:  # the three-point chain did refresh an empty component
+            assert any(np.bincount(s.assignments, minlength=K).min() == 0 for s in fit.states)
+
+    def test_component_sums_keep_numpys_row_order(self):
+        # below eight values numpy adds a row one value after another, from
+        # eight on in pairwise blocks; both orders must come out unchanged
+        g = Seed(6).stream("sums").generator
+        for D in range(1, 11):
+            x = g.standard_normal((40, D)) * np.exp(3 * g.standard_normal((40, D)))
+            means = g.standard_normal((3, D))
+            variances = np.exp(3 * g.standard_normal((3, D)))
+            logs = np.log(variances)
+            want = (((x[:, None, :] - means) ** 2) / variances + logs).sum(-1).T
+            got = _component_sums(np.ascontiguousarray(x.T)[:, None, :], means, variances, logs)
+            assert np.array_equal(got, want)
 
 
 class TestGmmPredictive:
@@ -250,6 +364,20 @@ class TestGmmDiagnostic:
                 gmm_loglik_diagnostic_batch(Dataset(np.zeros((4, 3))), good,
                                             Seed(1).stream("b"))
 
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_kernel_matches_label_array_reference(self, K):
+        fit = gmm_gibbs_fit(gen_gmm_data(150, Seed(40 + K)), K, 80, 40, 2, Seed(K).stream("f"))
+        x, other = gen_gmm_data(70, Seed(50 + K)), gen_gmm_data(30, Seed(60 + K))
+        ref = _gmm_diagnostic_reference(x, fit.states, Seed(K).stream("d"))
+        got = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(K).stream("d"))
+        assert np.array_equal(got, ref)
+        batch = fit.batch()
+        # later calls score the kept stacked arrays, also after another size
+        for data in (x, x, other, x):
+            want = _gmm_diagnostic_reference(data, fit.states, Seed(K).stream("d", data.n))
+            got = gmm_loglik_diagnostic_batch(data, batch, Seed(K).stream("d", data.n))
+            assert np.array_equal(got, want)
+
     def test_continuous_required(self):
         x = gen_multmix_data(5, seed=Seed(0))
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
@@ -301,6 +429,25 @@ class TestMultMixFit:
                 logp = logp + np.log(t[:, codes[:, j]]).T
             ref.append(float(logsumexp(logp, axis=1).sum()))
         assert np.array_equal(fit.loglik, ref)
+
+    def test_logpost_matches_per_row_prior_loop(self):
+        def dirichlet_logpdf(p, alpha):
+            a = np.full(len(p), alpha)
+            return float(((a - 1) * np.log(p)).sum() + gammaln(a.sum()) - gammaln(a).sum())
+
+        def log_prior(state):
+            lp = dirichlet_logpdf(state.weights, MULTMIX_ALPHA_PI)
+            for table in state.tables:
+                for row in table:
+                    lp += dirichlet_logpdf(row, MULTMIX_ALPHA)
+            return lp
+
+        data = gen_multmix_data(90, seed=Seed(27))
+        for K in (1, 2, 3, 4):
+            fit = multmix_gibbs_fit(data, K, 60, 20, 4, Seed(27).stream("f", K))
+            prior = [log_prior(s) for s in fit.states]
+            assert np.array_equal(_multmix_log_prior(fit.states), prior)
+            assert np.array_equal(fit.logpost, [ll + lp for ll, lp in zip(fit.loglik, prior)])
 
     def test_cell_counts_match_add_at(self):
         # every iteration is kept, so the gamma shapes of iteration it must be

@@ -113,6 +113,12 @@ CLI_PROBES = {
     "fractions-not-numbers": {"config": {"fractions": "abc"}},
     "chain-not-object": {"config": {"chain": [60, 20, 2]}},
     "chain-not-integer": {"config": {"chain": {"iters": "abc"}, "models": ["gmm:1"]}},
+    "ppca-tol-not-number": {"config": {
+        "models": [{"family": "ppca", "K": 1, "tol": "abc"}, "gmm:1"]}},
+    "ppca-max-iters-not-integer": {"config": {
+        "models": [{"family": "ppca", "K": 1, "max_iters": "x"}, "gmm:1"]}},
+    "data-path-is-a-descriptor": {"config": {"data": {"path": 5}}},
+    "data-path-is-stdin": {"config": {"data": {"path": 0}}},
 }
 
 

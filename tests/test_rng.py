@@ -1,5 +1,6 @@
 """Sampler and special-function tests against independent oracles."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -32,6 +33,15 @@ class TestStreams:
         a = Seed(7).stream("chain", 3).generator.random(100)
         b = Seed(7).stream("chain", 3).generator.random(100)
         assert np.array_equal(a, b)
+
+    def test_generator_built_on_first_use(self):
+        stream = Seed(7).stream("lazy", 2)
+        assert "generator" not in vars(stream)
+        g = stream.generator
+        assert stream.generator is g
+        key = np.frombuffer(hashlib.sha256(b"7\x1flazy/2").digest(), dtype=np.uint64)[:2]
+        eager = np.random.Generator(np.random.Philox(key=key))
+        assert np.array_equal(g.random(5), eager.random(5))
 
     def test_distinct_labels_differ(self):
         a = Seed(7).stream("a").generator.random(10)
