@@ -19,7 +19,7 @@ from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                    VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, CheckOutcome,
                    DataSplit, PpnOutcome, StudyReport, pass_fail)
 from .diagnostics import DiagnosticSpec, validation_diagnostic
-from .errors import CheckError, ParameterError, PpnError
+from .errors import CheckError, ParameterError, PpnError, finite, integer
 from .estimators import sym_kl_estimate
 
 MODE_FULL = "full"
@@ -36,8 +36,9 @@ class StudyConfig:
     mode: str = MODE_FULL
 
     def __post_init__(self):
-        if self.R < 1:
-            raise ParameterError("R must be >= 1")
+        object.__setattr__(self, "R", integer(self.R, "R", 1))
+        object.__setattr__(self, "alpha", finite(self.alpha, "alpha"))
+        object.__setattr__(self, "tau", finite(self.tau, "tau"))
         if not 0.0 < self.alpha < 1.0:
             raise ParameterError("alpha must lie in (0, 1)")
         if self.tau < 0:
@@ -178,6 +179,9 @@ def ppn_study(split: DataSplit, models, specs=None, config: StudyConfig = None,
     """
     if len(models) < 2:
         raise ParameterError("a study needs at least two models")
+    ids = [m.id for m in models]
+    if len(set(ids)) < len(ids):
+        raise ParameterError(f"model ids must be unique, not {ids}")
     if config is None:
         config = StudyConfig()
     if specs is None:

@@ -71,13 +71,14 @@ def _build_parser():
     return parser
 
 
-def _as(kind, value, what):
-    """value converted by kind (int or float), or a ParameterError naming what."""
+def _int_from(text, what):
+    """The integer written in text (PPN_SEED, the K of a descriptor), or a
+    ParameterError naming what.  JSON values are never converted: the
+    constructors that take them refuse a value of the wrong type."""
     try:
-        return kind(value)
-    except (TypeError, ValueError):
-        noun = "an integer" if kind is int else "a number"
-        raise ParameterError(f"{what} must be {noun}, not {value!r}") from None
+        return int(text)
+    except ValueError:
+        raise ParameterError(f"{what} must be an integer, not {text!r}") from None
 
 
 def _model_from(entry, chain):
@@ -89,15 +90,13 @@ def _model_from(entry, chain):
     """
     if isinstance(entry, str):
         family, _, K = entry.partition(":")
-        entry = {"family": family, "K": K} if K else {"family": family}
+        entry = {"family": family, "K": _int_from(K, "K")} if K else {"family": family}
     if not isinstance(entry, dict) or "family" not in entry:
         raise ParameterError(f"model entry {entry!r} names no family")
     settings = dict(chain)
     settings.update({k: v for k, v in entry.items()
                      if k not in ("family", "K", "reduction")})
-    K = entry.get("K")
-    model = make_model(entry["family"], None if K is None else _as(int, K, "K"),
-                       **settings)
+    model = make_model(entry["family"], entry.get("K"), **settings)
     return model, DiagnosticSpec(model, entry.get("reduction"))
 
 
@@ -110,20 +109,6 @@ def _load_config(path):
     if not isinstance(config, dict):
         raise ParameterError(f"config {path} must hold a JSON object")
     return config
-
-
-def _seed_from(config):
-    env = os.environ.get("PPN_SEED")
-    if env is not None:
-        return Seed(_as(int, env, "PPN_SEED"))
-    return Seed(_as(int, config.get("seed", 0), "seed"))
-
-
-def _split_from(config, data, seed):
-    fractions = config.get("fractions")
-    if fractions is None:
-        fractions = (1.0 / 3.0, 1.0 / 3.0, 1.0 / 3.0)
-    return split_data(data, fractions, seed)
 
 
 def _load_data(config, path_or_none, seed):
@@ -140,9 +125,9 @@ def _load_data(config, path_or_none, seed):
         with open(data_cfg["path"]) as fh:
             return Dataset.from_csv(fh.read())
     preset = data_cfg["preset"]
-    if preset not in GENERATORS:
+    if not (isinstance(preset, str) and preset in GENERATORS):
         raise ParameterError(f"unknown data preset {preset!r}")
-    return GENERATORS[preset](_as(int, data_cfg.get("n", 500), "n"), seed)
+    return GENERATORS[preset](data_cfg.get("n", 500), seed)
 
 
 def _write_json(path, payload):
@@ -158,25 +143,23 @@ def _run(args) -> int:
             fh.write(data.to_csv())
         return 0
     config = _load_config(args.config)
-    seed = _seed_from(config)
-    study_cfg = StudyConfig(R=_as(int, config.get("R", 200), "R"),
-                            alpha=_as(float, config.get("alpha", 0.1), "alpha"),
-                            tau=_as(float, config.get("tau", 1.0), "tau"),
-                            mode=config.get("mode", "full"))
+    env = os.environ.get("PPN_SEED")
+    seed = Seed(config.get("seed", 0) if env is None else _int_from(env, "PPN_SEED"))
+    study_cfg = StudyConfig(**{k: config[k] for k in ("R", "alpha", "tau", "mode")
+                               if k in config})
     chain = config.get("chain", {})
     if not isinstance(chain, dict):
         raise ParameterError("config chain must be an object of chain settings")
+    data = _load_data(config, getattr(args, "data", None), seed)
+    fractions = config.get("fractions")
+    split = split_data(data, (1 / 3, 1 / 3, 1 / 3) if fractions is None else fractions, seed)
     if args.command == "check":
-        data = _load_data(config, args.data, seed)
-        split = _split_from(config, data, seed)
         model, spec = _model_from(args.model, chain)
         outcome = heldout_predictive_check(split, model, spec, study_cfg.R,
                                            study_cfg.alpha, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
     if args.command == "ppn":
-        data = _load_data(config, args.data, seed)
-        split = _split_from(config, data, seed)
         model_a, spec_a = _model_from(args.model_a, chain)
         model_b, _ = _model_from(args.model_b, chain)
         with warnings.catch_warnings():
@@ -185,15 +168,15 @@ def _run(args) -> int:
                                 study_cfg.tau, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
-    if args.command == "study":
-        data = _load_data(config, None, seed)
-        split = _split_from(config, data, seed)
-        entries = [_model_from(entry, chain) for entry in config.get("models", [])]
-        report = ppn_study(split, [m for m, _ in entries], [s for _, s in entries],
-                           study_cfg, seed)
-        emit_report(report, args.out_dir)
-        return 0
-    raise ParameterError(f"unknown command {args.command!r}")
+    # the parser admits no other command: this is `study`
+    models = config.get("models", [])
+    if not isinstance(models, list):
+        raise ParameterError(f"config models must be a list, not {models!r}")
+    entries = [_model_from(entry, chain) for entry in models]
+    report = ppn_study(split, [m for m, _ in entries], [s for _, s in entries],
+                       study_cfg, seed)
+    emit_report(report, args.out_dir)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError
+from .errors import DataError, DimensionError, ParameterError, finite
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical-onehot"
@@ -180,8 +180,8 @@ def split_data(data: Dataset, fractions, seed) -> DataSplit:
     assigned to x_in.  The permutation is a pure function of the seed.
     """
     try:
-        fractions = np.asarray(fractions, dtype=float)
-    except (TypeError, ValueError):
+        fractions = np.array([finite(f, "a fraction") for f in fractions])
+    except TypeError:
         raise ParameterError(f"fractions must be three positive reals, not {fractions!r}") from None
     if fractions.shape != (3,) or np.any(fractions <= 0):
         raise ParameterError("fractions must be three positive reals")

@@ -9,7 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from .core import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, integer
 from .rng import Seed, categorical
 
 # 3-component, 2-d Gaussian mixture: one mean/variance column per component.
@@ -34,8 +34,7 @@ MULTMIX_WEIGHTS = (0.5, 0.5)
 
 def gen_gmm_data(n: int, seed: Seed) -> Dataset:
     """Equal-weight 3-component 2-d Gaussian mixture draw."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = integer(n, "n", 1)
     stream = seed.stream("gen", "gmm")
     comp = categorical(stream, np.full(3, 1.0 / 3.0), n)
     noise = stream.generator.standard_normal((n, 2))
@@ -45,8 +44,7 @@ def gen_gmm_data(n: int, seed: Seed) -> Dataset:
 
 def gen_regression_data(n: int = 2000, p: int = 10, theta: float = 2.5, seed: Seed = None) -> Dataset:
     """Constant-mean responses with independent, meaningless covariates."""
-    if n < 1 or p < 1:
-        raise ParameterError("n and p must be >= 1")
+    n, p = integer(n, "n", 1), integer(p, "p", 1)
     stream = seed.stream("gen", "regression")
     y = theta + stream.generator.standard_normal(n)
     covariates = stream.generator.standard_normal((n, p))
@@ -55,8 +53,7 @@ def gen_regression_data(n: int = 2000, p: int = 10, theta: float = 2.5, seed: Se
 
 def gen_linear_factor_data(n: int, seed: Seed) -> Dataset:
     """Linear two-factor data: x = Wz + eps with unit noise."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = integer(n, "n", 1)
     stream = seed.stream("gen", "linear_factor")
     z = stream.generator.standard_normal((n, 2))
     eps = stream.generator.standard_normal((n, LINEAR_W.shape[0]))
@@ -65,8 +62,7 @@ def gen_linear_factor_data(n: int, seed: Seed) -> Dataset:
 
 def gen_nonlinear_factor_data(n: int, seed: Seed) -> Dataset:
     """Nonlinear two-factor data in 7 dimensions with unit noise."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = integer(n, "n", 1)
     stream = seed.stream("gen", "nonlinear_factor")
     z = stream.generator.standard_normal((n, 2))
     z1, z2 = z[:, 0], z[:, 1]
@@ -85,8 +81,7 @@ def gen_nonlinear_factor_data(n: int, seed: Seed) -> Dataset:
 
 def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed: Seed = None) -> Dataset:
     """Categorical mixture draw over three scored variables, one-hot encoded."""
-    if n < 1:
-        raise ParameterError("n must be >= 1")
+    n = integer(n, "n", 1)
     if tables is None:
         tables = MULTMIX_TABLES
         weights = MULTMIX_WEIGHTS

@@ -23,15 +23,12 @@ class DiagnosticSpec:
 
     model: object
     reduction: str = None
-    B: int = None
 
     def __post_init__(self):
         if self.reduction is None:
             object.__setattr__(self, "reduction", self.model.default_reduction)
         if self.reduction not in (REDUCTION_AVERAGE, REDUCTION_MAP):
             raise ParameterError(f"unknown reduction {self.reduction!r}")
-        if self.B is not None and self.B < 1:
-            raise ParameterError("B must be >= 1")
 
 
 def validation_diagnostic(x: Dataset, spec: DiagnosticSpec, draws, stream) -> float:
@@ -42,5 +39,5 @@ def validation_diagnostic(x: Dataset, spec: DiagnosticSpec, draws, stream) -> fl
     if spec.reduction == REDUCTION_MAP:
         state = draws.states[0] if draws.B == 1 else draws.map_state()
         return float(spec.model.diagnostic_batch(x, [state], stream)[0])
-    vals = spec.model.diagnostic_batch(x, draws.batch(spec.B), stream)
+    vals = spec.model.diagnostic_batch(x, draws.batch(), stream)
     return float(np.mean(vals))

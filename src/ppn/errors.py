@@ -1,4 +1,7 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy shared across the package, and the checks of settings."""
+
+import math
+import numbers
 
 
 class PpnError(Exception):
@@ -45,3 +48,28 @@ class CheckError(PpnError):
         self.model_id = model_id
         self.stage = stage
         self.cause = cause
+
+
+def integer(value, what, low):
+    """value as a plain int if it is an integer >= low, else a ParameterError
+    naming what.  Floats, bools and numeric strings are refused, even 2.0,
+    True and "2": a setting that counts something is written as an integer."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ParameterError(f"{what} must be an integer, not {value!r}")
+    value = int(value)
+    if value < low:
+        raise ParameterError(f"{what} must be >= {low}, not {value}")
+    return value
+
+
+def finite(value, what):
+    """value as a plain float if it is a finite real number, else a
+    ParameterError naming what.  Bools, numeric strings, NaN and inf are refused."""
+    if isinstance(value, numbers.Real) and not isinstance(value, bool):
+        try:
+            number = float(value)
+        except OverflowError:           # an int beyond the float range
+            number = math.inf
+        if math.isfinite(number):
+            return number
+    raise ParameterError(f"{what} must be a finite number, not {value!r}")

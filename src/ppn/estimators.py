@@ -35,8 +35,12 @@ def kde_density(samples, grid) -> np.ndarray:
     if samples.size < 2:
         raise DegenerateSampleError("need at least two samples for a density estimate")
     h = _silverman_bandwidth(samples)
-    z = (grid[:, None] - samples[None, :]) / h
-    dens = np.exp(-0.5 * z**2).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
+    # one grid-by-sample matrix, worked in place: at R = 2000 it holds 16 MB
+    z = np.subtract.outer(grid, samples)
+    z /= h
+    z *= z
+    z *= -0.5
+    dens = np.exp(z, out=z).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
     return np.maximum(dens, DENSITY_FLOOR)
 
 

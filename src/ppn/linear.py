@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import CONTINUOUS, Dataset
 from .errors import (DataError, DimensionError, ParameterError,
-                     SingularityError, StateError)
+                     SingularityError, StateError, integer)
 
 REGRESSION_PRED_VAR = 2.0
 
@@ -84,8 +84,7 @@ def regression_fit_B(y_in, X_in) -> RegressionPosteriorB:
 
 def regression_predictive(posterior, covariates, R: int, stream) -> list:
     """R replicate response vectors from the stored predictive Normals."""
-    if R < 1:
-        raise ParameterError("R must be >= 1")
+    R = integer(R, "R", 1)
     if isinstance(posterior, RegressionPosteriorA):
         n_rep = covariates if np.isscalar(covariates) else len(covariates)
         mean = np.full(n_rep, posterior.y_bar)
@@ -187,10 +186,7 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
 
 def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> list:
     """R replicate datasets from the linear-Gaussian generative process."""
-    if R < 1:
-        raise ParameterError("R must be >= 1")
-    if n_rep < 1:
-        raise ParameterError("n_rep must be >= 1")
+    R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
     for r in range(R):
         sub = stream.substream(r)

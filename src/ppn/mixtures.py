@@ -10,14 +10,13 @@ variable.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
 from .core import CATEGORICAL, CONTINUOUS, Dataset
-from .errors import DataError, DimensionError, ParameterError, StateError
+from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical
 
 # Gaussian mixture priors: means Normal(0, 25), variances Inverse-Gamma(1, 1),
@@ -41,13 +40,10 @@ class ChainConfig:
     thin: int = 5
 
     def __post_init__(self):
-        try:
-            for steps in (self.iters, self.burnin, self.thin):
-                operator.index(steps)
-        except TypeError:
-            raise ParameterError("iters, burnin and thin must be integers") from None
-        if not (self.iters > self.burnin >= 0 and self.thin >= 1):
-            raise ParameterError("need iters > burnin >= 0 and thin >= 1")
+        for name, low in (("iters", 1), ("burnin", 0), ("thin", 1)):
+            object.__setattr__(self, name, integer(getattr(self, name), name, low))
+        if self.iters <= self.burnin:
+            raise ParameterError("need iters > burnin")
 
 
 @dataclass(frozen=True)
@@ -105,7 +101,7 @@ class PosteriorDraws:
     model_id: str
     loglik: np.ndarray = field(default=None)
     logpost: np.ndarray = field(default=None)
-    _batches: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _batch: StateBatch = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.states) < 1:
@@ -115,12 +111,11 @@ class PosteriorDraws:
     def B(self):
         return len(self.states)
 
-    def batch(self, B=None) -> StateBatch:
-        """The first B states (all by default), one batch per B kept here."""
-        B = self.B if B is None else min(B, self.B)
-        if B not in self._batches:
-            self._batches[B] = StateBatch(self.states[:B])
-        return self._batches[B]
+    def batch(self) -> StateBatch:
+        """All the states as one StateBatch, built on first use and kept here."""
+        if self._batch is None:
+            object.__setattr__(self, "_batch", StateBatch(self.states))
+        return self._batch
 
     def map_state(self):
         if self.logpost is None:
@@ -219,8 +214,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
     correct stationary distribution.
     """
     _require_continuous(x)
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+    K = integer(K, "K", 1)
     ChainConfig(iters, burnin, thin)
     g = stream.generator
     data = x.values
@@ -273,10 +267,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
 
 def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
     """R replicate datasets, each generated from one retained posterior state."""
-    if R < 1:
-        raise ParameterError("R must be >= 1")
-    if n_rep < 1:
-        raise ParameterError("n_rep must be >= 1")
+    R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
     for r in range(R):
         sub = stream.substream(r)
@@ -394,8 +385,7 @@ def _multmix_log_prior(states) -> np.ndarray:
 def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
     """Gibbs chain over class labels, weights, and per-class tables."""
     _require_onehot(x)
-    if K < 1:
-        raise ParameterError("K must be >= 1")
+    K = integer(K, "K", 1)
     ChainConfig(iters, burnin, thin)
     g = stream.generator
     codes = x.codes()
@@ -434,10 +424,7 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
 
 def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
     """R one-hot replicate datasets from retained posterior states."""
-    if R < 1:
-        raise ParameterError("R must be >= 1")
-    if n_rep < 1:
-        raise ParameterError("n_rep must be >= 1")
+    R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
     for r in range(R):
         sub = stream.substream(r)

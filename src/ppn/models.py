@@ -10,13 +10,11 @@ reduction.  Fits always come back as PosteriorDraws, even when the
 from __future__ import annotations
 
 import inspect
-import numbers
-import operator
 
 import numpy as np
 
 from .core import Dataset
-from .errors import ParameterError
+from .errors import ParameterError, finite, integer
 from . import linear, mixtures
 
 REDUCTION_AVERAGE = "average"
@@ -30,7 +28,7 @@ class GmmModel:
     default_reduction = REDUCTION_AVERAGE
 
     def __init__(self, K, iters=2000, burnin=1000, thin=5):
-        self.K = int(K)
+        self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
         self.id = f"gmm-K{self.K}"
 
@@ -51,7 +49,7 @@ class MultMixModel:
     default_reduction = REDUCTION_AVERAGE
 
     def __init__(self, K, iters=2000, burnin=1000, thin=5):
-        self.K = int(K)
+        self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
         self.id = f"multmix-K{self.K}"
 
@@ -118,15 +116,9 @@ class PpcaModel:
     default_reduction = REDUCTION_MAP
 
     def __init__(self, K, tol=1e-8, max_iters=1000):
-        if not isinstance(tol, numbers.Real):
-            raise ParameterError(f"tol must be a number, not {tol!r}")
-        try:
-            operator.index(max_iters)
-        except TypeError:
-            raise ParameterError(f"max_iters must be an integer, not {max_iters!r}") from None
-        self.K = int(K)
-        self.tol = tol
-        self.max_iters = max_iters
+        self.K = integer(K, "K", 1)
+        self.tol = finite(tol, "tol")
+        self.max_iters = integer(max_iters, "max_iters", 1)
         self.id = f"ppca-K{self.K}"
 
     def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
@@ -151,7 +143,7 @@ def make_model(family: str, K: int = None, **settings):
     none.  ``settings`` are the family's own keywords (the chain schedule
     of gmm and multmix, tol and max_iters of ppca); any other is refused.
     """
-    cls = _FAMILIES.get(family)
+    cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:
         raise ParameterError(f"unknown model family {family!r}")
     takes = inspect.signature(cls).parameters

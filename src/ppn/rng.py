@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .errors import DegenerateSampleError, DomainError, ParameterError
+from .errors import DegenerateSampleError, DomainError, ParameterError, integer
 
 _PROB_TOL = 1e-9
 
@@ -28,8 +28,10 @@ class Seed:
     root: int
 
     def __post_init__(self):
-        if not 0 <= int(self.root) < 2**64:
+        root = integer(self.root, "root seed", 0)
+        if root >= 2**64:
             raise ParameterError("root seed must be a 64-bit unsigned integer")
+        object.__setattr__(self, "root", root)
 
     def stream(self, *labels) -> "VariateStream":
         return VariateStream(self, "/".join(str(x) for x in labels))

@@ -275,6 +275,11 @@ class TestStudy:
         with pytest.raises(ParameterError):
             ppn_study(_split(), [NormalModel()], seed=Seed(15))
 
+    def test_model_ids_must_be_unique(self):
+        with pytest.raises(ParameterError, match="unique"):
+            ppn_study(_split(), [NormalModel("m0"), NormalModel("m1"), NormalModel("m0")],
+                      seed=Seed(15))
+
     def test_config_validation(self):
         with pytest.raises(ParameterError):
             StudyConfig(R=0)

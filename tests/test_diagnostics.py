@@ -72,13 +72,6 @@ class TestValidationDiagnostic:
                                     Seed(0).stream("d"))
         assert val == 30.0
 
-    def test_b_cap(self):
-        model = FakeModel(lambda x, s: s)
-        spec = DiagnosticSpec(model, B=2)
-        val = validation_diagnostic(Dataset(np.array([[0.0]])), spec,
-                                    _draws([1.0, 3.0, 100.0]), Seed(0).stream("d"))
-        assert val == 2.0
-
     def test_purity(self):
         # value is a pure function of (x, spec, draws, stream label)
         model = FakeModel(lambda x, s: s * x.values.sum())
@@ -99,5 +92,3 @@ class TestValidationDiagnostic:
         model = FakeModel(lambda x, s: s)
         with pytest.raises(ParameterError):
             DiagnosticSpec(model, reduction="median")
-        with pytest.raises(ParameterError):
-            DiagnosticSpec(model, B=0)

@@ -336,9 +336,6 @@ class TestGmmDiagnostic:
         for _ in range(2):  # the second call scores the kept stacked arrays
             got = gmm_loglik_diagnostic_batch(x, batch, Seed(9).stream("s"))
             assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
-        head = gmm_loglik_diagnostic_batch(x, fit.batch(10), Seed(9).stream("h"))
-        ref = gmm_loglik_diagnostic_batch(x, list(fit.states[:10]), Seed(9).stream("h"))
-        assert np.array_equal(head, ref)
         # the stacked arrays belong to the draws and go with them
         kept = weakref.ref(batch.stacked)
         del fit, batch
@@ -563,8 +560,6 @@ class TestMultMixDiagnostic:
             for _ in range(2):  # the second call scores the kept stacked arrays
                 got = multmix_chi2_diagnostic_batch(x, batch)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
-            head = multmix_chi2_diagnostic_batch(x, fit.batch(7))
-            assert np.array_equal(head, multmix_chi2_diagnostic_batch(x, list(fit.states[:7])))
         # the stacked arrays belong to the draws and go with them
         kept = weakref.ref(batch.stacked)
         del fit, batch

@@ -119,6 +119,22 @@ CLI_PROBES = {
         "models": [{"family": "ppca", "K": 1, "max_iters": "x"}, "gmm:1"]}},
     "data-path-is-a-descriptor": {"config": {"data": {"path": 5}}},
     "data-path-is-stdin": {"config": {"data": {"path": 0}}},
+    "models-not-a-list": {"config": {"models": 5}},
+    "models-a-string": {"config": {"models": "gmm:1"}},
+    "preset-not-a-string": {"config": {"data": {"preset": ["gmm"]}}},
+    "family-not-a-string": {"config": {"models": [{"family": ["gmm"], "K": 2}, "gmm:1"]}},
+    "R-float": {"config": {"R": 1.7}},
+    "R-bool": {"config": {"R": True}},
+    "R-numeric-string": {"config": {"R": "20"}},
+    "R-string-200": {"config": {"R": "200"}},
+    "seed-float": {"config": {"seed": 2.9}},
+    "n-float": {"config": {"data": {"preset": "gmm", "n": 60.5}}},
+    "K-float": {"config": {"chain": {"iters": 60, "burnin": 20, "thin": 2},
+                           "models": [{"family": "gmm", "K": 2.5}, "gmm:1"]}},
+    "tau-nan-string": {"config": {"tau": "nan"}},
+    "fractions-numeric-strings": {"config": {"fractions": ["0.5", "0.25", "0.25"]}},
+    "duplicate-model-ids": {"config": {"chain": {"iters": 60, "burnin": 20, "thin": 2},
+                                       "models": ["gmm:2", "gmm:2"]}},
 }
 
 
