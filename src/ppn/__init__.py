@@ -5,7 +5,7 @@ from .core import (CheckOutcome, DataSplit, Dataset, PpnOutcome, StudyReport,
                    pass_fail, split_data)
 from .checks import (StudyConfig, heldout_predictive_check,
                      posterior_predictive_pvalue, ppn_check, ppn_study)
-from .diagnostics import DiagnosticSpec, validation_diagnostic
+from .diagnostics import validation_diagnostic
 from .estimators import (bayes_factor, harmonic_mean_marginal_likelihood,
                          kde_density, sym_kl_estimate)
 from .models import (GmmModel, MultMixModel, PpcaModel, RegressionModelA,
@@ -14,7 +14,7 @@ from .report import emit_report
 from .rng import Seed, VariateStream, chi_square_cdf, ks_distance
 
 __all__ = [
-    "CheckOutcome", "DataSplit", "Dataset", "DiagnosticSpec", "GmmModel",
+    "CheckOutcome", "DataSplit", "Dataset", "GmmModel",
     "MultMixModel", "PpcaModel", "PpnOutcome", "RegressionModelA",
     "RegressionModelB", "Seed", "StudyConfig", "StudyReport", "VariateStream",
     "bayes_factor", "chi_square_cdf", "emit_report",

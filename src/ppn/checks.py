@@ -4,8 +4,9 @@ A heldout check locates the diagnostic of x_out within the diagnostics of
 replicates drawn from the x_in fit, with the diagnostic itself anchored on
 x_val.  A pairwise null asks whether replicates from a second model are
 distinguishable from the first model's own replicates under the first
-model's diagnostic.  The study runs all checks, filters to passers, and
-classifies every passing pair.
+model's diagnostic.  A model's diagnostic includes its reduction over the
+x_val posterior, so the check belongs to the model adapter.  The study runs
+all checks, filters to passers, and classifies every passing pair.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import numpy as np
 from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                    VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, CheckOutcome,
                    DataSplit, PpnOutcome, StudyReport, pass_fail)
-from .diagnostics import DiagnosticSpec, validation_diagnostic
+from .diagnostics import validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, finite, integer
 from .estimators import sym_kl_estimate
 
@@ -54,10 +55,10 @@ def _stage(model_id, stage, fn, *args):
         raise CheckError(model_id, stage, exc) from exc
 
 
-def _diag_samples(reps, spec, anchor, stream):
+def _diag_samples(reps, model, anchor, stream):
     vals = np.empty(len(reps))
     for r, rep in enumerate(reps):
-        vals[r] = validation_diagnostic(rep, spec, anchor, stream.substream(r))
+        vals[r] = validation_diagnostic(rep, model, anchor, stream.substream(r))
     return vals
 
 
@@ -69,19 +70,17 @@ class _Engine:
     ``diag/<source>`` for the diagnostics of a source model's replicates
     under an owner's diagnostic.  Replicates are drawn from the fit to the
     source part and shaped like x_out; diagnostics are anchored on the fit
-    to the anchor part.  ``specs`` maps each diagnostic owner to its
-    DiagnosticSpec, None for the model's default.
+    to the anchor part.
     """
 
-    def __init__(self, seed, R, specs, x_out, source, anchor):
+    def __init__(self, seed, R, x_out, source, anchor):
         self.seed, self.R, self.x_out = seed, R, x_out
         self.source, self.anchor = source, anchor      # (part name, data)
-        self.specs = {m: DiagnosticSpec(m) if s is None else s for m, s in specs.items()}
         self._kept = {}
 
     @classmethod
-    def of_split(cls, split: DataSplit, seed, R, specs):
-        return cls(seed, R, specs, split.x_out, ("in", split.x_in), ("val", split.x_val))
+    def of_split(cls, split: DataSplit, seed, R):
+        return cls(seed, R, split.x_out, ("in", split.x_in), ("val", split.x_val))
 
     def _once(self, model, label, stage, fn, *args):
         key = (model, label)
@@ -102,7 +101,7 @@ class _Engine:
         anchor = self.fit(owner, self.anchor)
         stage = "replicate diagnostics" if source is owner else "cross diagnostics"
         return self._once(owner, f"diag/{source.id}", stage, _diag_samples,
-                          self.reps(source), self.specs[owner], anchor)
+                          self.reps(source), owner, anchor)
 
     def prepare(self, model):
         """Fit both parts and draw the replicates, in that order."""
@@ -113,7 +112,7 @@ class _Engine:
     def check(self, model, alpha) -> CheckOutcome:
         self.prepare(model)
         d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
-                       self.x_out, self.specs[model], self.fit(model, self.anchor),
+                       self.x_out, model, self.fit(model, self.anchor),
                        self.seed.stream(model.id, "diag", "observed"))
         d_rep = self.samples(model, model)
         p = float((d_rep > d_obs).mean())
@@ -127,14 +126,14 @@ class _Engine:
                           owner.id, source.id)
 
 
-def heldout_predictive_check(split: DataSplit, model, spec=None, R=200,
-                             alpha=0.1, seed=None) -> CheckOutcome:
+def heldout_predictive_check(split: DataSplit, model, R=200, alpha=0.1,
+                             seed=None) -> CheckOutcome:
     """Locate x_out's diagnostic within replicates of the x_in fit."""
-    return _Engine.of_split(split, seed, R, {model: spec}).check(model, alpha)
+    return _Engine.of_split(split, seed, R).check(model, alpha)
 
 
-def posterior_predictive_pvalue(x_obs, model, spec=None, R=200,
-                                alpha=0.1, seed=None) -> CheckOutcome:
+def posterior_predictive_pvalue(x_obs, model, R=200, alpha=0.1,
+                                seed=None) -> CheckOutcome:
     """Classical double-use p-value: reference and anchor share x_obs.
 
     Provided for comparison studies only; unlike the heldout check it is
@@ -142,11 +141,11 @@ def posterior_predictive_pvalue(x_obs, model, spec=None, R=200,
     the anchor.
     """
     obs = ("obs", x_obs)
-    return _Engine(seed, R, {model: spec}, x_obs, obs, obs).check(model, alpha)
+    return _Engine(seed, R, x_obs, obs, obs).check(model, alpha)
 
 
-def ppn_check(split: DataSplit, model_a, model_b, spec_a=None, R=200,
-              tau=1.0, seed=None, verified_passed=False) -> PpnOutcome:
+def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None,
+              verified_passed=False) -> PpnOutcome:
     """Can replicates from model_b pass for model_a's own replicates?
 
     Both replicate sets are conditioned on x_in and scored by model_a's
@@ -156,7 +155,7 @@ def ppn_check(split: DataSplit, model_a, model_b, spec_a=None, R=200,
     if not verified_passed:
         warnings.warn("pairwise null run without verified heldout passes; "
                       "interpret with care", stacklevel=2)
-    return _Engine.of_split(split, seed, R, {model_a: spec_a}).pair(model_a, model_b, tau)
+    return _Engine.of_split(split, seed, R).pair(model_a, model_b, tau)
 
 
 def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
@@ -170,7 +169,7 @@ def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
     return VERDICT_COMPLEMENTARY
 
 
-def ppn_study(split: DataSplit, models, specs=None, config: StudyConfig = None,
+def ppn_study(split: DataSplit, models, config: StudyConfig = None,
               seed=None) -> StudyReport:
     """Run every heldout check, then pairwise nulls among the passers.
 
@@ -184,9 +183,7 @@ def ppn_study(split: DataSplit, models, specs=None, config: StudyConfig = None,
         raise ParameterError(f"model ids must be unique, not {ids}")
     if config is None:
         config = StudyConfig()
-    if specs is None:
-        specs = [None] * len(models)
-    engine = _Engine.of_split(split, seed, config.R, dict(zip(models, specs)))
+    engine = _Engine.of_split(split, seed, config.R)
     for model in models:
         engine.prepare(model)
     diagonal = [engine.check(model, config.alpha) for model in models]

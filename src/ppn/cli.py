@@ -18,8 +18,7 @@ import warnings
 from . import datagen
 from .checks import StudyConfig, heldout_predictive_check, ppn_check, ppn_study
 from .core import Dataset, split_data
-from .diagnostics import DiagnosticSpec
-from .errors import ParameterError, PpnError
+from .errors import DataError, ParameterError, PpnError
 from .models import make_model
 from .report import emit_report
 from .rng import Seed
@@ -82,10 +81,10 @@ def _int_from(text, what):
 
 
 def _model_from(entry, chain):
-    """A model and its DiagnosticSpec from one config entry.
+    """The model of one config entry.
 
     An entry is a descriptor such as "gmm:3" or "regression-A", or a dict
-    with family, K, an optional reduction, and the family's own settings.
+    with family, K, and the family's own settings, reduction among them.
     The top-level chain block gives every model its default settings.
     """
     if isinstance(entry, str):
@@ -94,40 +93,41 @@ def _model_from(entry, chain):
     if not isinstance(entry, dict) or "family" not in entry:
         raise ParameterError(f"model entry {entry!r} names no family")
     settings = dict(chain)
-    settings.update({k: v for k, v in entry.items()
-                     if k not in ("family", "K", "reduction")})
-    model = make_model(entry["family"], entry.get("K"), **settings)
-    return model, DiagnosticSpec(model, entry.get("reduction"))
+    settings.update({k: v for k, v in entry.items() if k not in ("family", "K")})
+    return make_model(entry["family"], entry.get("K"), **settings)
 
 
 def _load_config(path):
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             config = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ParameterError(f"config {path} must hold a JSON object")
     return config
 
 
-def _load_data(config, path_or_none, seed):
-    if path_or_none is not None:
-        with open(path_or_none) as fh:
-            return Dataset.from_csv(fh.read())
-    data_cfg = config.get("data")
-    if not isinstance(data_cfg, dict) or not ("path" in data_cfg or "preset" in data_cfg):
-        raise ParameterError("config data must be an object with a preset or a path")
-    if "path" in data_cfg:
+def _load_data(config, path, seed):
+    if path is None:
+        data_cfg = config.get("data")
+        if not isinstance(data_cfg, dict) or not ("path" in data_cfg or "preset" in data_cfg):
+            raise ParameterError("config data must be an object with a preset or a path")
+        if "path" not in data_cfg:
+            preset = data_cfg["preset"]
+            if not (isinstance(preset, str) and preset in GENERATORS):
+                raise ParameterError(f"unknown data preset {preset!r}")
+            return GENERATORS[preset](data_cfg.get("n", 500), seed)
+        path = data_cfg["path"]
         # open() takes an integer as a file descriptor: 0 would read stdin
-        if not isinstance(data_cfg["path"], str):
-            raise ParameterError(f"config data path must be a string, not {data_cfg['path']!r}")
-        with open(data_cfg["path"]) as fh:
-            return Dataset.from_csv(fh.read())
-    preset = data_cfg["preset"]
-    if not (isinstance(preset, str) and preset in GENERATORS):
-        raise ParameterError(f"unknown data preset {preset!r}")
-    return GENERATORS[preset](data_cfg.get("n", 500), seed)
+        if not isinstance(path, str):
+            raise ParameterError(f"config data path must be a string, not {path!r}")
+    try:
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise DataError(f"data {path} is not UTF-8 text: {exc}") from None
+    return Dataset.from_csv(text)
 
 
 def _write_json(path, payload):
@@ -150,30 +150,28 @@ def _run(args) -> int:
     chain = config.get("chain", {})
     if not isinstance(chain, dict):
         raise ParameterError("config chain must be an object of chain settings")
+    if "reduction" in chain:
+        raise ParameterError("config chain takes no reduction: give it in a model entry")
     data = _load_data(config, getattr(args, "data", None), seed)
     fractions = config.get("fractions")
     split = split_data(data, (1 / 3, 1 / 3, 1 / 3) if fractions is None else fractions, seed)
     if args.command == "check":
-        model, spec = _model_from(args.model, chain)
-        outcome = heldout_predictive_check(split, model, spec, study_cfg.R,
-                                           study_cfg.alpha, seed)
+        outcome = heldout_predictive_check(split, _model_from(args.model, chain),
+                                           study_cfg.R, study_cfg.alpha, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
     if args.command == "ppn":
-        model_a, spec_a = _model_from(args.model_a, chain)
-        model_b, _ = _model_from(args.model_b, chain)
+        model_a, model_b = (_model_from(m, chain) for m in (args.model_a, args.model_b))
         with warnings.catch_warnings():
             warnings.simplefilter("ignore")
-            outcome = ppn_check(split, model_a, model_b, spec_a, study_cfg.R,
-                                study_cfg.tau, seed)
+            outcome = ppn_check(split, model_a, model_b, study_cfg.R, study_cfg.tau, seed)
         _write_json(args.out, outcome.to_dict())
         return 0
     # the parser admits no other command: this is `study`
     models = config.get("models", [])
     if not isinstance(models, list):
         raise ParameterError(f"config models must be a list, not {models!r}")
-    entries = [_model_from(entry, chain) for entry in models]
-    report = ppn_study(split, [m for m, _ in entries], [s for _, s in entries],
+    report = ppn_study(split, [_model_from(entry, chain) for entry in models],
                        study_cfg, seed)
     emit_report(report, args.out_dir)
     return 0

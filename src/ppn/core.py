@@ -1,9 +1,11 @@
-"""Datasets, deterministic three-way splitting, and shared result records.
+"""Datasets, deterministic three-way splitting, posterior draws, and shared
+result records.
 
 The central object is the three-way split {x_in, x_out, x_val}: models are
 fitted on x_in, located against x_out, and their diagnostics are anchored on
-x_val.  Result records (check outcomes, pairwise comparison outcomes, study
-reports) are immutable and JSON-serializable.
+x_val.  Every fit comes back as PosteriorDraws.  Result records (check
+outcomes, pairwise comparison outcomes, study reports) are immutable and
+JSON-serializable.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DataError, DimensionError, ParameterError, finite
+from .errors import DataError, DimensionError, ParameterError, StateError, finite, integer
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical-onehot"
@@ -55,7 +57,7 @@ class Dataset:
         if self.kind == CATEGORICAL:
             if self.level_sizes is None:
                 raise ParameterError("categorical data requires level_sizes")
-            sizes = tuple(int(s) for s in self.level_sizes)
+            sizes = tuple(integer(s, "a level size", 1) for s in self.level_sizes)
             object.__setattr__(self, "level_sizes", sizes)
             if sum(sizes) != values.shape[1]:
                 raise DimensionError("level_sizes do not add up to the column count")
@@ -92,9 +94,17 @@ class Dataset:
 
     @staticmethod
     def from_codes(codes, level_sizes) -> "Dataset":
-        """Build a one-hot categorical dataset from integer level codes."""
-        codes = np.atleast_2d(np.asarray(codes, dtype=int))
-        level_sizes = tuple(int(s) for s in level_sizes)
+        """Build a one-hot categorical dataset from integer level codes.
+
+        A code that is not a whole number is refused, never truncated."""
+        level_sizes = tuple(integer(s, "a level size", 1) for s in level_sizes)
+        codes = np.atleast_2d(np.asarray(codes))
+        if codes.dtype.kind not in "iu":
+            whole = codes.astype(float)
+            if not np.all(np.isfinite(whole) & (whole == np.round(whole))):
+                raise DataError("level codes must be whole numbers")
+            # clipped first, so that a code beyond the int range stays out of range
+            codes = np.clip(whole, -1, max(level_sizes, default=0)).astype(int)
         if codes.shape[1] != len(level_sizes):
             raise DimensionError("one code column per categorical variable required")
         n = codes.shape[0]
@@ -153,9 +163,47 @@ class Dataset:
         except ValueError as exc:
             raise DataError(f"CSV entry is not a number: {exc}") from None
         if sizes is not None:
-            return Dataset.from_codes(body.astype(int), sizes)
+            return Dataset.from_codes(body, sizes)
         is_cov = np.array([re.fullmatch(r"c\d+", c) is not None for c in header])
         return Dataset(body[:, ~is_cov], body[:, is_cov] if is_cov.any() else None)
+
+
+class StateBatch(tuple):
+    """Retained states scored together.
+
+    A scoring kernel may keep the arrays it stacks from the states in
+    ``stacked``, so they are built once and freed with the batch.
+    """
+
+    stacked = None
+
+
+@dataclass(frozen=True)
+class PosteriorDraws:
+    """B retained parameter states plus their (log) likelihood bookkeeping.
+
+    ``states`` is kept as one StateBatch, so the arrays a kernel stacks from
+    them are built once per fit.
+    """
+
+    states: StateBatch
+    model_id: str
+    loglik: np.ndarray = None
+    logpost: np.ndarray = None
+
+    def __post_init__(self):
+        object.__setattr__(self, "states", StateBatch(self.states))
+        if len(self.states) < 1:
+            raise ParameterError("need at least one retained draw")
+
+    @property
+    def B(self):
+        return len(self.states)
+
+    def map_state(self):
+        if self.logpost is None:
+            raise StateError("no posterior density recorded for these draws")
+        return self.states[int(np.argmax(self.logpost))]
 
 
 @dataclass(frozen=True)

@@ -10,12 +10,12 @@ variable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import CATEGORICAL, CONTINUOUS, Dataset
+from .core import CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws, StateBatch
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical
 
@@ -74,16 +74,6 @@ class MultMixState:
         return len(self.weights)
 
 
-class StateBatch(tuple):
-    """Retained states scored together.
-
-    A scoring kernel may keep the arrays it stacks from the states in
-    ``stacked``, so they are built once and freed with the batch.
-    """
-
-    stacked = None
-
-
 def _stacked(states, build):
     """build(states), kept on a StateBatch so that it is built only once."""
     if not isinstance(states, StateBatch):
@@ -91,36 +81,6 @@ def _stacked(states, build):
     if states.stacked is None:
         states.stacked = build(states)
     return states.stacked
-
-
-@dataclass(frozen=True)
-class PosteriorDraws:
-    """B retained parameter states plus their (log) likelihood bookkeeping."""
-
-    states: tuple
-    model_id: str
-    loglik: np.ndarray = field(default=None)
-    logpost: np.ndarray = field(default=None)
-    _batch: StateBatch = field(default=None, init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        if len(self.states) < 1:
-            raise ParameterError("need at least one retained draw")
-
-    @property
-    def B(self):
-        return len(self.states)
-
-    def batch(self) -> StateBatch:
-        """All the states as one StateBatch, built on first use and kept here."""
-        if self._batch is None:
-            object.__setattr__(self, "_batch", StateBatch(self.states))
-        return self._batch
-
-    def map_state(self):
-        if self.logpost is None:
-            raise StateError("no posterior density recorded for these draws")
-        return self.states[int(np.argmax(self.logpost))]
 
 
 def _require_continuous(x: Dataset):
@@ -262,7 +222,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
             states.append(GmmState(means, variances, z, weights))
     loglik = gmm_full_loglik(x, states)
     logpost = loglik + np.array([_gmm_log_prior(s.means, s.variances, s.weights) for s in states])
-    return PosteriorDraws(tuple(states), f"gmm-K{K}", loglik=loglik, logpost=logpost)
+    return PosteriorDraws(states, f"gmm-K{K}", loglik=loglik, logpost=logpost)
 
 
 def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
@@ -310,8 +270,8 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     For every state a class label is drawn per row from its responsibility,
     which includes the state's mixing weights, and the diagnostic is the
     Mahalanobis term plus log-determinant penalty summed over rows at those
-    labels.  The stacked state arrays are kept on a StateBatch (see
-    PosteriorDraws.batch) and rebuilt for any other sequence of states.
+    labels.  The stacked state arrays are kept on a StateBatch (such as
+    PosteriorDraws.states) and rebuilt for any other sequence of states.
     """
     _require_continuous(x)
     stack = _stacked(states, _GmmStack.of)
@@ -419,7 +379,7 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
             states.append(MultMixState(weights, tuple(tables), z))
     loglik = multmix_full_loglik(x, states)
     logpost = loglik + _multmix_log_prior(states)
-    return PosteriorDraws(tuple(states), f"multmix-K{K}", loglik=loglik, logpost=logpost)
+    return PosteriorDraws(states, f"multmix-K{K}", loglik=loglik, logpost=logpost)
 
 
 def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
@@ -477,8 +437,8 @@ def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
     the observed cells.  Rows with zero likelihood under every class get
     uniform responsibilities, and a zero predicted probability at an observed
     cell yields an infinite value.  The stacked state arrays are kept on a
-    StateBatch (see PosteriorDraws.batch) and rebuilt for any other sequence
-    of states.
+    StateBatch (such as PosteriorDraws.states) and rebuilt for any other
+    sequence of states.
     """
     _require_onehot(x)
     stack = _stacked(states, _MultMixStack.of)

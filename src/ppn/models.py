@@ -1,10 +1,12 @@
 """Uniform model adapters used by the check and study orchestration.
 
-Every adapter exposes the same four-method surface: fit a dataset, draw
-replicate datasets shaped like a target part, evaluate the realized
-diagnostic at a batch of parameter states, and report its preferred
-reduction.  Fits always come back as PosteriorDraws, even when the
-"posterior" is a single closed-form or maximum-likelihood state.
+Every adapter exposes the same surface: fit a dataset, draw replicate
+datasets shaped like a target part, and evaluate the realized diagnostic at
+a batch of parameter states.  Each adapter also owns its predictive check,
+so its ``reduction`` says how that diagnostic is reduced over the x_val
+posterior: averaged over the draws, or taken at the MAP state.  Fits always
+come back as PosteriorDraws, even when the "posterior" is a single
+closed-form or maximum-likelihood state.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import inspect
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, PosteriorDraws
 from .errors import ParameterError, finite, integer
 from . import linear, mixtures
 
@@ -21,18 +23,23 @@ REDUCTION_AVERAGE = "average"
 REDUCTION_MAP = "map"
 
 
+def _reduction(value):
+    if not (isinstance(value, str) and value in (REDUCTION_AVERAGE, REDUCTION_MAP)):
+        raise ParameterError(f"unknown reduction {value!r}")
+    return value
+
+
 class GmmModel:
     """Diagonal Gaussian mixture with K components and Dirichlet(1) weights,
     Gibbs-updated."""
 
-    default_reduction = REDUCTION_AVERAGE
-
-    def __init__(self, K, iters=2000, burnin=1000, thin=5):
+    def __init__(self, K, iters=2000, burnin=1000, thin=5, reduction=REDUCTION_AVERAGE):
         self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
+        self.reduction = _reduction(reduction)
         self.id = f"gmm-K{self.K}"
 
-    def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
+    def fit(self, x: Dataset, stream) -> PosteriorDraws:
         return mixtures.gmm_gibbs_fit(x, self.K, self.chain.iters,
                                       self.chain.burnin, self.chain.thin, stream)
 
@@ -46,14 +53,13 @@ class GmmModel:
 class MultMixModel:
     """Categorical mixture over scored variables with K latent classes."""
 
-    default_reduction = REDUCTION_AVERAGE
-
-    def __init__(self, K, iters=2000, burnin=1000, thin=5):
+    def __init__(self, K, iters=2000, burnin=1000, thin=5, reduction=REDUCTION_AVERAGE):
         self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
+        self.reduction = _reduction(reduction)
         self.id = f"multmix-K{self.K}"
 
-    def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
+    def fit(self, x: Dataset, stream) -> PosteriorDraws:
         return mixtures.multmix_gibbs_fit(x, self.K, self.chain.iters,
                                           self.chain.burnin, self.chain.thin, stream)
 
@@ -71,12 +77,14 @@ class RegressionModelA:
     there), so `like` only matters for other model families.
     """
 
-    default_reduction = REDUCTION_MAP
     id = "reg-A"
 
-    def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
+    def __init__(self, reduction=REDUCTION_MAP):
+        self.reduction = _reduction(reduction)
+
+    def fit(self, x: Dataset, stream) -> PosteriorDraws:
         post = linear.regression_fit_A(x.values[:, 0], x.covariates)
-        return mixtures.PosteriorDraws((post,), self.id)
+        return PosteriorDraws((post,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> list:
         post = fit.states[0]
@@ -91,14 +99,16 @@ class RegressionModelA:
 class RegressionModelB:
     """Ordinary-least-squares regression with row-dependent predictive variance."""
 
-    default_reduction = REDUCTION_MAP
     id = "reg-B"
 
-    def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
+    def __init__(self, reduction=REDUCTION_MAP):
+        self.reduction = _reduction(reduction)
+
+    def fit(self, x: Dataset, stream) -> PosteriorDraws:
         if x.covariates is None:
             raise ParameterError("regression with covariates needs a covariate matrix")
         post = linear.regression_fit_B(x.values[:, 0], x.covariates)
-        return mixtures.PosteriorDraws((post,), self.id)
+        return PosteriorDraws((post,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> list:
         post = fit.states[0]
@@ -113,17 +123,16 @@ class RegressionModelB:
 class PpcaModel:
     """Probabilistic PCA with a K-dimensional latent space, fitted by EM."""
 
-    default_reduction = REDUCTION_MAP
-
-    def __init__(self, K, tol=1e-8, max_iters=1000):
+    def __init__(self, K, tol=1e-8, max_iters=1000, reduction=REDUCTION_MAP):
         self.K = integer(K, "K", 1)
         self.tol = finite(tol, "tol")
         self.max_iters = integer(max_iters, "max_iters", 1)
+        self.reduction = _reduction(reduction)
         self.id = f"ppca-K{self.K}"
 
-    def fit(self, x: Dataset, stream) -> mixtures.PosteriorDraws:
+    def fit(self, x: Dataset, stream) -> PosteriorDraws:
         params = linear.ppca_em_fit(x, self.K, self.tol, self.max_iters)
-        return mixtures.PosteriorDraws((params,), self.id)
+        return PosteriorDraws((params,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> list:
         return linear.ppca_predictive(fit.states[0], like.n, R, stream)
@@ -140,8 +149,9 @@ def make_model(family: str, K: int = None, **settings):
     """Build a model adapter from a config-style description.
 
     The mixture and PPCA families need K and the regression families take
-    none.  ``settings`` are the family's own keywords (the chain schedule
-    of gmm and multmix, tol and max_iters of ppca); any other is refused.
+    none.  ``settings`` are the family's own keywords (the reduction of
+    every family, the chain schedule of gmm and multmix, tol and max_iters
+    of ppca); any other is refused.
     """
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:

@@ -45,7 +45,7 @@ def gmm_results():
         data = gen_gmm_data(1500, seed)
         split = ppn.split_data(data, (1 / 3, 1 / 3, 1 / 3), seed)
         models = [ppn.GmmModel(K) for K in (1, 2, 3, 4)]
-        rep = ppn.ppn_study(split, models, None, ppn.StudyConfig(R=200), seed)
+        rep = ppn.ppn_study(split, models, ppn.StudyConfig(R=200), seed)
         study_time = time.time() - t0
         t0 = time.time()
         log_ev = {}

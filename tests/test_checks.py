@@ -9,17 +9,15 @@ from ppn.checks import (StudyConfig, _verdict, heldout_predictive_check,
                         posterior_predictive_pvalue, ppn_check, ppn_study)
 from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                       VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, Dataset,
-                      DataSplit, split_data)
-from ppn.diagnostics import DiagnosticSpec
+                      DataSplit, PosteriorDraws, split_data)
 from ppn.errors import CheckError, ParameterError, StateError
-from ppn.mixtures import PosteriorDraws
 from ppn.rng import Seed, ks_distance
 
 
 class NormalModel:
     """Location model: fit stores the mean, replicates are unit normals."""
 
-    default_reduction = "average"
+    reduction = "average"
 
     def __init__(self, model_id="normal", column=0, rep_sd=(1.0, 1.0)):
         self.id = model_id

@@ -1,6 +1,7 @@
 """Dataset, splitting, and result-record tests."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -51,6 +52,34 @@ class TestDataset:
         assert np.array_equal(ds.codes(), codes)
         with pytest.raises(DataError):
             Dataset.from_codes([[2, 0]], (2, 3))
+
+    def test_codes_must_be_whole_numbers(self):
+        # never truncated: 0.7 is not level 0, 2.9 not level 2
+        for codes in ([[0.7, 1.0]], [[1.0, 1.2]], [[np.nan, 0.0]], [[np.inf, 0.0]]):
+            with pytest.raises(DataError, match="whole numbers"):
+                Dataset.from_codes(codes, (3, 2))
+        ds = Dataset.from_codes([[2.0, 1.0], [0.0, 0.0]], (3, 2))
+        assert np.array_equal(ds.codes(), [[2, 1], [0, 0]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for codes in ([[1e300, 0.0]], [[-1e300, 0.0]], [[3.0, 0.0]]):
+                with pytest.raises(DataError, match="out of range"):
+                    Dataset.from_codes(codes, (3, 2))
+
+    def test_level_sizes_must_be_integers(self):
+        for sizes in ((2.9, 2), (2.0, 2), (True, 2), ("3", 2), (0, 2)):
+            with pytest.raises(ParameterError, match="a level size"):
+                Dataset.from_codes([[0, 1]], sizes)
+            with pytest.raises(ParameterError, match="a level size"):
+                Dataset(np.array([[1.0, 0.0, 1.0]]), kind="categorical-onehot",
+                        level_sizes=sizes)
+        assert Dataset.from_codes([[0, 1]], (np.int64(3), 2)).level_sizes == (3, 2)
+
+    def test_csv_categorical_code_not_whole(self):
+        with pytest.raises(DataError, match="whole numbers"):
+            Dataset.from_csv("#levels=3,2\nv1,v2\n1.5,0\n2.9,1\n")
+        back = Dataset.from_csv("#levels=3,2\nv1,v2\n1.0,0\n2,1\n")
+        assert np.array_equal(back.codes(), [[1, 0], [2, 1]])
 
     def test_csv_roundtrip_continuous(self):
         ds = Dataset(np.array([[1.5, -2.25], [0.125, 3.0]]))

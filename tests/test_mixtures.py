@@ -7,12 +7,12 @@ import weakref
 import numpy as np
 import pytest
 
-from ppn.core import Dataset
+from ppn.core import Dataset, PosteriorDraws, StateBatch
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
 from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR,
                           MULTMIX_ALPHA, MULTMIX_ALPHA_PI, ChainConfig, GmmState,
-                          MultMixState, PosteriorDraws, _component_sums, _kmeans_init,
+                          MultMixState, _component_sums, _kmeans_init,
                           _multmix_log_prior, gmm_full_loglik, gmm_gibbs_fit,
                           gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_gibbs_fit,
@@ -331,8 +331,7 @@ class TestGmmDiagnostic:
         fit = gmm_gibbs_fit(data, 3, 300, 100, 4, Seed(9).stream("f"))
         x = gen_gmm_data(80, Seed(10))
         fresh = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(9).stream("s"))
-        batch = fit.batch()
-        assert fit.batch() is batch
+        batch = fit.states
         for _ in range(2):  # the second call scores the kept stacked arrays
             got = gmm_loglik_diagnostic_batch(x, batch, Seed(9).stream("s"))
             assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
@@ -351,11 +350,11 @@ class TestGmmDiagnostic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for bad in (zero_var, nan_var, zero_w):
-                batch = PosteriorDraws((bad,), "gmm").batch()
+                batch = PosteriorDraws((bad,), "gmm").states
                 for _ in range(2):
                     with pytest.raises(StateError):
                         gmm_loglik_diagnostic_batch(x, batch, Seed(1).stream("b"))
-            good = PosteriorDraws((_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]),), "gmm").batch()
+            good = PosteriorDraws((_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]),), "gmm").states
             gmm_loglik_diagnostic_batch(x, good, Seed(1).stream("b"))
             with pytest.raises(DimensionError):
                 gmm_loglik_diagnostic_batch(Dataset(np.zeros((4, 3))), good,
@@ -368,7 +367,7 @@ class TestGmmDiagnostic:
         ref = _gmm_diagnostic_reference(x, fit.states, Seed(K).stream("d"))
         got = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(K).stream("d"))
         assert np.array_equal(got, ref)
-        batch = fit.batch()
+        batch = fit.states
         # later calls score the kept stacked arrays, also after another size
         for data in (x, x, other, x):
             want = _gmm_diagnostic_reference(data, fit.states, Seed(K).stream("d", data.n))
@@ -555,8 +554,7 @@ class TestMultMixDiagnostic:
         for K in (1, 3):
             fit = multmix_gibbs_fit(data, K, 200, 100, 4, Seed(24).stream("f", K))
             ref = np.array([self._reference(x, s) for s in fit.states])
-            batch = fit.batch()
-            assert fit.batch() is batch
+            batch = fit.states
             for _ in range(2):  # the second call scores the kept stacked arrays
                 got = multmix_chi2_diagnostic_batch(x, batch)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
@@ -595,16 +593,16 @@ class TestMultMixDiagnostic:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             for s in bad:
-                batch = PosteriorDraws((s,), "multmix").batch()
+                batch = PosteriorDraws((s,), "multmix").states
                 for _ in range(2):
                     with pytest.raises(StateError):
                         multmix_chi2_diagnostic_batch(x, batch)
             mixed = PosteriorDraws((state([0.5, 0.5]), state([1.0, 0.0, 0.0])), "multmix")
             with pytest.raises(StateError):
-                multmix_chi2_diagnostic_batch(x, mixed.batch())
+                multmix_chi2_diagnostic_batch(x, mixed.states)
             # a zero weight or cell is probability 0, not an error
             zeros = state([1.0, 0.0], t0=np.array([[1.0, 0.0], [1.0, 0.0]]))
-            good = PosteriorDraws((zeros,), "multmix").batch()
+            good = PosteriorDraws((zeros,), "multmix").states
             assert multmix_chi2_diagnostic_batch(x, good)[0] == np.inf
             assert np.isfinite(multmix_chi2_diagnostic_batch(
                 Dataset.from_codes([[0, 1]], (2, 2)), good)[0])
@@ -622,6 +620,12 @@ class TestPosteriorDraws:
     def test_needs_states(self):
         with pytest.raises(ParameterError):
             PosteriorDraws((), "m")
+
+    def test_states_are_kept_as_one_batch(self):
+        states = [_gmm_state([[0.0]], [[1.0]]), _gmm_state([[1.0]], [[2.0]])]
+        draws = PosteriorDraws(states, "m")
+        assert isinstance(draws.states, StateBatch) and draws.states == tuple(states)
+        assert draws.B == 2
 
     def test_map_needs_logpost(self):
         draws = PosteriorDraws((_gmm_state([[0.0]], [[1.0]]),), "m")

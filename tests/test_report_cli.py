@@ -135,6 +135,18 @@ CLI_PROBES = {
     "fractions-numeric-strings": {"config": {"fractions": ["0.5", "0.25", "0.25"]}},
     "duplicate-model-ids": {"config": {"chain": {"iters": 60, "burnin": 20, "thin": 2},
                                        "models": ["gmm:2", "gmm:2"]}},
+    "config-not-utf-8": {"raw": b"\xff{}"},
+    "csv-not-utf-8": {"csv": b"\xff\xfex\x001\x00\n"},
+    "categorical-code-not-whole": {
+        "csv": "#levels=3,2\nv1,v2\n" + "0,1\n1.5,0\n2,1\n" * 10,
+        "config": {"chain": {"iters": 60, "burnin": 20, "thin": 2},
+                   "models": ["multmix:1", "multmix:2"]}},
+    "reduction-unknown": {"config": {"models": [{"family": "gmm", "K": 1, "reduction": "median"},
+                                                "gmm:2"]}},
+    "chain-reduction": {"config": {"chain": {"reduction": "map"}}},
+    "reduction-null": {"config": {"data": {"preset": "regression", "n": 90},
+                                  "models": [{"family": "regression-A", "reduction": None},
+                                             "regression-B"]}},
 }
 
 
@@ -221,8 +233,8 @@ class TestCli:
     def test_reduction_reaches_the_entry_model(self, tmp_path, monkeypatch):
         seen = {}
 
-        def fake_study(split, models, specs, config, seed):
-            seen.update({m.id: s.reduction for m, s in zip(models, specs)})
+        def fake_study(split, models, config, seed):
+            seen.update({m.id: m.reduction for m in models})
             raise PpnError("stop after building the models")
 
         monkeypatch.setattr(cli, "ppn_study", fake_study)
@@ -250,12 +262,16 @@ class TestCli:
         overrides = dict(spec.get("config", {}))
         if "csv" in spec:
             bad = tmp_path / "bad.csv"
-            bad.write_text(spec["csv"])
+            csv = spec["csv"]
+            bad.write_bytes(csv if isinstance(csv, bytes) else csv.encode())
             overrides["data"] = {"path": str(bad)}
         cfg = _study_config(tmp_path, **overrides)
         if "json" in spec:
             with open(cfg, "w") as fh:
                 json.dump(spec["json"], fh)
+        if "raw" in spec:
+            with open(cfg, "wb") as fh:
+                fh.write(spec["raw"])
         if "model" in spec:
             data = tmp_path / "data.csv"
             main(["generate", "gmm", "--n", "30", "--out", str(data)])
