@@ -22,6 +22,7 @@ from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
 from .diagnostics import validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, finite, integer
 from .estimators import sym_kl_estimate
+from .rng import Seed
 
 MODE_FULL = "full"
 MODE_CHAIN = "chain"
@@ -74,6 +75,8 @@ class _Engine:
     """
 
     def __init__(self, seed, R, x_out, source, anchor):
+        if not isinstance(seed, Seed):
+            raise ParameterError(f"a check needs a Seed, not {seed!r}")
         self.seed, self.R, self.x_out = seed, R, x_out
         self.source, self.anchor = source, anchor      # (part name, data)
         self._kept = {}

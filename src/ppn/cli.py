@@ -163,7 +163,8 @@ def _run(args) -> int:
     if args.command == "ppn":
         model_a, model_b = (_model_from(m, chain) for m in (args.model_a, args.model_b))
         with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
+            # the CLI has no verified passes to offer; any other warning stands
+            warnings.filterwarnings("ignore", "pairwise null run without verified heldout passes")
             outcome = ppn_check(split, model_a, model_b, study_cfg.R, study_cfg.tau, seed)
         _write_json(args.out, outcome.to_dict())
         return 0

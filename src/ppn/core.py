@@ -1,6 +1,9 @@
 """Datasets, deterministic three-way splitting, posterior draws, and shared
 result records.
 
+A Dataset holds continuous values, or the level codes of categorical
+variables; only Dataset knows how the codes are stored and checked.
+
 The central object is the three-way split {x_in, x_out, x_val}: models are
 fitted on x_in, located against x_out, and their diagnostics are anchored on
 x_val.  Every fit comes back as PosteriorDraws.  Result records (check
@@ -20,20 +23,20 @@ import numpy as np
 from .errors import DataError, DimensionError, ParameterError, StateError, finite, integer
 
 CONTINUOUS = "continuous"
-CATEGORICAL = "categorical-onehot"
+CATEGORICAL = "categorical"
 
 
 @dataclass(frozen=True)
 class Dataset:
     """An n x d matrix of observations, optionally with covariates.
 
-    Categorical data is stored one-hot: each variable j occupies a block of
-    level_sizes[j] columns containing exactly one 1 per row.
+    A dataset is categorical exactly when it has level_sizes.  Its d columns
+    then hold the level codes of d variables: whole numbers in
+    [0, level_sizes[j]), kept as floats like every other value.
     """
 
     values: np.ndarray
     covariates: np.ndarray = None
-    kind: str = CONTINUOUS
     level_sizes: tuple = None
 
     def __post_init__(self):
@@ -41,12 +44,23 @@ class Dataset:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DimensionError("values must be an n x d matrix with n, d >= 1")
-        if not np.all(np.isfinite(values)):
-            raise DataError("values contain non-finite entries")
-        if self.kind not in (CONTINUOUS, CATEGORICAL):
-            raise ParameterError(f"unknown dataset kind {self.kind!r}")
+        if self.level_sizes is None:
+            if not np.all(np.isfinite(values)):
+                raise DataError("values contain non-finite entries")
+        else:
+            sizes = tuple(integer(s, "a level size", 1) for s in self.level_sizes)
+            object.__setattr__(self, "level_sizes", sizes)
+            if len(sizes) != values.shape[1]:
+                raise DimensionError("one level size per code column required")
+            # NaN and inf fail the first test; a code such as 1e300 passes it
+            # and is out of range, compared as a float, never cast
+            if not np.all(np.isfinite(values) & (np.floor(values) == values)):
+                raise DataError("level codes must be whole numbers")
+            outside = ((values < 0) | (values >= sizes)).any(axis=0)
+            if outside.any():
+                raise DataError(f"level codes for variable {int(np.argmax(outside))} out of range")
         if self.covariates is not None:
-            if self.kind != CONTINUOUS:
+            if self.level_sizes is not None:
                 raise DataError("covariates are only supported for continuous data")
             cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
             object.__setattr__(self, "covariates", cov)
@@ -54,19 +68,10 @@ class Dataset:
                 raise DimensionError("covariates row count must match values")
             if not np.all(np.isfinite(cov)):
                 raise DataError("covariates contain non-finite entries")
-        if self.kind == CATEGORICAL:
-            if self.level_sizes is None:
-                raise ParameterError("categorical data requires level_sizes")
-            sizes = tuple(integer(s, "a level size", 1) for s in self.level_sizes)
-            object.__setattr__(self, "level_sizes", sizes)
-            if sum(sizes) != values.shape[1]:
-                raise DimensionError("level_sizes do not add up to the column count")
-            start = 0
-            for size in sizes:
-                block = values[:, start:start + size]
-                if not (np.all((block == 0) | (block == 1)) and np.all(block.sum(axis=1) == 1)):
-                    raise DataError("each categorical variable block must be one-hot")
-                start += size
+
+    @property
+    def kind(self):
+        return CONTINUOUS if self.level_sizes is None else CATEGORICAL
 
     @property
     def n(self):
@@ -79,49 +84,19 @@ class Dataset:
     def take(self, idx) -> "Dataset":
         """Row-subset sharing column structure."""
         cov = None if self.covariates is None else self.covariates[idx]
-        return Dataset(self.values[idx], cov, self.kind, self.level_sizes)
+        return Dataset(self.values[idx], cov, self.level_sizes)
 
     def codes(self) -> np.ndarray:
-        """Integer level codes (n x #variables) for categorical data."""
-        if self.kind != CATEGORICAL:
+        """Integer level codes (n x d) of categorical data."""
+        if self.level_sizes is None:
             raise DataError("codes() is only defined for categorical data")
-        out = np.empty((self.n, len(self.level_sizes)), dtype=int)
-        start = 0
-        for j, size in enumerate(self.level_sizes):
-            out[:, j] = np.argmax(self.values[:, start:start + size], axis=1)
-            start += size
-        return out
-
-    @staticmethod
-    def from_codes(codes, level_sizes) -> "Dataset":
-        """Build a one-hot categorical dataset from integer level codes.
-
-        A code that is not a whole number is refused, never truncated."""
-        level_sizes = tuple(integer(s, "a level size", 1) for s in level_sizes)
-        codes = np.atleast_2d(np.asarray(codes))
-        if codes.dtype.kind not in "iu":
-            whole = codes.astype(float)
-            if not np.all(np.isfinite(whole) & (whole == np.round(whole))):
-                raise DataError("level codes must be whole numbers")
-            # clipped first, so that a code beyond the int range stays out of range
-            codes = np.clip(whole, -1, max(level_sizes, default=0)).astype(int)
-        if codes.shape[1] != len(level_sizes):
-            raise DimensionError("one code column per categorical variable required")
-        n = codes.shape[0]
-        values = np.zeros((n, sum(level_sizes)))
-        start = 0
-        for j, size in enumerate(level_sizes):
-            if np.any(codes[:, j] < 0) or np.any(codes[:, j] >= size):
-                raise DataError(f"level codes for variable {j} out of range")
-            values[np.arange(n), start + codes[:, j]] = 1.0
-            start += size
-        return Dataset(values, kind=CATEGORICAL, level_sizes=level_sizes)
+        return self.values.astype(int)
 
     def to_csv(self) -> str:
         """Serialize to CSV text; categorical variables as integer codes."""
         buf = io.StringIO()
-        if self.kind == CATEGORICAL:
-            cols = [f"v{j + 1}" for j in range(len(self.level_sizes))]
+        if self.level_sizes is not None:
+            cols = [f"v{j + 1}" for j in range(self.d)]
             buf.write("#levels=" + ",".join(str(s) for s in self.level_sizes) + "\n")
             buf.write(",".join(cols) + "\n")
             for row in self.codes():
@@ -163,7 +138,7 @@ class Dataset:
         except ValueError as exc:
             raise DataError(f"CSV entry is not a number: {exc}") from None
         if sizes is not None:
-            return Dataset.from_codes(body, sizes)
+            return Dataset(body, level_sizes=sizes)
         is_cov = np.array([re.fullmatch(r"c\d+", c) is not None for c in header])
         return Dataset(body[:, ~is_cov], body[:, is_cov] if is_cov.any() else None)
 
@@ -215,9 +190,9 @@ class DataSplit:
     x_val: Dataset
 
     def __post_init__(self):
-        kinds = {self.x_in.kind, self.x_out.kind, self.x_val.kind}
-        dims = {self.x_in.d, self.x_out.d, self.x_val.d}
-        if len(kinds) != 1 or len(dims) != 1:
+        # the level sizes also tell categorical parts from continuous ones
+        shapes = {(part.d, part.level_sizes) for part in (self.x_in, self.x_out, self.x_val)}
+        if len(shapes) != 1:
             raise DimensionError("all three parts must share column structure")
 
 

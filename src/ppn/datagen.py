@@ -45,6 +45,8 @@ def gen_gmm_data(n: int, seed: Seed) -> Dataset:
 def gen_regression_data(n: int = 2000, p: int = 10, theta: float = 2.5, seed: Seed = None) -> Dataset:
     """Constant-mean responses with independent, meaningless covariates."""
     n, p = integer(n, "n", 1), integer(p, "p", 1)
+    if not isinstance(seed, Seed):
+        raise ParameterError(f"the regression generator needs a Seed, not {seed!r}")
     stream = seed.stream("gen", "regression")
     y = theta + stream.generator.standard_normal(n)
     covariates = stream.generator.standard_normal((n, p))
@@ -80,7 +82,7 @@ def gen_nonlinear_factor_data(n: int, seed: Seed) -> Dataset:
 
 
 def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed: Seed = None) -> Dataset:
-    """Categorical mixture draw over three scored variables, one-hot encoded."""
+    """Categorical mixture draw over three scored variables, as level codes."""
     n = integer(n, "n", 1)
     if tables is None:
         tables = MULTMIX_TABLES
@@ -104,6 +106,8 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
             t = np.asarray(t, dtype=float)
             if len(t) != level_sizes[j] or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-9:
                 raise ParameterError(f"tables[{k}][{j}] is not a valid probability vector")
+    if not isinstance(seed, Seed):
+        raise ParameterError(f"the multmix generator needs a Seed, not {seed!r}")
     stream = seed.stream("gen", "multmix")
     z = categorical(stream, weights, n)
     codes = np.empty((n, len(level_sizes)), dtype=int)
@@ -112,4 +116,4 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
             mask = z == k
             if mask.any():
                 codes[mask, j] = categorical(stream.substream("v", j, "k", k), np.asarray(tables[k][j], dtype=float), int(mask.sum()))
-    return Dataset.from_codes(codes, level_sizes)
+    return Dataset(codes, level_sizes=level_sizes)

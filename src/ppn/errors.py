@@ -13,7 +13,8 @@ class ParameterError(PpnError):
 
 
 class DataError(PpnError):
-    """Input data is malformed (wrong kind, non-finite values, bad one-hot rows)."""
+    """Input data is malformed (wrong kind, non-finite values, level codes that
+    are not whole numbers or are out of range)."""
 
 
 class DimensionError(PpnError):

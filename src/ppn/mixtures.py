@@ -308,9 +308,9 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     return picked.sum(axis=0)
 
 
-def _require_onehot(x: Dataset):
+def _require_categorical(x: Dataset):
     if x.kind != CATEGORICAL:
-        raise DataError("expected one-hot categorical data")
+        raise DataError("expected categorical data")
 
 
 def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
@@ -344,7 +344,7 @@ def _multmix_log_prior(states) -> np.ndarray:
 
 def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
     """Gibbs chain over class labels, weights, and per-class tables."""
-    _require_onehot(x)
+    _require_categorical(x)
     K = integer(K, "K", 1)
     ChainConfig(iters, burnin, thin)
     g = stream.generator
@@ -383,7 +383,8 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
 
 
 def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
-    """R one-hot replicate datasets from retained posterior states."""
+    """R categorical replicate datasets, as level codes, from retained
+    posterior states."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
     for r in range(R):
@@ -396,7 +397,7 @@ def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> lis
             cum = np.cumsum(table, axis=1)[z]
             codes[:, j] = np.minimum((cum[:, :-1] < sub.generator.random(n_rep)[:, None]).sum(1),
                                      table.shape[1] - 1)
-        reps.append(Dataset.from_codes(codes, level_sizes))
+        reps.append(Dataset(codes, level_sizes=level_sizes))
     return reps
 
 
@@ -440,7 +441,7 @@ def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
     StateBatch (such as PosteriorDraws.states) and rebuilt for any other
     sequence of states.
     """
-    _require_onehot(x)
+    _require_categorical(x)
     stack = _stacked(states, _MultMixStack.of)
     if tuple(len(t) for t in stack.tables) != x.level_sizes:
         raise DimensionError("state level sizes do not match data")

@@ -331,6 +331,19 @@ class TestEngine:
         posterior_predictive_pvalue(x_obs, model, R=20, seed=Seed(1))
         assert model.calls == {"fit": 1, "replicate": 1}
 
+    @pytest.mark.parametrize("entry", [
+        lambda split, models: heldout_predictive_check(split, models[0], R=5),
+        lambda split, models: posterior_predictive_pvalue(split.x_in, models[0], R=5),
+        lambda split, models: ppn_check(split, *models, R=5, verified_passed=True),
+        lambda split, models: ppn_study(split, models),
+        lambda split, models: heldout_predictive_check(split, models[0], R=5, seed=4),
+    ], ids=["heldout", "classical", "ppn-check", "study", "int-seed"])
+    def test_missing_seed_is_a_parameter_error(self, entry):
+        models = [CountingModel("m0"), CountingModel("m1")]
+        with pytest.raises(ParameterError, match="needs a Seed"):
+            entry(_split(), models)
+        assert all(m.calls == {} for m in models)
+
     @pytest.mark.parametrize("stage", [
         "fit x_in", "fit x_val", "replicate", "observed diagnostic",
         "replicate diagnostics", "cross diagnostics", "fit x_obs"])

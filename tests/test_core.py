@@ -27,53 +27,54 @@ class TestDataset:
 
     def test_covariates_only_continuous(self):
         with pytest.raises(DataError):
-            Dataset(np.eye(2), covariates=np.ones((2, 1)),
-                    kind="categorical-onehot", level_sizes=(2,))
+            Dataset(np.zeros((2, 1)), covariates=np.ones((2, 1)), level_sizes=(2,))
 
     def test_covariate_row_mismatch(self):
         with pytest.raises(DimensionError):
             Dataset(np.ones((3, 1)), covariates=np.ones((2, 1)))
 
-    def test_onehot_validation(self):
-        Dataset(np.array([[1.0, 0.0, 0.0, 1.0]]), kind="categorical-onehot",
-                level_sizes=(2, 2))
-        with pytest.raises(DataError):
-            Dataset(np.array([[1.0, 1.0, 0.0, 1.0]]), kind="categorical-onehot",
-                    level_sizes=(2, 2))
-        with pytest.raises(DimensionError):
-            Dataset(np.array([[1.0, 0.0]]), kind="categorical-onehot",
-                    level_sizes=(3,))
-        with pytest.raises(ParameterError):
-            Dataset(np.array([[1.0, 0.0]]), kind="categorical-onehot")
+    def test_codes_validation(self):
+        ds = Dataset(np.array([[0.0, 1.0]]), level_sizes=(2, 2))
+        assert ds.kind == "categorical" and ds.d == 2
+        assert Dataset(np.array([[0.0, 1.0]])).kind == "continuous"
+        with pytest.raises(DataError, match="out of range"):
+            Dataset(np.array([[0.0, 2.0]]), level_sizes=(2, 2))
+        with pytest.raises(DimensionError, match="one level size per code column"):
+            Dataset(np.array([[1.0, 0.0]]), level_sizes=(3,))
+        with pytest.raises(DimensionError, match="one level size per code column"):
+            Dataset(np.array([[1.0, 0.0]]), level_sizes=())
+        with pytest.raises(TypeError):
+            Dataset(np.array([[1.0, 0.0]]), kind="categorical")
 
     def test_codes_roundtrip(self):
         codes = np.array([[0, 2], [1, 0], [1, 1]])
-        ds = Dataset.from_codes(codes, (2, 3))
-        assert np.array_equal(ds.codes(), codes)
-        with pytest.raises(DataError):
-            Dataset.from_codes([[2, 0]], (2, 3))
+        ds = Dataset(codes, level_sizes=(2, 3))
+        assert np.array_equal(ds.codes(), codes) and ds.codes().dtype.kind == "i"
+        assert np.array_equal(ds.values, codes) and ds.values.dtype == float
+        with pytest.raises(DataError, match="variable 0 out of range"):
+            Dataset([[2, 0]], level_sizes=(2, 3))
+        with pytest.raises(DataError, match="codes"):
+            Dataset(np.array([[0.0]])).codes()
 
     def test_codes_must_be_whole_numbers(self):
         # never truncated: 0.7 is not level 0, 2.9 not level 2
-        for codes in ([[0.7, 1.0]], [[1.0, 1.2]], [[np.nan, 0.0]], [[np.inf, 0.0]]):
-            with pytest.raises(DataError, match="whole numbers"):
-                Dataset.from_codes(codes, (3, 2))
-        ds = Dataset.from_codes([[2.0, 1.0], [0.0, 0.0]], (3, 2))
+        ds = Dataset([[2.0, 1.0], [0.0, 0.0]], level_sizes=(3, 2))
         assert np.array_equal(ds.codes(), [[2, 1], [0, 0]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
+            for codes in ([[0.7, 1.0]], [[1.0, 1.2]], [[np.nan, 0.0]], [[np.inf, 0.0]],
+                          [[0.0, -np.inf]]):
+                with pytest.raises(DataError, match="whole numbers"):
+                    Dataset(codes, level_sizes=(3, 2))
             for codes in ([[1e300, 0.0]], [[-1e300, 0.0]], [[3.0, 0.0]]):
                 with pytest.raises(DataError, match="out of range"):
-                    Dataset.from_codes(codes, (3, 2))
+                    Dataset(codes, level_sizes=(3, 2))
 
     def test_level_sizes_must_be_integers(self):
         for sizes in ((2.9, 2), (2.0, 2), (True, 2), ("3", 2), (0, 2)):
             with pytest.raises(ParameterError, match="a level size"):
-                Dataset.from_codes([[0, 1]], sizes)
-            with pytest.raises(ParameterError, match="a level size"):
-                Dataset(np.array([[1.0, 0.0, 1.0]]), kind="categorical-onehot",
-                        level_sizes=sizes)
-        assert Dataset.from_codes([[0, 1]], (np.int64(3), 2)).level_sizes == (3, 2)
+                Dataset([[0, 1]], level_sizes=sizes)
+        assert Dataset([[0, 1]], level_sizes=(np.int64(3), 2)).level_sizes == (3, 2)
 
     def test_csv_categorical_code_not_whole(self):
         with pytest.raises(DataError, match="whole numbers"):
@@ -94,9 +95,9 @@ class TestDataset:
         assert np.array_equal(back.covariates, ds.covariates)
 
     def test_csv_roundtrip_categorical(self):
-        ds = Dataset.from_codes([[0, 2], [1, 1]], (2, 3))
+        ds = Dataset([[0, 2], [1, 1]], level_sizes=(2, 3))
         back = Dataset.from_csv(ds.to_csv())
-        assert back.kind == "categorical-onehot"
+        assert back.kind == "categorical"
         assert back.level_sizes == (2, 3)
         assert np.array_equal(back.values, ds.values)
 
@@ -167,8 +168,13 @@ class TestSplit:
         assert (a.x_in.n, a.x_out.n, a.x_val.n) == (b.x_in.n, b.x_out.n, b.x_val.n)
 
     def test_mismatched_parts_rejected(self):
-        with pytest.raises(DimensionError):
-            DataSplit(_simple(3, 2), _simple(3, 3), _simple(3, 2))
+        codes = np.zeros((3, 3))
+        for parts in ((_simple(3, 2), _simple(3, 3), _simple(3, 2)),
+                      (Dataset(codes, level_sizes=(4, 3, 3)), Dataset(codes, level_sizes=(3, 4, 3)),
+                       Dataset(codes, level_sizes=(4, 3, 3))),
+                      (Dataset(codes, level_sizes=(4, 3, 3)), _simple(3, 3), _simple(3, 3))):
+            with pytest.raises(DimensionError):
+                DataSplit(*parts)
 
 
 class TestPassFail:

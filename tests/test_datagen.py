@@ -85,10 +85,12 @@ class TestMultMix:
             freq = np.bincount(codes[:, j], minlength=len(table)) / ds.n
             assert np.allclose(freq, table, atol=0.02)
 
-    def test_onehot_validity(self):
+    def test_codes_validity(self):
         ds = gen_multmix_data(500, seed=Seed(8))
-        assert ds.kind == "categorical-onehot"
-        assert ds.level_sizes == (4, 3, 3)
+        assert ds.kind == "categorical"
+        assert ds.level_sizes == (4, 3, 3) and ds.d == 3
+        assert np.array_equal(ds.values, ds.codes())
+        assert np.all((ds.codes() >= 0) & (ds.codes() < ds.level_sizes))
 
     def test_determinism(self):
         a = gen_multmix_data(200, seed=Seed(2))
@@ -102,3 +104,13 @@ class TestMultMix:
         with pytest.raises(ParameterError):
             gen_multmix_data(10, tables=MULTMIX_TABLES, weights=(0.9, 0.2),
                              seed=Seed(0))
+
+
+@pytest.mark.parametrize("generate", [
+    lambda: gen_regression_data(50),
+    lambda: gen_multmix_data(50),
+    lambda: gen_multmix_data(50, seed=3),
+], ids=["regression", "multmix", "multmix-int-seed"])
+def test_missing_seed_is_a_parameter_error(generate):
+    with pytest.raises(ParameterError, match="needs a Seed"):
+        generate()

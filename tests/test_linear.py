@@ -177,7 +177,7 @@ class TestPpcaFit:
         with pytest.raises(DimensionError):
             ppca_em_fit(data, 0)
         with pytest.raises(DataError):
-            ppca_em_fit(Dataset.from_codes([[0]], (2,)), 1)
+            ppca_em_fit(Dataset([[0]], level_sizes=(2,)), 1)
 
     def test_state_validation(self):
         with pytest.raises(StateError):

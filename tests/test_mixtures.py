@@ -488,7 +488,7 @@ class TestMultMixPredictive:
         fit = multmix_gibbs_fit(data, 2, 300, 100, 5, Seed(16).stream("f"))
         a = multmix_predictive(fit, 50, 4, Seed(16).stream("r"))
         b = multmix_predictive(fit, 50, 4, Seed(16).stream("r"))
-        assert all(r.kind == "categorical-onehot" for r in a)
+        assert all(r.kind == "categorical" and r.level_sizes == (4, 3, 3) for r in a)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
 
@@ -497,21 +497,20 @@ class TestMultMixDiagnostic:
         state = MultMixState(np.array([1.0]),
                              (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])),
                              np.zeros(1, dtype=int))
-        x = Dataset.from_codes([[0, 0]], (2, 3))
+        x = Dataset([[0, 0]], level_sizes=(2, 3))
         assert multmix_chi2_diagnostic_batch(x, [state])[0] == 0.0
 
     def test_half_probability_single_variable(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.5, 0.5]]),),
                              np.zeros(1, dtype=int))
-        x = Dataset.from_codes([[0]], (2,))
+        x = Dataset([[0]], level_sizes=(2,))
         assert abs(multmix_chi2_diagnostic_batch(x, [state])[0] - 2 * np.log(2)) < 1e-12
 
     def test_doubling_additivity(self):
         data = gen_multmix_data(40, seed=Seed(17))
         fit = multmix_gibbs_fit(data, 2, 200, 100, 10, Seed(17).stream("f"))
         state = fit.states[0]
-        doubled = Dataset(np.vstack([data.values, data.values]),
-                          kind="categorical-onehot", level_sizes=data.level_sizes)
+        doubled = Dataset(np.vstack([data.values, data.values]), level_sizes=data.level_sizes)
         single = multmix_chi2_diagnostic_batch(data, [state])[0]
         assert abs(multmix_chi2_diagnostic_batch(doubled, [state])[0] - 2 * single) < 1e-9
 
@@ -528,7 +527,7 @@ class TestMultMixDiagnostic:
     def test_zero_cell_sentinel(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.0, 1.0]]),),
                              np.zeros(1, dtype=int))
-        x = Dataset.from_codes([[0]], (2,))
+        x = Dataset([[0]], level_sizes=(2,))
         assert multmix_chi2_diagnostic_batch(x, [state])[0] == np.inf
 
     def test_batch_shape(self):
@@ -571,14 +570,14 @@ class TestMultMixDiagnostic:
                              (np.array([[0.0, 1.0], [0.4, 0.6]]),
                               np.array([[0.8, 0.2], [0.0, 1.0]])),
                              np.zeros(1, dtype=int))
-        x = Dataset.from_codes([[0, 0]], (2, 2))
+        x = Dataset([[0, 0]], level_sizes=(2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             got = multmix_chi2_diagnostic_batch(x, [state])[0]
         assert abs(got + 2.0 * np.log(0.2 * 0.4)) < 1e-12
 
     def test_bad_states_raise_on_every_call_without_warning(self):
-        x = Dataset.from_codes([[0, 1], [1, 0]], (2, 2))
+        x = Dataset([[0, 1], [1, 0]], level_sizes=(2, 2))
         table = np.array([[0.5, 0.5], [0.25, 0.75]])
 
         def state(weights, t0=table, t1=table):
@@ -605,9 +604,9 @@ class TestMultMixDiagnostic:
             good = PosteriorDraws((zeros,), "multmix").states
             assert multmix_chi2_diagnostic_batch(x, good)[0] == np.inf
             assert np.isfinite(multmix_chi2_diagnostic_batch(
-                Dataset.from_codes([[0, 1]], (2, 2)), good)[0])
+                Dataset([[0, 1]], level_sizes=(2, 2)), good)[0])
             with pytest.raises(DimensionError):
-                multmix_chi2_diagnostic_batch(Dataset.from_codes([[0, 1]], (2, 3)), good)
+                multmix_chi2_diagnostic_batch(Dataset([[0, 1]], level_sizes=(2, 3)), good)
 
 
 class TestPosteriorDraws:

@@ -4,12 +4,13 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
 
 from ppn import cli
-from ppn.checks import StudyConfig, ppn_study
+from ppn.checks import StudyConfig, ppn_check, ppn_study
 from ppn.cli import main
 from ppn.core import Dataset, split_data
 from ppn.errors import PpnError
@@ -229,6 +230,22 @@ class TestCli:
         assert payload["diag_owner"] == "gmm-K1"
         assert payload["data_source"] == "gmm-K2"
         assert payload["sym_kl"] >= 0.0
+
+    def test_ppn_subcommand_drops_only_the_unverified_pair_warning(self, tmp_path,
+                                                                    monkeypatch):
+        def warning_check(*args, **kwargs):
+            warnings.warn("a numerical warning from the pair", RuntimeWarning)
+            return ppn_check(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "ppn_check", warning_check)
+        data = tmp_path / "data.csv"
+        main(["generate", "gmm", "--n", "90", "--seed", "2", "--out", str(data)])
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = main(["ppn", "--data", str(data), "--model-a", "gmm:1", "--model-b", "gmm:2",
+                       "--config", _study_config(tmp_path), "--out", str(tmp_path / "p.json")])
+        assert rc == 0
+        assert [str(w.message) for w in caught] == ["a numerical warning from the pair"]
 
     def test_reduction_reaches_the_entry_model(self, tmp_path, monkeypatch):
         seen = {}
