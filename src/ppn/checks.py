@@ -7,11 +7,22 @@ distinguishable from the first model's own replicates under the first
 model's diagnostic.  A model's diagnostic includes its reduction over the
 x_val posterior, so the check belongs to the model adapter.  The study runs
 all checks, filters to passers, and classifies every passing pair.
+
+Every product is drawn from its own labelled stream, so the order in which
+products are made cannot change a value.  A study therefore makes each
+model's products, then each passing pair's cross diagnostics, on a pool of
+forked worker processes, one per usable core; with one core, or where
+``fork`` is unavailable, the same tasks run in the calling process.
 """
 
 from __future__ import annotations
 
+import itertools
+import multiprocessing
+import os
+import threading
 import warnings
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +33,7 @@ from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
 from .diagnostics import validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, finite, integer
 from .estimators import sym_kl_estimate
-from .rng import Seed
+from .rng import need_seed
 
 MODE_FULL = "full"
 MODE_CHAIN = "chain"
@@ -75,9 +86,7 @@ class _Engine:
     """
 
     def __init__(self, seed, R, x_out, source, anchor):
-        if not isinstance(seed, Seed):
-            raise ParameterError(f"a check needs a Seed, not {seed!r}")
-        self.seed, self.R, self.x_out = seed, R, x_out
+        self.seed, self.R, self.x_out = need_seed(seed, "a check"), R, x_out
         self.source, self.anchor = source, anchor      # (part name, data)
         self._kept = {}
 
@@ -92,6 +101,16 @@ class _Engine:
                                      self.seed.stream(model.id, label))
         return self._kept[key]
 
+    def products(self, model):
+        """The products kept for model, by label."""
+        return {label: value for (owner, label), value in self._kept.items()
+                if owner is model}
+
+    def adopt(self, model, products):
+        """Keep products made for model by a forked copy of this engine."""
+        for label, value in products.items():
+            self._kept.setdefault((model, label), value)
+
     def fit(self, model, part):
         name, data = part
         return self._once(model, f"fit-{name}", f"fit x_{name}", model.fit, data)
@@ -103,7 +122,7 @@ class _Engine:
     def samples(self, owner, source):
         anchor = self.fit(owner, self.anchor)
         stage = "replicate diagnostics" if source is owner else "cross diagnostics"
-        return self._once(owner, f"diag/{source.id}", stage, _diag_samples,
+        return self._once(owner, _samples_label(source), stage, _diag_samples,
                           self.reps(source), owner, anchor)
 
     def prepare(self, model):
@@ -161,6 +180,91 @@ def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None,
     return _Engine.of_split(split, seed, R).pair(model_a, model_b, tau)
 
 
+def _samples_label(source):
+    return f"diag/{source.id}"
+
+
+def _worker_count(tasks):
+    """Processes for this many tasks: one per usable core, at most one per
+    task.  One (the caller itself) where forking is unavailable or unsafe:
+    in a daemonic process, which may not have children, or beside other
+    threads, whose held locks a forked child would copy."""
+    if not hasattr(os, "sched_getaffinity") \
+            or "fork" not in multiprocessing.get_all_start_methods() \
+            or multiprocessing.current_process().daemon \
+            or threading.active_count() > 1:
+        return 1
+    return min(tasks, len(os.sched_getaffinity(0)))
+
+
+_shared = None      # (engine, models) of the study a forked worker serves
+
+
+def _attach(engine, models):
+    global _shared
+    _shared = engine, models
+
+
+def _in_worker(task, arg):
+    return _recorded(task, *_shared, arg)
+
+
+def _recorded(task, engine, models, arg):
+    """task's result or PpnError, with the warnings it raised kept for the
+    caller to re-issue."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result, error = task(engine, models, arg), None
+        except PpnError as exc:
+            result, error = None, exc
+    return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
+
+
+def _run_tasks(task, engine, models, args):
+    """task(engine, models, arg) for each arg, results in order.
+
+    With more than one worker the tasks run on a fork pool: each worker
+    inherits the engine with all it has kept, so only args and results are
+    pickled, and models are named by index.  Each task's warnings are
+    re-issued, and the first failing task's error raised, in task order.
+    """
+    workers = _worker_count(len(args))
+    if workers <= 1:
+        return _reissued(_recorded(task, engine, models, arg) for arg in args)
+    pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
+                               initializer=_attach, initargs=(engine, models))
+    try:
+        return _reissued(pool.map(_in_worker, itertools.repeat(task), args))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
+def _reissued(outputs):
+    results = []
+    for result, caught, error in outputs:
+        for message, category, filename, lineno in caught:
+            warnings.warn_explicit(message, category, filename, lineno)
+        if error is not None:
+            raise error
+        results.append(result)
+    return results
+
+
+def _check_task(engine, models, i):
+    """Model i's fits, replicates and own diagnostic set, as kept products."""
+    model = models[i]
+    engine.prepare(model)
+    engine.samples(model, model)
+    return engine.products(model)
+
+
+def _pair_task(engine, models, pair):
+    """The owner's diagnostic set of the source's replicates."""
+    owner, source = pair
+    return engine.samples(models[owner], models[source])
+
+
 def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
     if fooled_by_b and fooled_by_a:
         return VERDICT_EQUIVALENT
@@ -177,7 +281,10 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
     """Run every heldout check, then pairwise nulls among the passers.
 
     Full mode compares every ordered passing pair; chain mode only
-    consecutive passers, with the later model owning the diagnostic.
+    consecutive passers, with the later model owning the diagnostic.  The
+    models' products, then the pairs' cross diagnostics, are made on up to
+    one forked worker per usable core; the report does not depend on how
+    many.
     """
     if len(models) < 2:
         raise ParameterError("a study needs at least two models")
@@ -187,17 +294,21 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
     if config is None:
         config = StudyConfig()
     engine = _Engine.of_split(split, seed, config.R)
-    for model in models:
-        engine.prepare(model)
+    for model, products in zip(models, _run_tasks(_check_task, engine, models,
+                                                  range(len(models)))):
+        engine.adopt(model, products)
     diagonal = [engine.check(model, config.alpha) for model in models]
-    survivors = [m for m, c in zip(models, diagonal) if c.passed]
+    passers = [i for i, c in enumerate(diagonal) if c.passed]
     if config.mode == MODE_CHAIN:
-        pairs_to_run = [(survivors[i + 1], survivors[i])
-                        for i in range(len(survivors) - 1)]
+        pairs_to_run = list(zip(passers[1:], passers[:-1]))
     else:
-        pairs_to_run = [(a, b) for a in survivors for b in survivors if a is not b]
-    off_diagonal = [engine.pair(owner, source, config.tau)
-                    for owner, source in pairs_to_run]
+        pairs_to_run = [(a, b) for a in passers for b in passers if a != b]
+    for (a, b), samples in zip(pairs_to_run, _run_tasks(_pair_task, engine, models,
+                                                        pairs_to_run)):
+        engine.adopt(models[a], {_samples_label(models[b]): samples})
+    off_diagonal = [engine.pair(models[a], models[b], config.tau)
+                    for a, b in pairs_to_run]
+    survivors = [models[i] for i in passers]
     outcome = {(p.diagnostic_owner, p.data_source): p for p in off_diagonal}
     verdicts = []
     if config.mode == MODE_FULL:

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DimensionError, ParameterError, StateError, finite, integer
+from .rng import need_seed
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
@@ -190,8 +191,11 @@ class DataSplit:
     x_val: Dataset
 
     def __post_init__(self):
-        # the level sizes also tell categorical parts from continuous ones
-        shapes = {(part.d, part.level_sizes) for part in (self.x_in, self.x_out, self.x_val)}
+        # the level sizes also tell categorical parts from continuous ones;
+        # a part without covariates has 0 covariate columns
+        shapes = {(part.d, part.level_sizes,
+                   0 if part.covariates is None else part.covariates.shape[1])
+                  for part in (self.x_in, self.x_out, self.x_val)}
         if len(shapes) != 1:
             raise DimensionError("all three parts must share column structure")
 
@@ -216,7 +220,7 @@ def split_data(data: Dataset, fractions, seed) -> DataSplit:
     n_in = n - n_out - n_val
     if min(n_in, n_out, n_val) < 1:
         raise DataError("cannot form three nonempty parts")
-    perm = seed.stream("split").generator.permutation(n)
+    perm = need_seed(seed, "a split").stream("split").generator.permutation(n)
     idx_in = np.sort(perm[:n_in])
     idx_out = np.sort(perm[n_in:n_in + n_out])
     idx_val = np.sort(perm[n_in + n_out:])

@@ -10,7 +10,7 @@ import numpy as np
 
 from .core import Dataset
 from .errors import ParameterError, integer
-from .rng import Seed, categorical
+from .rng import Seed, categorical, need_seed
 
 # 3-component, 2-d Gaussian mixture: one mean/variance column per component.
 GMM_MEANS = np.array([[-5.0, 0.0, 10.0], [5.0, 0.0, 5.0]]).T
@@ -35,7 +35,7 @@ MULTMIX_WEIGHTS = (0.5, 0.5)
 def gen_gmm_data(n: int, seed: Seed) -> Dataset:
     """Equal-weight 3-component 2-d Gaussian mixture draw."""
     n = integer(n, "n", 1)
-    stream = seed.stream("gen", "gmm")
+    stream = need_seed(seed, "the gmm generator").stream("gen", "gmm")
     comp = categorical(stream, np.full(3, 1.0 / 3.0), n)
     noise = stream.generator.standard_normal((n, 2))
     x = GMM_MEANS[comp] + np.sqrt(GMM_VARIANCES[comp]) * noise
@@ -45,9 +45,7 @@ def gen_gmm_data(n: int, seed: Seed) -> Dataset:
 def gen_regression_data(n: int = 2000, p: int = 10, theta: float = 2.5, seed: Seed = None) -> Dataset:
     """Constant-mean responses with independent, meaningless covariates."""
     n, p = integer(n, "n", 1), integer(p, "p", 1)
-    if not isinstance(seed, Seed):
-        raise ParameterError(f"the regression generator needs a Seed, not {seed!r}")
-    stream = seed.stream("gen", "regression")
+    stream = need_seed(seed, "the regression generator").stream("gen", "regression")
     y = theta + stream.generator.standard_normal(n)
     covariates = stream.generator.standard_normal((n, p))
     return Dataset(y[:, None], covariates=covariates)
@@ -56,7 +54,7 @@ def gen_regression_data(n: int = 2000, p: int = 10, theta: float = 2.5, seed: Se
 def gen_linear_factor_data(n: int, seed: Seed) -> Dataset:
     """Linear two-factor data: x = Wz + eps with unit noise."""
     n = integer(n, "n", 1)
-    stream = seed.stream("gen", "linear_factor")
+    stream = need_seed(seed, "the linear factor generator").stream("gen", "linear_factor")
     z = stream.generator.standard_normal((n, 2))
     eps = stream.generator.standard_normal((n, LINEAR_W.shape[0]))
     return Dataset(z @ LINEAR_W.T + eps)
@@ -65,7 +63,7 @@ def gen_linear_factor_data(n: int, seed: Seed) -> Dataset:
 def gen_nonlinear_factor_data(n: int, seed: Seed) -> Dataset:
     """Nonlinear two-factor data in 7 dimensions with unit noise."""
     n = integer(n, "n", 1)
-    stream = seed.stream("gen", "nonlinear_factor")
+    stream = need_seed(seed, "the nonlinear factor generator").stream("gen", "nonlinear_factor")
     z = stream.generator.standard_normal((n, 2))
     z1, z2 = z[:, 0], z[:, 1]
     mean = np.column_stack([
@@ -106,9 +104,7 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
             t = np.asarray(t, dtype=float)
             if len(t) != level_sizes[j] or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-9:
                 raise ParameterError(f"tables[{k}][{j}] is not a valid probability vector")
-    if not isinstance(seed, Seed):
-        raise ParameterError(f"the multmix generator needs a Seed, not {seed!r}")
-    stream = seed.stream("gen", "multmix")
+    stream = need_seed(seed, "the multmix generator").stream("gen", "multmix")
     z = categorical(stream, weights, n)
     codes = np.empty((n, len(level_sizes)), dtype=int)
     for j in range(len(level_sizes)):

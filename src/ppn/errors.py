@@ -50,6 +50,10 @@ class CheckError(PpnError):
         self.stage = stage
         self.cause = cause
 
+    def __reduce__(self):
+        # rebuilt from its fields, so it crosses a process boundary whole
+        return type(self), (self.model_id, self.stage, self.cause), self.__dict__
+
 
 def integer(value, what, low):
     """value as a plain int if it is an integer >= low, else a ParameterError

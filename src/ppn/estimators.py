@@ -16,6 +16,7 @@ from .errors import DataError, DegenerateSampleError
 
 DENSITY_FLOOR = 1e-12
 GRID_POINTS = 1024
+KDE_BLOCK_CELLS = 2**18
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -35,13 +36,18 @@ def kde_density(samples, grid) -> np.ndarray:
     if samples.size < 2:
         raise DegenerateSampleError("need at least two samples for a density estimate")
     h = _silverman_bandwidth(samples)
-    # one grid-by-sample matrix, worked in place: at R = 2000 it holds 16 MB
-    z = np.subtract.outer(grid, samples)
-    z /= h
-    z *= z
-    z *= -0.5
-    dens = np.exp(z, out=z).sum(axis=1) / (samples.size * h * np.sqrt(2 * np.pi))
-    return np.maximum(dens, DENSITY_FLOOR)
+    # the grid-by-sample matrix is built and worked in place a block of grid
+    # rows at a time, at most 2 MB, where the whole of it holds 16 MB at
+    # R = 2000; each row is summed as a whole either way
+    rows = max(1, KDE_BLOCK_CELLS // samples.size)
+    sums = np.empty(grid.size)
+    for start in range(0, grid.size, rows):
+        z = np.subtract.outer(grid[start:start + rows], samples)
+        z /= h
+        z *= z
+        z *= -0.5
+        np.exp(z, out=z).sum(axis=1, out=sums[start:start + rows])
+    return np.maximum(sums / (samples.size * h * np.sqrt(2 * np.pi)), DENSITY_FLOOR)
 
 
 def sym_kl_estimate(samples_p, samples_q) -> float:

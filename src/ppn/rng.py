@@ -37,6 +37,13 @@ class Seed:
         return VariateStream(self, "/".join(str(x) for x in labels))
 
 
+def need_seed(seed, who):
+    """seed, if it is a Seed; else a ParameterError saying who needs one."""
+    if not isinstance(seed, Seed):
+        raise ParameterError(f"{who} needs a Seed, not {seed!r}")
+    return seed
+
+
 class VariateStream:
     """A deterministic variate stream keyed by (seed root, label).
 

@@ -1,16 +1,22 @@
 """Check and study orchestration tests built on cheap synthetic adapters."""
 
+import multiprocessing
+import pickle
+import warnings
 from collections import Counter
 
 import numpy as np
 import pytest
 
+from ppn import checks
 from ppn.checks import (StudyConfig, _verdict, heldout_predictive_check,
                         posterior_predictive_pvalue, ppn_check, ppn_study)
 from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                       VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, Dataset,
                       DataSplit, PosteriorDraws, split_data)
+from ppn.datagen import gen_gmm_data, gen_multmix_data
 from ppn.errors import CheckError, ParameterError, StateError
+from ppn.models import GmmModel, MultMixModel
 from ppn.rng import Seed, ks_distance
 
 
@@ -52,18 +58,29 @@ class BrokenModel(NormalModel):
 
 
 class CountingModel(NormalModel):
-    """Counts its fit and replicate calls."""
+    """Counts its fit and replicate calls, in shared memory, so that the calls
+    a study's forked workers make are counted too."""
+
+    KINDS = ("fit", "replicate")
 
     def __init__(self, model_id):
         super().__init__(model_id)
-        self.calls = Counter()
+        self._counts = multiprocessing.Array("i", len(self.KINDS))
+
+    @property
+    def calls(self):
+        return Counter({kind: n for kind, n in zip(self.KINDS, self._counts) if n})
+
+    def _count(self, kind):
+        with self._counts.get_lock():
+            self._counts[self.KINDS.index(kind)] += 1
 
     def fit(self, x, stream):
-        self.calls["fit"] += 1
+        self._count("fit")
         return super().fit(x, stream)
 
     def replicate(self, fit, like, R, stream):
-        self.calls["replicate"] += 1
+        self._count("replicate")
         return super().replicate(fit, like, R, stream)
 
 
@@ -99,6 +116,14 @@ class SevensModel(NormalModel):
 
     def replicate(self, fit, like, R, stream):
         return [Dataset(np.full((like.n, 1), 7.0)) for _ in range(R)]
+
+
+class WarningModel(NormalModel):
+    """Warns once per fit, naming itself and the size of the part."""
+
+    def fit(self, x, stream):
+        warnings.warn(f"{self.id} fits {x.n} rows")
+        return super().fit(x, stream)
 
 
 def _split(n=60, d=1, seed=0):
@@ -370,3 +395,88 @@ class TestEngine:
         with pytest.raises(CheckError) as exc:
             run()
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
+
+
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="the study pool forks its workers")
+
+
+def _with_workers(monkeypatch, workers):
+    monkeypatch.setattr(checks, "_worker_count", lambda tasks: min(tasks, workers))
+
+
+@needs_fork
+class TestWorkers:
+    """A study gives the same report, errors and warnings on 1 or 2 workers."""
+
+    @pytest.mark.parametrize("family", ["gmm", "multmix"])
+    @pytest.mark.parametrize("mode", ["full", "chain"])
+    def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, family, mode):
+        seed = Seed(3)
+        if family == "gmm":
+            data, models = gen_gmm_data(300, seed), [GmmModel(k, 60, 30, 3) for k in (1, 2, 3)]
+        else:
+            data = gen_multmix_data(150, seed=seed)
+            models = [MultMixModel(k, 40, 20, 2) for k in (1, 2, 3)]
+        split = split_data(data, (1 / 3, 1 / 3, 1 / 3), seed)
+        reports = []
+        for workers in (1, 2):
+            _with_workers(monkeypatch, workers)
+            reports.append(ppn_study(split, models, StudyConfig(R=20, mode=mode), seed))
+        inline, pooled = reports
+        assert len(inline.off_diagonal) >= 2
+        assert inline.to_json() == pooled.to_json()
+        for a, b in zip(inline.diagonal, pooled.diagonal):
+            assert np.array_equal(a.diagnostic_replicates, b.diagnostic_replicates)
+            assert a.diagnostic_observed == b.diagnostic_observed
+        for a, b in zip(inline.off_diagonal, pooled.off_diagonal):
+            assert np.array_equal(a.samples_a, b.samples_a)
+            assert np.array_equal(a.samples_b, b.samples_b)
+
+    def test_check_error_survives_pickling(self):
+        err = pickle.loads(pickle.dumps(CheckError("gmm-K2", "fit x_in", ParameterError("x"))))
+        assert type(err) is CheckError
+        assert (err.model_id, err.stage, str(err)) == (
+            "gmm-K2", "fit x_in", "model 'gmm-K2' failed during fit x_in: x")
+        assert type(err.cause) is ParameterError and str(err.cause) == "x"
+
+    @pytest.mark.parametrize("stage", [
+        "fit x_val", "replicate", "replicate diagnostics", "observed diagnostic",
+        "cross diagnostics"])
+    def test_failing_model_raises_the_same_error(self, monkeypatch, stage):
+        split = _split(seed=7)
+        faults = {
+            "fit x_val": dict(fit_fails=lambda x: x is split.x_val),
+            "replicate": dict(replicate_fails=True),
+            "replicate diagnostics": dict(score_fails=lambda x: x is not split.x_out),
+            "observed diagnostic": dict(score_fails=lambda x: x is split.x_out),
+            # only the wide model's replicates spread this far
+            "cross diagnostics": dict(score_fails=lambda x: x.values.std() > 5.0),
+        }
+        models = [NormalModel("m0"), FaultyModel("bad-model", **faults[stage]),
+                  NormalModel("wide", rep_sd=(30.0,))]
+        errors = []
+        for workers in (1, 2):
+            _with_workers(monkeypatch, workers)
+            with pytest.raises(CheckError) as exc:
+                ppn_study(split, models, StudyConfig(R=10), Seed(7))
+            errors.append(exc.value)
+        inline, pooled = errors
+        assert (inline.model_id, inline.stage) == ("bad-model", stage)
+        assert type(pooled) is type(inline)
+        assert (pooled.model_id, pooled.stage, str(pooled)) == (
+            inline.model_id, inline.stage, str(inline))
+
+    def test_worker_warnings_are_reissued_in_task_order(self, monkeypatch):
+        split = _split(n=30, seed=7)
+        models = [WarningModel(f"m{i}") for i in range(3)]
+        seen = []
+        for workers in (1, 2):
+            _with_workers(monkeypatch, workers)
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                ppn_study(split, models, StudyConfig(R=10), Seed(7))
+            seen.append([(w.category, str(w.message), w.filename, w.lineno) for w in caught])
+        assert [m for _, m, _, _ in seen[0]] == [
+            f"m{i} fits {n} rows" for i in range(3) for n in (split.x_in.n, split.x_val.n)]
+        assert seen[1] == seen[0]

@@ -18,6 +18,10 @@ def _simple(n, d=2):
     return Dataset(np.arange(n * d, dtype=float).reshape(n, d))
 
 
+def _with_covariates(p, n=3):
+    return Dataset(np.zeros((n, 1)), covariates=np.ones((n, p)))
+
+
 class TestDataset:
     def test_shape_and_finiteness(self):
         with pytest.raises(DataError):
@@ -172,9 +176,16 @@ class TestSplit:
         for parts in ((_simple(3, 2), _simple(3, 3), _simple(3, 2)),
                       (Dataset(codes, level_sizes=(4, 3, 3)), Dataset(codes, level_sizes=(3, 4, 3)),
                        Dataset(codes, level_sizes=(4, 3, 3))),
-                      (Dataset(codes, level_sizes=(4, 3, 3)), _simple(3, 3), _simple(3, 3))):
+                      (Dataset(codes, level_sizes=(4, 3, 3)), _simple(3, 3), _simple(3, 3)),
+                      # covariate widths 2, 3 and 2; then 2, none and 2
+                      (_with_covariates(2), _with_covariates(3), _with_covariates(2)),
+                      (_with_covariates(2), _simple(3, 1), _with_covariates(2))):
             with pytest.raises(DimensionError):
                 DataSplit(*parts)
+
+    def test_missing_seed_is_a_parameter_error(self):
+        with pytest.raises(ParameterError, match="needs a Seed"):
+            split_data(_simple(9), (1 / 3, 1 / 3, 1 / 3), None)
 
 
 class TestPassFail:

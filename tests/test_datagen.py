@@ -110,7 +110,11 @@ class TestMultMix:
     lambda: gen_regression_data(50),
     lambda: gen_multmix_data(50),
     lambda: gen_multmix_data(50, seed=3),
-], ids=["regression", "multmix", "multmix-int-seed"])
+    lambda: gen_gmm_data(50, None),
+    lambda: gen_linear_factor_data(50, None),
+    lambda: gen_nonlinear_factor_data(50, None),
+], ids=["regression", "multmix", "multmix-int-seed", "gmm", "linear-factor",
+        "nonlinear-factor"])
 def test_missing_seed_is_a_parameter_error(generate):
     with pytest.raises(ParameterError, match="needs a Seed"):
         generate()

@@ -6,8 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppn.errors import DataError, DegenerateSampleError
-from ppn.estimators import (bayes_factor, harmonic_mean_marginal_likelihood,
-                            kde_density, sym_kl_estimate)
+from ppn.estimators import (GRID_POINTS, _silverman_bandwidth, bayes_factor,
+                            harmonic_mean_marginal_likelihood, kde_density,
+                            sym_kl_estimate)
 from ppn.rng import Seed
 
 
@@ -32,6 +33,16 @@ class TestKde:
         samples = _normals("peak", 10**5)
         dens = kde_density(samples, np.array([0.0]))
         assert abs(dens[0] - 0.3989) < 0.03 * 0.3989
+
+    @pytest.mark.parametrize("R", [2, 255, 256, 2000, 3001])
+    def test_blocks_match_one_whole_matrix(self, R):
+        # the whole grid-by-sample matrix at once, as a reference
+        samples = _normals("blocks", R, 3.0, 2.0)
+        grid = np.linspace(-5, 11, GRID_POINTS)
+        h = _silverman_bandwidth(samples)
+        z = np.exp(-0.5 * (np.subtract.outer(grid, samples) / h) ** 2)
+        want = np.maximum(z.sum(axis=1) / (R * h * np.sqrt(2 * np.pi)), 1e-12)
+        assert np.array_equal(kde_density(samples, grid), want)
 
     def test_degenerate_samples(self):
         with pytest.raises(DegenerateSampleError):
