@@ -25,12 +25,10 @@ import warnings
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
-import numpy as np
-
 from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                    VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, CheckOutcome,
                    DataSplit, PpnOutcome, StudyReport, pass_fail)
-from .diagnostics import validation_diagnostic
+from .diagnostics import replicate_diagnostics, validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, finite, integer
 from .estimators import sym_kl_estimate
 from .rng import need_seed
@@ -65,13 +63,6 @@ def _stage(model_id, stage, fn, *args):
         return fn(*args)
     except PpnError as exc:
         raise CheckError(model_id, stage, exc) from exc
-
-
-def _diag_samples(reps, model, anchor, stream):
-    vals = np.empty(len(reps))
-    for r, rep in enumerate(reps):
-        vals[r] = validation_diagnostic(rep, model, anchor, stream.substream(r))
-    return vals
 
 
 class _Engine:
@@ -122,7 +113,7 @@ class _Engine:
     def samples(self, owner, source):
         anchor = self.fit(owner, self.anchor)
         stage = "replicate diagnostics" if source is owner else "cross diagnostics"
-        return self._once(owner, _samples_label(source), stage, _diag_samples,
+        return self._once(owner, _samples_label(source), stage, replicate_diagnostics,
                           self.reps(source), owner, anchor)
 
     def prepare(self, model):

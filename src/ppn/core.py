@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import io
 import json
+import operator
 import re
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,6 +27,42 @@ from .rng import need_seed
 
 CONTINUOUS = "continuous"
 CATEGORICAL = "categorical"
+
+# Cells of one block of an array worked a block at a time (replicates
+# scored together, states of a log-likelihood, KDE grid rows): 2 MB of float64.
+BLOCK_CELLS = 2**18
+
+
+def _checked_levels(values, level_sizes):
+    """The level sizes of an n x d matrix of values, checked with the values:
+    finite values without level sizes, in-range level codes with them."""
+    if level_sizes is None:
+        if not np.all(np.isfinite(values)):
+            raise DataError("values contain non-finite entries")
+        return None
+    sizes = tuple(integer(s, "a level size", 1) for s in level_sizes)
+    if len(sizes) != values.shape[1]:
+        raise DimensionError("one level size per code column required")
+    # NaN and inf fail the first test; a code such as 1e300 passes it
+    # and is out of range, compared as a float, never cast
+    if not np.all(np.isfinite(values) & (np.floor(values) == values)):
+        raise DataError("level codes must be whole numbers")
+    outside = ((values < 0) | (values >= sizes)).any(axis=0)
+    if outside.any():
+        raise DataError(f"level codes for variable {int(np.argmax(outside))} out of range")
+    return sizes
+
+
+def _checked_covariates(covariates, n, level_sizes):
+    """A covariate matrix for n rows of continuous values, checked."""
+    if level_sizes is not None:
+        raise DataError("covariates are only supported for continuous data")
+    cov = np.atleast_2d(np.asarray(covariates, dtype=float))
+    if cov.shape[0] != n:
+        raise DimensionError("covariates row count must match values")
+    if not np.all(np.isfinite(cov)):
+        raise DataError("covariates contain non-finite entries")
+    return cov
 
 
 @dataclass(frozen=True)
@@ -45,30 +83,20 @@ class Dataset:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] < 1 or values.shape[1] < 1:
             raise DimensionError("values must be an n x d matrix with n, d >= 1")
-        if self.level_sizes is None:
-            if not np.all(np.isfinite(values)):
-                raise DataError("values contain non-finite entries")
-        else:
-            sizes = tuple(integer(s, "a level size", 1) for s in self.level_sizes)
-            object.__setattr__(self, "level_sizes", sizes)
-            if len(sizes) != values.shape[1]:
-                raise DimensionError("one level size per code column required")
-            # NaN and inf fail the first test; a code such as 1e300 passes it
-            # and is out of range, compared as a float, never cast
-            if not np.all(np.isfinite(values) & (np.floor(values) == values)):
-                raise DataError("level codes must be whole numbers")
-            outside = ((values < 0) | (values >= sizes)).any(axis=0)
-            if outside.any():
-                raise DataError(f"level codes for variable {int(np.argmax(outside))} out of range")
+        object.__setattr__(self, "level_sizes", _checked_levels(values, self.level_sizes))
         if self.covariates is not None:
-            if self.level_sizes is not None:
-                raise DataError("covariates are only supported for continuous data")
-            cov = np.atleast_2d(np.asarray(self.covariates, dtype=float))
-            object.__setattr__(self, "covariates", cov)
-            if cov.shape[0] != values.shape[0]:
-                raise DimensionError("covariates row count must match values")
-            if not np.all(np.isfinite(cov)):
-                raise DataError("covariates contain non-finite entries")
+            object.__setattr__(self, "covariates", _checked_covariates(
+                self.covariates, values.shape[0], self.level_sizes))
+
+    @classmethod
+    def _trusted(cls, values, covariates, level_sizes):
+        """A dataset of parts that were checked already, built without
+        checking them again."""
+        data = object.__new__(cls)
+        object.__setattr__(data, "values", values)
+        object.__setattr__(data, "covariates", covariates)
+        object.__setattr__(data, "level_sizes", level_sizes)
+        return data
 
     @property
     def kind(self):
@@ -142,6 +170,69 @@ class Dataset:
             return Dataset(body, level_sizes=sizes)
         is_cov = np.array([re.fullmatch(r"c\d+", c) is not None for c in header])
         return Dataset(body[:, ~is_cov], body[:, is_cov] if is_cov.any() else None)
+
+
+class ReplicateBlock(Sequence):
+    """R replicate datasets drawn together: the row views of one R x n x d
+    block of values, which share one covariate matrix (or none) and one set
+    of level sizes.
+
+    The block and the covariates are checked once, as a Dataset checks its
+    parts; a replicate is then a view built without checking it again.
+    """
+
+    def __init__(self, values, covariates=None, level_sizes=None):
+        values = np.asarray(values, dtype=float)
+        if values.ndim != 3 or 0 in values.shape:
+            raise DimensionError("a replicate block must be R x n x d with R, n, d >= 1")
+        self.values = values
+        self.level_sizes = _checked_levels(values.reshape(-1, values.shape[2]), level_sizes)
+        self.covariates = None if covariates is None else _checked_covariates(
+            covariates, values.shape[1], self.level_sizes)
+
+    @classmethod
+    def _trusted(cls, values, covariates, level_sizes):
+        block = object.__new__(cls)
+        block.values, block.covariates, block.level_sizes = values, covariates, level_sizes
+        return block
+
+    @classmethod
+    def of(cls, x: Dataset) -> "ReplicateBlock":
+        """x as a block of one replicate."""
+        return cls._trusted(x.values[None], x.covariates, x.level_sizes)
+
+    @property
+    def n(self):
+        return self.values.shape[1]
+
+    @property
+    def d(self):
+        return self.values.shape[2]
+
+    def __len__(self):
+        return len(self.values)
+
+    def __getitem__(self, r) -> Dataset:
+        return Dataset._trusted(self.values[operator.index(r)], self.covariates,
+                                self.level_sizes)
+
+
+def replicate_blocks(reps):
+    """(first index, block) over a sequence of replicate datasets, in order.
+
+    A ReplicateBlock is cut into views of whole replicates, at most
+    BLOCK_CELLS values each (but at least one replicate); any other sequence
+    gives one block per dataset, since its datasets need not share a shape
+    or covariates.
+    """
+    if not isinstance(reps, ReplicateBlock):
+        for r, x in enumerate(reps):
+            yield r, ReplicateBlock.of(x)
+        return
+    rows = max(1, BLOCK_CELLS // (reps.n * reps.d))
+    for start in range(0, len(reps), rows):
+        yield start, ReplicateBlock._trusted(reps.values[start:start + rows],
+                                             reps.covariates, reps.level_sizes)
 
 
 class StateBatch(tuple):

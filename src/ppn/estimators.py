@@ -12,11 +12,11 @@ from __future__ import annotations
 import numpy as np
 from scipy.special import logsumexp
 
+from .core import BLOCK_CELLS
 from .errors import DataError, DegenerateSampleError
 
 DENSITY_FLOOR = 1e-12
 GRID_POINTS = 1024
-KDE_BLOCK_CELLS = 2**18
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
@@ -39,7 +39,7 @@ def kde_density(samples, grid) -> np.ndarray:
     # the grid-by-sample matrix is built and worked in place a block of grid
     # rows at a time, at most 2 MB, where the whole of it holds 16 MB at
     # R = 2000; each row is summed as a whole either way
-    rows = max(1, KDE_BLOCK_CELLS // samples.size)
+    rows = max(1, BLOCK_CELLS // samples.size)
     sums = np.empty(grid.size)
     for start in range(0, grid.size, rows):
         z = np.subtract.outer(grid[start:start + rows], samples)

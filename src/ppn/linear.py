@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import CONTINUOUS, Dataset
+from .core import CONTINUOUS, Dataset, ReplicateBlock
 from .errors import (DataError, DimensionError, ParameterError,
                      SingularityError, StateError, integer)
 
@@ -82,8 +82,9 @@ def regression_fit_B(y_in, X_in) -> RegressionPosteriorB:
     return RegressionPosteriorB(intercept, coef, gram_inv, x_mean, n, X_in)
 
 
-def regression_predictive(posterior, covariates, R: int, stream) -> list:
-    """R replicate response vectors from the stored predictive Normals."""
+def regression_predictive(posterior, covariates, R: int, stream) -> np.ndarray:
+    """R replicate response vectors, the rows of an R x n array, from the
+    stored predictive Normals; replicate r draws from stream.substream(r)."""
     R = integer(R, "R", 1)
     if isinstance(posterior, RegressionPosteriorA):
         n_rep = covariates if np.isscalar(covariates) else len(covariates)
@@ -95,25 +96,30 @@ def regression_predictive(posterior, covariates, R: int, stream) -> list:
         n_rep = mean.size
     else:
         raise ParameterError("unknown regression posterior kind")
-    reps = []
-    for r in range(R):
-        sub = stream.substream(r)
-        reps.append(mean + sd * sub.generator.standard_normal(n_rep))
+    reps = np.empty((R, n_rep))
+    for rep, g in zip(reps, stream.substream_generators(R)):
+        rep[:] = mean + sd * g.standard_normal(n_rep)
     return reps
 
 
-def regression_diagnostic(y, covariates, fitted_on_val) -> float:
-    """Sum of squared deviations from the validation predictive mean."""
-    y = np.asarray(y, dtype=float).ravel()
+def regression_diagnostic(y, covariates, fitted_on_val):
+    """Sum of squared deviations from the validation predictive mean: of a
+    response vector, or of each row of an R x n array of them."""
+    y = np.asarray(y, dtype=float)
+    if y.ndim != 2:
+        y = y.ravel()
     if isinstance(fitted_on_val, RegressionPosteriorA):
-        mean = np.full(y.size, fitted_on_val.y_bar)
+        mean = np.full(y.shape[-1], fitted_on_val.y_bar)
     elif isinstance(fitted_on_val, RegressionPosteriorB):
         mean = fitted_on_val.predictive_mean(covariates)
     else:
         raise ParameterError("unknown regression posterior kind")
-    if mean.size != y.size:
+    if mean.shape != y.shape[-1:]:
         raise DimensionError("response and predictive mean lengths differ")
-    return float(((y - mean) ** 2).sum())
+    resid = y - mean
+    resid *= resid
+    # each row is one contiguous 1-d sum, as it would be on its own
+    return resid.sum(axis=-1)
 
 
 @dataclass(frozen=True)
@@ -184,23 +190,27 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
     return PpcaParams(W, sigma2, mean)
 
 
-def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> list:
-    """R replicate datasets from the linear-Gaussian generative process."""
+def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> ReplicateBlock:
+    """R replicate datasets from the linear-Gaussian generative process, as
+    one block; replicate r draws from stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
-    reps = []
-    for r in range(R):
-        sub = stream.substream(r)
-        z = sub.generator.standard_normal((n_rep, params.K))
-        eps = np.sqrt(params.sigma2) * sub.generator.standard_normal((n_rep, params.G))
-        reps.append(Dataset(params.mean + z @ params.W.T + eps))
-    return reps
+    block = np.empty((R, n_rep, params.G))
+    for rep, g in zip(block, stream.substream_generators(R)):
+        z = g.standard_normal((n_rep, params.K))
+        eps = np.sqrt(params.sigma2) * g.standard_normal((n_rep, params.G))
+        rep[:] = params.mean + z @ params.W.T + eps
+    return ReplicateBlock(block)
 
 
-def ppca_reconstruction_diagnostic(x: Dataset, params: PpcaParams) -> float:
-    """Summed squared error of the posterior-mean latent reconstruction."""
+def ppca_reconstruction_diagnostic(x, params: PpcaParams):
+    """Summed squared error of the posterior-mean latent reconstruction: of a
+    Dataset, or of each replicate of a ReplicateBlock."""
     if x.d != params.G:
         raise DimensionError("data dimension does not match the fitted loading")
     centered = x.values - params.mean
     M = params.W.T @ params.W + params.sigma2 * np.eye(params.K)
-    recon = centered @ params.W @ np.linalg.solve(M, params.W.T)
-    return float(((centered - recon) ** 2).sum())
+    # a stacked matmul multiplies each replicate's n x G matrix on its own
+    centered -= centered @ params.W @ np.linalg.solve(M, params.W.T)
+    centered *= centered
+    # each replicate is one contiguous 1-d sum, as it would be on its own
+    return centered.reshape(centered.shape[:-2] + (-1,)).sum(axis=-1)

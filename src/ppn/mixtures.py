@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws, StateBatch
+from .core import BLOCK_CELLS, CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws, StateBatch
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical
 
@@ -108,16 +108,36 @@ def _component_sums(columns, means, variances, log_terms):
     return total
 
 
+def _state_blocks(states, cells_per_state):
+    """Consecutive runs of states whose cells_per_state arrays fill at most
+    BLOCK_CELLS cells together (at least one state per run)."""
+    size = max(1, BLOCK_CELLS // cells_per_state)
+    return [states[i:i + size] for i in range(0, len(states), size)]
+
+
+def _loglik_rows(logp):
+    """The log-likelihood of each state's B x n x K component log terms:
+    one 1-d sum per state, whose pairwise order a 2-d reduction need not
+    keep."""
+    return [row.sum() for row in logsumexp(logp, axis=2)]
+
+
 def gmm_full_loglik(x: Dataset, states) -> np.ndarray:
-    """Mixture log-likelihood of x at each state, constants included."""
+    """Mixture log-likelihood of x at each state, constants included.
+
+    States are taken a block at a time, so logsumexp's temporaries stay
+    small; each state's value does not depend on the others'.
+    """
     columns = np.ascontiguousarray(x.values.T)[:, None, :]    # D x 1 x n
-    logp = np.empty((len(states), x.n, states[0].K))
-    for out, s in zip(logp, states):
-        comp = _component_sums(columns, s.means, s.variances, np.log(2 * np.pi * s.variances))
-        comp *= -0.5
-        np.add(comp.T, np.log(s.weights), out=out)
-    # one 1-d sum per state, whose pairwise order a 2-d reduction need not keep
-    return np.array([row.sum() for row in logsumexp(logp, axis=2)])
+    loglik = []
+    for block in _state_blocks(states, x.n * states[0].K):
+        logp = np.empty((len(block), x.n, states[0].K))
+        for out, s in zip(logp, block):
+            comp = _component_sums(columns, s.means, s.variances, np.log(2 * np.pi * s.variances))
+            comp *= -0.5
+            np.add(comp.T, np.log(s.weights), out=out)
+        loglik += _loglik_rows(logp)
+    return np.array(loglik)
 
 
 def _gmm_log_prior(means, variances, weights) -> float:
@@ -229,11 +249,10 @@ def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
     """R replicate datasets, each generated from one retained posterior state."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
-    for r in range(R):
-        sub = stream.substream(r)
-        state = draws.states[int(sub.generator.integers(draws.B))]
-        comp = categorical(sub, state.weights, n_rep)
-        rows = state.means[comp] + np.sqrt(state.variances[comp]) * sub.generator.standard_normal((n_rep, state.means.shape[1]))
+    for g in stream.substream_generators(R):
+        state = draws.states[int(g.integers(draws.B))]
+        comp = categorical(g, state.weights, n_rep)
+        rows = state.means[comp] + np.sqrt(state.variances[comp]) * g.standard_normal((n_rep, state.means.shape[1]))
         reps.append(Dataset(rows))
     return reps
 
@@ -314,15 +333,18 @@ def _require_categorical(x: Dataset):
 
 
 def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
-    """Mixture log-likelihood of x at each state."""
+    """Mixture log-likelihood of x at each state, a block of states at a
+    time, as gmm_full_loglik."""
     codes = x.codes()
-    logp = np.log(np.stack([s.weights for s in states]))[:, None, :]    # B x 1 x K
-    with np.errstate(divide="ignore"):
-        for j in range(codes.shape[1]):
-            table = np.stack([s.tables[j] for s in states])             # B x K x L
-            logp = logp + np.log(table[:, :, codes[:, j]]).transpose(0, 2, 1)
-    # one 1-d sum per state, whose pairwise order a 2-d reduction need not keep
-    return np.array([row.sum() for row in logsumexp(logp, axis=2)])
+    loglik = []
+    for block in _state_blocks(states, x.n * states[0].K):
+        logp = np.log(np.stack([s.weights for s in block]))[:, None, :]    # B x 1 x K
+        with np.errstate(divide="ignore"):
+            for j in range(codes.shape[1]):
+                table = np.stack([s.tables[j] for s in block])             # B x K x L
+                logp = logp + np.log(table[:, :, codes[:, j]]).transpose(0, 2, 1)
+        loglik += _loglik_rows(logp)
+    return np.array(loglik)
 
 
 def _dirichlet_log_density(p, alpha) -> np.ndarray:
@@ -387,15 +409,14 @@ def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> lis
     posterior states."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     reps = []
-    for r in range(R):
-        sub = stream.substream(r)
-        state = draws.states[int(sub.generator.integers(draws.B))]
-        z = categorical(sub, state.weights, n_rep)
+    for g in stream.substream_generators(R):
+        state = draws.states[int(g.integers(draws.B))]
+        z = categorical(g, state.weights, n_rep)
         level_sizes = tuple(t.shape[1] for t in state.tables)
         codes = np.empty((n_rep, len(level_sizes)), dtype=int)
         for j, table in enumerate(state.tables):
             cum = np.cumsum(table, axis=1)[z]
-            codes[:, j] = np.minimum((cum[:, :-1] < sub.generator.random(n_rep)[:, None]).sum(1),
+            codes[:, j] = np.minimum((cum[:, :-1] < g.random(n_rep)[:, None]).sum(1),
                                      table.shape[1] - 1)
         reps.append(Dataset(codes, level_sizes=level_sizes))
     return reps

@@ -6,7 +6,9 @@ a batch of parameter states.  Each adapter also owns its predictive check,
 so its ``reduction`` says how that diagnostic is reduced over the x_val
 posterior: averaged over the draws, or taken at the MAP state.  Fits always
 come back as PosteriorDraws, even when the "posterior" is a single
-closed-form or maximum-likelihood state.
+closed-form or maximum-likelihood state.  Those single-state adapters draw
+their replicates as one ReplicateBlock and score a whole replicate set at
+one state with ``replicate_diagnostics``.
 """
 
 from __future__ import annotations
@@ -15,8 +17,8 @@ import inspect
 
 import numpy as np
 
-from .core import Dataset, PosteriorDraws
-from .errors import ParameterError, finite, integer
+from .core import Dataset, PosteriorDraws, ReplicateBlock, replicate_blocks
+from .errors import DataError, DimensionError, ParameterError, finite, integer
 from . import linear, mixtures
 
 REDUCTION_AVERAGE = "average"
@@ -70,7 +72,45 @@ class MultMixModel:
         return mixtures.multmix_chi2_diagnostic_batch(x, states)
 
 
-class RegressionModelA:
+class _OneStateModel:
+    """An adapter whose fit is one state and whose diagnostic draws nothing.
+
+    Its diagnostic of a set of replicates is therefore taken at one state
+    for all of them, and scored a block of replicates at a time by the
+    adapter's ``_score(block, state)``, which gives one value per replicate
+    of a ReplicateBlock.  A single dataset is scored as a block of one, by
+    each adapter's own diagnostic_batch, so that every adapter class still
+    defines the whole adapter surface itself.
+    """
+
+    def _at_states(self, x: Dataset, states) -> np.ndarray:
+        block = ReplicateBlock.of(x)
+        return np.array([self._score(block, s)[0] for s in states])
+
+    def replicate_diagnostics(self, reps, state) -> np.ndarray:
+        """The diagnostic of each of a sequence of replicates at one state."""
+        vals = np.empty(len(reps))
+        for start, block in replicate_blocks(reps):
+            vals[start:start + len(block)] = self._score(block, state)
+        return vals
+
+
+def _responses(x):
+    """The response column of x (a Dataset or a ReplicateBlock)."""
+    if x.level_sizes is not None:
+        raise DataError("regression models expect continuous responses, not level codes")
+    if x.d != 1:
+        raise DimensionError(f"regression models expect one response column, not {x.d}")
+    return x.values[..., 0]
+
+
+def _covariates(x):
+    if x.covariates is None:
+        raise ParameterError("regression with covariates needs a covariate matrix")
+    return x.covariates
+
+
+class RegressionModelA(_OneStateModel):
     """Covariate-free location model with a fixed-variance predictive.
 
     Replicates are drawn at the fitted rows (the predictive is defined
@@ -83,20 +123,22 @@ class RegressionModelA:
         self.reduction = _reduction(reduction)
 
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
-        post = linear.regression_fit_A(x.values[:, 0], x.covariates)
+        post = linear.regression_fit_A(_responses(x), x.covariates)
         return PosteriorDraws((post,), self.id)
 
-    def replicate(self, fit, like: Dataset, R: int, stream) -> list:
+    def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         post = fit.states[0]
         ys = linear.regression_predictive(post, post.n_in, R, stream)
-        return [Dataset(y[:, None], covariates=post.covariates) for y in ys]
+        return ReplicateBlock(ys[:, :, None], post.covariates)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
-        return np.array([linear.regression_diagnostic(x.values[:, 0], x.covariates, s)
-                         for s in states])
+        return self._at_states(x, states)
+
+    def _score(self, block, state):
+        return linear.regression_diagnostic(_responses(block), None, state)
 
 
-class RegressionModelB:
+class RegressionModelB(_OneStateModel):
     """Ordinary-least-squares regression with row-dependent predictive variance."""
 
     id = "reg-B"
@@ -105,22 +147,26 @@ class RegressionModelB:
         self.reduction = _reduction(reduction)
 
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
-        if x.covariates is None:
-            raise ParameterError("regression with covariates needs a covariate matrix")
-        post = linear.regression_fit_B(x.values[:, 0], x.covariates)
+        post = linear.regression_fit_B(_responses(x), _covariates(x))
         return PosteriorDraws((post,), self.id)
 
-    def replicate(self, fit, like: Dataset, R: int, stream) -> list:
+    def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         post = fit.states[0]
         ys = linear.regression_predictive(post, post.X_in, R, stream)
-        return [Dataset(y[:, None], covariates=post.X_in) for y in ys]
+        return ReplicateBlock(ys[:, :, None], post.X_in)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
-        return np.array([linear.regression_diagnostic(x.values[:, 0], x.covariates, s)
-                         for s in states])
+        return self._at_states(x, states)
+
+    def _score(self, block, state):
+        y, covariates = _responses(block), _covariates(block)
+        if covariates.shape[1] != state.coef.size:
+            raise DimensionError(f"{covariates.shape[1]} covariate columns for "
+                                 f"{state.coef.size} coefficients")
+        return linear.regression_diagnostic(y, covariates, state)
 
 
-class PpcaModel:
+class PpcaModel(_OneStateModel):
     """Probabilistic PCA with a K-dimensional latent space, fitted by EM."""
 
     def __init__(self, K, tol=1e-8, max_iters=1000, reduction=REDUCTION_MAP):
@@ -134,11 +180,14 @@ class PpcaModel:
         params = linear.ppca_em_fit(x, self.K, self.tol, self.max_iters)
         return PosteriorDraws((params,), self.id)
 
-    def replicate(self, fit, like: Dataset, R: int, stream) -> list:
+    def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.ppca_predictive(fit.states[0], like.n, R, stream)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
-        return np.array([linear.ppca_reconstruction_diagnostic(x, s) for s in states])
+        return self._at_states(x, states)
+
+    def _score(self, block, state):
+        return linear.ppca_reconstruction_diagnostic(block, state)
 
 
 _FAMILIES = {"gmm": GmmModel, "multmix": MultMixModel, "ppca": PpcaModel,

@@ -59,12 +59,34 @@ class VariateStream:
     def generator(self) -> np.random.Generator:
         """The stream's Philox generator, built on first use: many streams
         (one per replicate diagnostic, say) are never drawn from."""
-        digest = hashlib.sha256(f"{self.seed.root}\x1f{self.label}".encode()).digest()
-        key = np.frombuffer(digest, dtype=np.uint64)[:2]
-        return np.random.Generator(np.random.Philox(key=key))
+        return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.label)))
 
     def substream(self, *labels) -> "VariateStream":
         return VariateStream(self.seed, self.label + "/" + "/".join(str(x) for x in labels))
+
+    def substream_generators(self, R):
+        """The generators of substream(0), ..., substream(R - 1), in turn.
+
+        Each draws exactly what ``substream(r).generator`` draws, but all of
+        them are one Generator whose Philox bit generator is re-keyed before
+        it is handed out again: a generator is valid only until the next one
+        is handed out.  This skips building a stream and a bit generator
+        (whose constructor gathers OS entropy even when given its key) per
+        replicate.
+        """
+        bits = np.random.Philox(key=_philox_key(self.seed, self.label))
+        generator = np.random.Generator(bits)
+        state = bits.state
+        for r in range(R):
+            state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
+                              "key": _philox_key(self.seed, f"{self.label}/{r}")}
+            bits.state = state
+            yield generator
+
+
+def _philox_key(seed, label):
+    digest = hashlib.sha256(f"{seed.root}\x1f{label}".encode()).digest()
+    return np.frombuffer(digest, dtype=np.uint64)[:2]
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:
@@ -78,10 +100,12 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
     return p
 
 
-def categorical(stream: VariateStream, p, size: int) -> np.ndarray:
-    """Draw ``size`` labels from Categorical(p) via inverse CDF."""
+def categorical(stream, p, size: int) -> np.ndarray:
+    """Draw ``size`` labels from Categorical(p) via inverse CDF, from a
+    VariateStream or straight from a numpy Generator."""
     p = _check_prob_vector(p, "p")
-    u = stream.generator.random(size)
+    g = stream.generator if isinstance(stream, VariateStream) else stream
+    u = g.random(size)
     return np.minimum((u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1), len(p) - 1)
 
 

@@ -7,6 +7,7 @@ import weakref
 import numpy as np
 import pytest
 
+from ppn import mixtures
 from ppn.core import Dataset, PosteriorDraws, StateBatch
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
@@ -15,8 +16,8 @@ from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR
                           MultMixState, _component_sums, _kmeans_init,
                           _multmix_log_prior, gmm_full_loglik, gmm_gibbs_fit,
                           gmm_loglik_diagnostic_batch, gmm_predictive,
-                          multmix_chi2_diagnostic_batch, multmix_gibbs_fit,
-                          multmix_predictive)
+                          multmix_chi2_diagnostic_batch, multmix_full_loglik,
+                          multmix_gibbs_fit, multmix_predictive)
 from ppn.rng import Seed
 from scipy.special import gammaln, logsumexp
 
@@ -607,6 +608,35 @@ class TestMultMixDiagnostic:
                 Dataset([[0, 1]], level_sizes=(2, 2)), good)[0])
             with pytest.raises(DimensionError):
                 multmix_chi2_diagnostic_batch(Dataset([[0, 1]], level_sizes=(2, 3)), good)
+
+
+class TestFullLoglikBlocks:
+    """Both full log-likelihoods take their states a block at a time; every
+    state's value must be the one a single block of all states gives."""
+
+    @pytest.mark.parametrize("family", ["gmm", "multmix"])
+    @pytest.mark.parametrize("B", [1, 10, 11, 29, 900])
+    def test_blocks_match_one_block(self, monkeypatch, family, B):
+        # n = 100, K = 3: 300 cells a state, so blocks of 1 state, of 10 and
+        # (by default) of 873
+        if family == "gmm":
+            data = gen_gmm_data(100, Seed(40))
+            fit = gmm_gibbs_fit(data, 3, 40, 20, 2, Seed(40).stream("f"))
+            loglik = gmm_full_loglik
+        else:
+            data = gen_multmix_data(100, seed=Seed(41))
+            fit = multmix_gibbs_fit(data, 3, 40, 20, 2, Seed(41).stream("f"))
+            loglik = multmix_full_loglik
+        states = [fit.states[b % fit.B] for b in range(B)]
+        blocked = {cells: None for cells in (1, 3000, mixtures.BLOCK_CELLS)}
+        for cells in blocked:
+            monkeypatch.setattr(mixtures, "BLOCK_CELLS", cells)
+            blocked[cells] = loglik(data, states)
+        monkeypatch.setattr(mixtures, "BLOCK_CELLS", 2**62)
+        whole = loglik(data, states)
+        assert whole.shape == (B,)
+        for got in blocked.values():
+            assert got.tobytes() == whole.tobytes()
 
 
 class TestPosteriorDraws:

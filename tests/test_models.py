@@ -1,0 +1,150 @@
+"""Single-state adapters: replicate blocks, block scoring and the data they refuse."""
+
+import dataclasses
+
+import numpy as np
+import pytest
+
+from ppn.checks import heldout_predictive_check
+from ppn.core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock, split_data
+from ppn.datagen import gen_linear_factor_data, gen_multmix_data, gen_regression_data
+from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
+from ppn.errors import CheckError, DataError, DimensionError
+from ppn.models import PpcaModel, RegressionModelA, RegressionModelB
+from ppn.rng import Seed
+
+SEED = Seed(50)
+
+
+def _regression_split():
+    # x_in 500 rows of one response: 524 replicates in a block of scoring
+    return split_data(gen_regression_data(2000, 3, 2.5, SEED), (0.25, 0.5, 0.25), SEED)
+
+
+def _factor_split():
+    # x_out 100 rows of 10 values: 262 replicates in a block of scoring
+    return split_data(gen_linear_factor_data(300, SEED), (1 / 3, 1 / 3, 1 / 3), SEED)
+
+
+CASES = {"reg-A": (RegressionModelA, _regression_split),
+         "reg-B": (RegressionModelB, _regression_split),
+         "ppca-2": (lambda: PpcaModel(2), _factor_split)}
+
+
+def _replicates(name, R):
+    make_model, make_split = CASES[name]
+    model, split = make_model(), make_split()
+    reps = model.replicate(model.fit(split.x_in, SEED.stream("in")), split.x_out, R,
+                           SEED.stream("rep"))
+    return model, split, reps
+
+
+class TestReplicateBlock:
+    def test_replicates_are_views_built_without_checks(self, monkeypatch):
+        model, split, reps = _replicates("reg-B", 20)
+        assert isinstance(reps, ReplicateBlock) and reps.values.shape == (20, 500, 1)
+        monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("checked again"))
+        for r, rep in enumerate(reps):
+            assert np.shares_memory(rep.values, reps.values)
+            assert rep.covariates is reps.covariates
+            assert np.array_equal(rep.values, reps.values[r])
+        assert len(list(reps)) == len(reps) == 20
+
+    def test_block_is_checked_once_as_a_dataset_is(self):
+        good = np.zeros((3, 4, 2))
+        for r, col in ((0, 0), (2, 1)):
+            bad = good.copy()
+            bad[r, 3, col] = np.nan
+            with pytest.raises(DataError, match="non-finite"):
+                ReplicateBlock(bad)
+        with pytest.raises(DataError, match="covariates contain non-finite"):
+            ReplicateBlock(good, np.full((4, 1), np.inf))
+        with pytest.raises(DimensionError):
+            ReplicateBlock(good, np.ones((3, 1)))
+        with pytest.raises(DimensionError):
+            ReplicateBlock(np.zeros((4, 2)))
+        with pytest.raises(DataError, match="out of range"):
+            ReplicateBlock(np.full((2, 3, 2), 1.0), level_sizes=(2, 1))
+        codes = ReplicateBlock(np.ones((2, 3, 2)), level_sizes=(2, 3))
+        assert codes[1].level_sizes == (2, 3) and codes[1].kind == "categorical"
+
+    @pytest.mark.parametrize("name", list(CASES))
+    def test_non_finite_replicates_fail_at_the_replicate_stage(self, name):
+        make_model, make_split = CASES[name]
+        field = {"reg-A": "y_bar", "reg-B": "intercept", "ppca-2": "mean"}[name]
+
+        class NonFinite(type(make_model())):
+            def fit(self, x, stream):
+                state = super().fit(x, stream).states[0]
+                bad = np.full(np.shape(getattr(state, field)), np.nan)
+                return PosteriorDraws((dataclasses.replace(state, **{field: bad}),), self.id)
+
+        model = NonFinite() if name != "ppca-2" else NonFinite(2)
+        with pytest.raises(CheckError) as info:
+            heldout_predictive_check(make_split(), model, R=30, seed=SEED)
+        assert info.value.stage == "replicate"
+        assert isinstance(info.value.cause, DataError)
+        assert "non-finite" in str(info.value.cause)
+
+
+class TestReplicateScoring:
+    """A single-state adapter scores a whole replicate set at its anchor
+    state, a block of replicates at a time; each value must be the one
+    validation_diagnostic gives that replicate on its own."""
+
+    @pytest.mark.parametrize("name, R", [("reg-A", 7), ("reg-A", 1100), ("reg-B", 1100),
+                                         ("ppca-2", 600)])
+    def test_scores_match_each_replicate_on_its_own(self, name, R):
+        model, split, reps = _replicates(name, R)
+        rows = BLOCK_CELLS // (reps.n * reps.d)
+        if R > 100:   # several blocks, the last one short
+            assert R > rows and R % rows
+        anchor = model.fit(split.x_val, SEED.stream("val"))
+        stream = SEED.stream("diag")
+        alone = np.array([validation_diagnostic(rep, model, anchor, stream.substream(r))
+                          for r, rep in enumerate(reps)])
+        # a block of the model's own, and any other sequence of datasets
+        for given in (reps, list(reps)):
+            assert replicate_diagnostics(given, model, anchor, stream).tobytes() == alone.tobytes()
+
+    def test_cross_family_scores_match(self):
+        _, split, reps = _replicates("reg-A", 600)
+        owner = RegressionModelB()
+        anchor = owner.fit(split.x_val, SEED.stream("val"))
+        stream = SEED.stream("diag")
+        alone = [validation_diagnostic(rep, owner, anchor, stream.substream(r))
+                 for r, rep in enumerate(reps)]
+        assert np.array_equal(replicate_diagnostics(reps, owner, anchor, stream), alone)
+
+
+class TestRegressionRefusals:
+    """A regression adapter models one continuous response column."""
+
+    @pytest.mark.parametrize("model", [RegressionModelA(), RegressionModelB()])
+    def test_several_response_columns(self, model):
+        data = gen_regression_data(60, 2, 2.5, SEED)
+        two = Dataset(np.hstack([data.values, data.values]), data.covariates)
+        with pytest.raises(DimensionError, match="one response column"):
+            model.fit(two, SEED.stream("f"))
+        state = model.fit(data, SEED.stream("f")).states[0]
+        with pytest.raises(DimensionError, match="one response column"):
+            model.diagnostic_batch(two, [state], None)
+        split = split_data(two, (1 / 3, 1 / 3, 1 / 3), SEED)
+        with pytest.raises(CheckError) as info:
+            heldout_predictive_check(split, model, R=10, seed=SEED)
+        assert isinstance(info.value.cause, DimensionError)
+
+    @pytest.mark.parametrize("model", [RegressionModelA(), RegressionModelB()])
+    def test_level_codes(self, model):
+        codes = gen_multmix_data(60, seed=SEED)
+        one_code = Dataset(codes.values[:, :1], level_sizes=codes.level_sizes[:1])
+        for data in (codes, one_code):
+            with pytest.raises(DataError, match="level codes"):
+                model.fit(data, SEED.stream("f"))
+        state = model.fit(gen_regression_data(60, 2, 2.5, SEED), SEED.stream("f")).states[0]
+        with pytest.raises(DataError, match="level codes"):
+            model.diagnostic_batch(one_code, [state], None)
+        split = split_data(codes, (1 / 3, 1 / 3, 1 / 3), SEED)
+        with pytest.raises(CheckError) as info:
+            heldout_predictive_check(split, model, R=10, seed=SEED)
+        assert isinstance(info.value.cause, DataError)

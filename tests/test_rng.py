@@ -53,6 +53,18 @@ class TestStreams:
         b = Seed(1).stream("x", "y").generator.random(5)
         assert np.array_equal(a, b)
 
+    @pytest.mark.parametrize("R", [1, 600])
+    def test_substream_generators_draw_as_substreams(self, R):
+        stream = Seed(9).stream("reps")
+        seen = 0
+        for r, g in enumerate(stream.substream_generators(R)):
+            want = stream.substream(r).generator
+            assert np.array_equal(g.standard_normal((2, 3)), want.standard_normal((2, 3)))
+            assert np.array_equal(g.integers(7, size=4), want.integers(7, size=4))
+            assert np.array_equal(g.random(5), want.random(5))
+            seen += 1
+        assert seen == R
+
     def test_seed_range_check(self):
         with pytest.raises(ParameterError):
             Seed(-1)
@@ -70,6 +82,12 @@ class TestSample:
         draws = categorical(Seed(0).stream("cf"), p, 10**5)
         freq = np.bincount(draws, minlength=3) / 10**5
         assert np.allclose(freq, p, atol=0.01)
+
+    def test_categorical_from_a_generator(self):
+        p = (0.2, 0.5, 0.3)
+        stream = Seed(0).stream("cg")
+        assert np.array_equal(categorical(Seed(0).stream("cg").generator, p, 50),
+                              categorical(stream, p, 50))
 
     def test_categorical_must_sum_to_one(self):
         with pytest.raises(ParameterError) as err:
