@@ -88,16 +88,6 @@ class Dataset:
             object.__setattr__(self, "covariates", _checked_covariates(
                 self.covariates, values.shape[0], self.level_sizes))
 
-    @classmethod
-    def _trusted(cls, values, covariates, level_sizes):
-        """A dataset of parts that were checked already, built without
-        checking them again."""
-        data = object.__new__(cls)
-        object.__setattr__(data, "values", values)
-        object.__setattr__(data, "covariates", covariates)
-        object.__setattr__(data, "level_sizes", level_sizes)
-        return data
-
     @property
     def kind(self):
         return CONTINUOUS if self.level_sizes is None else CATEGORICAL
@@ -190,17 +180,6 @@ class ReplicateBlock(Sequence):
         self.covariates = None if covariates is None else _checked_covariates(
             covariates, values.shape[1], self.level_sizes)
 
-    @classmethod
-    def _trusted(cls, values, covariates, level_sizes):
-        block = object.__new__(cls)
-        block.values, block.covariates, block.level_sizes = values, covariates, level_sizes
-        return block
-
-    @classmethod
-    def of(cls, x: Dataset) -> "ReplicateBlock":
-        """x as a block of one replicate."""
-        return cls._trusted(x.values[None], x.covariates, x.level_sizes)
-
     @property
     def n(self):
         return self.values.shape[1]
@@ -213,26 +192,26 @@ class ReplicateBlock(Sequence):
         return len(self.values)
 
     def __getitem__(self, r) -> Dataset:
-        return Dataset._trusted(self.values[operator.index(r)], self.covariates,
-                                self.level_sizes)
+        return _unchecked(Dataset, self.values[operator.index(r)], self.covariates,
+                          self.level_sizes)
+
+    def blocks(self):
+        """(first index, block) over views of whole replicates, in order, at
+        most BLOCK_CELLS values each (but at least one replicate)."""
+        rows = max(1, BLOCK_CELLS // (self.n * self.d))
+        for start in range(0, len(self), rows):
+            yield start, _unchecked(ReplicateBlock, self.values[start:start + rows],
+                                    self.covariates, self.level_sizes)
 
 
-def replicate_blocks(reps):
-    """(first index, block) over a sequence of replicate datasets, in order.
-
-    A ReplicateBlock is cut into views of whole replicates, at most
-    BLOCK_CELLS values each (but at least one replicate); any other sequence
-    gives one block per dataset, since its datasets need not share a shape
-    or covariates.
-    """
-    if not isinstance(reps, ReplicateBlock):
-        for r, x in enumerate(reps):
-            yield r, ReplicateBlock.of(x)
-        return
-    rows = max(1, BLOCK_CELLS // (reps.n * reps.d))
-    for start in range(0, len(reps), rows):
-        yield start, ReplicateBlock._trusted(reps.values[start:start + rows],
-                                             reps.covariates, reps.level_sizes)
+def _unchecked(cls, values, covariates, level_sizes):
+    """A Dataset or ReplicateBlock of parts that were checked already, built
+    without checking them again."""
+    made = object.__new__(cls)
+    for name, value in (("values", values), ("covariates", covariates),
+                        ("level_sizes", level_sizes)):
+        object.__setattr__(made, name, value)    # past a frozen dataclass's guard
+    return made
 
 
 class StateBatch(tuple):

@@ -38,7 +38,8 @@ class WiringError(PpnError):
 
 
 class DegenerateSampleError(PpnError):
-    """A sample set has zero variance and cannot support density estimation."""
+    """A sample set has zero variance or non-finite values and cannot support
+    density estimation."""
 
 
 class CheckError(PpnError):

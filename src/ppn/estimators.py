@@ -20,6 +20,9 @@ GRID_POINTS = 1024
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
+    # checked before any arithmetic: max(0.0, nan) would read as a sym-KL of 0
+    if not np.all(np.isfinite(samples)):
+        raise DegenerateSampleError("samples must be finite")
     sd = samples.std(ddof=1)
     q75, q25 = np.percentile(samples, [75, 25])
     iqr = q75 - q25
@@ -55,6 +58,8 @@ def sym_kl_estimate(samples_p, samples_q) -> float:
 
     Both densities are evaluated on one shared grid spanning the pooled
     samples, so the estimate is symmetric in its arguments by construction.
+    A sample set with a NaN or infinite value, or with zero spread, raises
+    DegenerateSampleError.
     """
     samples_p = np.asarray(samples_p, dtype=float)
     samples_q = np.asarray(samples_q, dtype=float)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import gammaln, logsumexp
 
-from .core import BLOCK_CELLS, CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws, StateBatch
+from .core import (BLOCK_CELLS, CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws,
+                   ReplicateBlock, StateBatch)
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical
 
@@ -245,16 +246,16 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
     return PosteriorDraws(states, f"gmm-K{K}", loglik=loglik, logpost=logpost)
 
 
-def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
-    """R replicate datasets, each generated from one retained posterior state."""
+def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> ReplicateBlock:
+    """R replicate datasets, each generated from one retained posterior state,
+    as one block; replicate r draws from stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
-    reps = []
-    for g in stream.substream_generators(R):
+    block = np.empty((R, n_rep, draws.states[0].means.shape[1]))
+    for rep, g in zip(block, stream.substream_generators(R)):
         state = draws.states[int(g.integers(draws.B))]
         comp = categorical(g, state.weights, n_rep)
-        rows = state.means[comp] + np.sqrt(state.variances[comp]) * g.standard_normal((n_rep, state.means.shape[1]))
-        reps.append(Dataset(rows))
-    return reps
+        rep[:] = state.means[comp] + np.sqrt(state.variances[comp]) * g.standard_normal(rep.shape)
+    return ReplicateBlock(block)
 
 
 @dataclass(frozen=True)
@@ -404,22 +405,21 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
     return PosteriorDraws(states, f"multmix-K{K}", loglik=loglik, logpost=logpost)
 
 
-def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> list:
+def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> ReplicateBlock:
     """R categorical replicate datasets, as level codes, from retained
-    posterior states."""
+    posterior states, as one block; replicate r draws from
+    stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
-    reps = []
-    for g in stream.substream_generators(R):
+    level_sizes = tuple(t.shape[1] for t in draws.states[0].tables)
+    block = np.empty((R, n_rep, len(level_sizes)))
+    for rep, g in zip(block, stream.substream_generators(R)):
         state = draws.states[int(g.integers(draws.B))]
         z = categorical(g, state.weights, n_rep)
-        level_sizes = tuple(t.shape[1] for t in state.tables)
-        codes = np.empty((n_rep, len(level_sizes)), dtype=int)
         for j, table in enumerate(state.tables):
             cum = np.cumsum(table, axis=1)[z]
-            codes[:, j] = np.minimum((cum[:, :-1] < g.random(n_rep)[:, None]).sum(1),
-                                     table.shape[1] - 1)
-        reps.append(Dataset(codes, level_sizes=level_sizes))
-    return reps
+            rep[:, j] = np.minimum((cum[:, :-1] < g.random(n_rep)[:, None]).sum(1),
+                                   table.shape[1] - 1)
+    return ReplicateBlock(block, level_sizes=level_sizes)
 
 
 @dataclass(frozen=True)

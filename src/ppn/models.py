@@ -6,9 +6,9 @@ a batch of parameter states.  Each adapter also owns its predictive check,
 so its ``reduction`` says how that diagnostic is reduced over the x_val
 posterior: averaged over the draws, or taken at the MAP state.  Fits always
 come back as PosteriorDraws, even when the "posterior" is a single
-closed-form or maximum-likelihood state.  Those single-state adapters draw
-their replicates as one ReplicateBlock and score a whole replicate set at
-one state with ``replicate_diagnostics``.
+closed-form or maximum-likelihood state.  Every adapter draws its
+replicates as one ReplicateBlock; the single-state adapters also score a
+whole replicate set at one state with ``replicate_diagnostics``.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import inspect
 
 import numpy as np
 
-from .core import Dataset, PosteriorDraws, ReplicateBlock, replicate_blocks
+from .core import Dataset, PosteriorDraws, ReplicateBlock
 from .errors import DataError, DimensionError, ParameterError, finite, integer
 from . import linear, mixtures
 
@@ -45,7 +45,7 @@ class GmmModel:
         return mixtures.gmm_gibbs_fit(x, self.K, self.chain.iters,
                                       self.chain.burnin, self.chain.thin, stream)
 
-    def replicate(self, fit, like: Dataset, R: int, stream) -> list:
+    def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.gmm_predictive(fit, like.n, R, stream)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
@@ -65,7 +65,7 @@ class MultMixModel:
         return mixtures.multmix_gibbs_fit(x, self.K, self.chain.iters,
                                           self.chain.burnin, self.chain.thin, stream)
 
-    def replicate(self, fit, like: Dataset, R: int, stream) -> list:
+    def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.multmix_predictive(fit, like.n, R, stream)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
@@ -76,21 +76,24 @@ class _OneStateModel:
     """An adapter whose fit is one state and whose diagnostic draws nothing.
 
     Its diagnostic of a set of replicates is therefore taken at one state
-    for all of them, and scored a block of replicates at a time by the
-    adapter's ``_score(block, state)``, which gives one value per replicate
-    of a ReplicateBlock.  A single dataset is scored as a block of one, by
-    each adapter's own diagnostic_batch, so that every adapter class still
-    defines the whole adapter surface itself.
+    for all of them, by the adapter's ``_score(x, state)``, which gives the
+    value of a Dataset and one value per replicate of a ReplicateBlock.
+    Each adapter class calls ``_at_states`` from its own diagnostic_batch,
+    so that every adapter class still defines the whole adapter surface
+    itself.
     """
 
     def _at_states(self, x: Dataset, states) -> np.ndarray:
-        block = ReplicateBlock.of(x)
-        return np.array([self._score(block, s)[0] for s in states])
+        return np.array([self._score(x, s) for s in states])
 
     def replicate_diagnostics(self, reps, state) -> np.ndarray:
-        """The diagnostic of each of a sequence of replicates at one state."""
+        """The diagnostic of each of a sequence of replicates at one state:
+        a block of replicates at a time, or one dataset at a time from a
+        sequence that is not a ReplicateBlock (a custom adapter's)."""
+        if not isinstance(reps, ReplicateBlock):
+            return np.array([self._score(x, state) for x in reps])
         vals = np.empty(len(reps))
-        for start, block in replicate_blocks(reps):
+        for start, block in reps.blocks():
             vals[start:start + len(block)] = self._score(block, state)
         return vals
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from ppn import mixtures
-from ppn.core import Dataset, PosteriorDraws, StateBatch
+from ppn.core import Dataset, PosteriorDraws, ReplicateBlock, StateBatch
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
 from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR,
@@ -18,7 +18,7 @@ from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR
                           gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_full_loglik,
                           multmix_gibbs_fit, multmix_predictive)
-from ppn.rng import Seed
+from ppn.rng import Seed, categorical
 from scipy.special import gammaln, logsumexp
 
 
@@ -272,6 +272,19 @@ class TestGmmPredictive:
         b = gmm_predictive(fit, 30, 5, Seed(6).stream("r"))
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
 
+    def test_block_rows_match_the_per_replicate_recipe(self):
+        data = gen_gmm_data(60, Seed(6))
+        fit = gmm_gibbs_fit(data, 3, 200, 100, 5, Seed(6).stream("f"))
+        stream = Seed(6).stream("r")
+        block = gmm_predictive(fit, 40, 12, stream)
+        assert isinstance(block, ReplicateBlock) and block.values.shape == (12, 40, 2)
+        for r, rep in enumerate(block.values):
+            g = stream.substream(r).generator
+            state = fit.states[int(g.integers(fit.B))]
+            comp = categorical(g, state.weights, 40)
+            want = state.means[comp] + np.sqrt(state.variances[comp]) * g.standard_normal((40, 2))
+            assert rep.tobytes() == want.tobytes()
+
 
 class TestGmmDiagnostic:
     def test_zero_residual_unit_variance(self):
@@ -491,6 +504,23 @@ class TestMultMixPredictive:
         b = multmix_predictive(fit, 50, 4, Seed(16).stream("r"))
         assert all(r.kind == "categorical" and r.level_sizes == (4, 3, 3) for r in a)
         assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+
+    def test_block_rows_match_the_per_replicate_recipe(self):
+        data = gen_multmix_data(100, seed=Seed(16))
+        fit = multmix_gibbs_fit(data, 2, 300, 100, 5, Seed(16).stream("f"))
+        stream = Seed(16).stream("r")
+        block = multmix_predictive(fit, 50, 12, stream)
+        assert isinstance(block, ReplicateBlock) and block.level_sizes == (4, 3, 3)
+        for r, rep in enumerate(block.values):
+            g = stream.substream(r).generator
+            state = fit.states[int(g.integers(fit.B))]
+            z = categorical(g, state.weights, 50)
+            want = np.empty((50, 3), dtype=int)
+            for j, table in enumerate(state.tables):
+                cum = np.cumsum(table, axis=1)[z]
+                want[:, j] = np.minimum((cum[:, :-1] < g.random(50)[:, None]).sum(1),
+                                        table.shape[1] - 1)
+            assert rep.tobytes() == want.astype(float).tobytes()
 
 
 class TestMultMixDiagnostic:

@@ -1,4 +1,5 @@
-"""Single-state adapters: replicate blocks, block scoring and the data they refuse."""
+"""Model adapters: replicate blocks, the single-state adapters' block scoring
+and the data they refuse."""
 
 import dataclasses
 
@@ -7,10 +8,11 @@ import pytest
 
 from ppn.checks import heldout_predictive_check
 from ppn.core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock, split_data
-from ppn.datagen import gen_linear_factor_data, gen_multmix_data, gen_regression_data
+from ppn.datagen import (gen_gmm_data, gen_linear_factor_data, gen_multmix_data,
+                         gen_regression_data)
 from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
 from ppn.errors import CheckError, DataError, DimensionError
-from ppn.models import PpcaModel, RegressionModelA, RegressionModelB
+from ppn.models import GmmModel, MultMixModel, PpcaModel, RegressionModelA, RegressionModelB
 from ppn.rng import Seed
 
 SEED = Seed(50)
@@ -21,14 +23,21 @@ def _regression_split():
     return split_data(gen_regression_data(2000, 3, 2.5, SEED), (0.25, 0.5, 0.25), SEED)
 
 
+def _thirds(data):
+    return split_data(data, (1 / 3, 1 / 3, 1 / 3), SEED)
+
+
 def _factor_split():
     # x_out 100 rows of 10 values: 262 replicates in a block of scoring
-    return split_data(gen_linear_factor_data(300, SEED), (1 / 3, 1 / 3, 1 / 3), SEED)
+    return _thirds(gen_linear_factor_data(300, SEED))
 
 
 CASES = {"reg-A": (RegressionModelA, _regression_split),
          "reg-B": (RegressionModelB, _regression_split),
-         "ppca-2": (lambda: PpcaModel(2), _factor_split)}
+         "ppca-2": (lambda: PpcaModel(2), _factor_split),
+         "gmm-2": (lambda: GmmModel(2, 40, 20, 5), lambda: _thirds(gen_gmm_data(300, SEED))),
+         "multmix-2": (lambda: MultMixModel(2, 40, 20, 5),
+                       lambda: _thirds(gen_multmix_data(300, seed=SEED)))}
 
 
 def _replicates(name, R):
@@ -41,14 +50,15 @@ def _replicates(name, R):
 
 class TestReplicateBlock:
     def test_replicates_are_views_built_without_checks(self, monkeypatch):
-        model, split, reps = _replicates("reg-B", 20)
-        assert isinstance(reps, ReplicateBlock) and reps.values.shape == (20, 500, 1)
+        drawn = [_replicates(name, 20) for name in CASES]
         monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("checked again"))
-        for r, rep in enumerate(reps):
-            assert np.shares_memory(rep.values, reps.values)
-            assert rep.covariates is reps.covariates
-            assert np.array_equal(rep.values, reps.values[r])
-        assert len(list(reps)) == len(reps) == 20
+        for _, split, reps in drawn:
+            assert isinstance(reps, ReplicateBlock) and reps.values.shape[::2] == (20, split.x_in.d)
+            for r, rep in enumerate(reps):
+                assert np.shares_memory(rep.values, reps.values)
+                assert rep.covariates is reps.covariates and rep.level_sizes is reps.level_sizes
+                assert np.array_equal(rep.values, reps.values[r])
+            assert len(list(reps)) == len(reps) == 20
 
     def test_block_is_checked_once_as_a_dataset_is(self):
         good = np.zeros((3, 4, 2))
@@ -68,18 +78,19 @@ class TestReplicateBlock:
         codes = ReplicateBlock(np.ones((2, 3, 2)), level_sizes=(2, 3))
         assert codes[1].level_sizes == (2, 3) and codes[1].kind == "categorical"
 
-    @pytest.mark.parametrize("name", list(CASES))
+    @pytest.mark.parametrize("name", ["reg-A", "reg-B", "ppca-2", "gmm-2"])
     def test_non_finite_replicates_fail_at_the_replicate_stage(self, name):
         make_model, make_split = CASES[name]
-        field = {"reg-A": "y_bar", "reg-B": "intercept", "ppca-2": "mean"}[name]
+        field = {"reg-A": "y_bar", "reg-B": "intercept", "ppca-2": "mean", "gmm-2": "means"}[name]
+        model = make_model()
+        fit = model.fit
 
-        class NonFinite(type(make_model())):
-            def fit(self, x, stream):
-                state = super().fit(x, stream).states[0]
-                bad = np.full(np.shape(getattr(state, field)), np.nan)
-                return PosteriorDraws((dataclasses.replace(state, **{field: bad}),), self.id)
+        def non_finite_fit(x, stream):
+            state = fit(x, stream).states[0]
+            bad = np.full(np.shape(getattr(state, field)), np.nan)
+            return PosteriorDraws((dataclasses.replace(state, **{field: bad}),), model.id)
 
-        model = NonFinite() if name != "ppca-2" else NonFinite(2)
+        model.fit = non_finite_fit
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(make_split(), model, R=30, seed=SEED)
         assert info.value.stage == "replicate"
