@@ -134,7 +134,8 @@ class _Engine:
     def pair(self, owner, source, tau) -> PpnOutcome:
         samples_a = self.samples(owner, owner)
         samples_b = self.samples(owner, source)
-        sym_kl = sym_kl_estimate(samples_a, samples_b)
+        sym_kl = _stage(owner.id, f"sym-KL against {source.id}", sym_kl_estimate,
+                        samples_a, samples_b)
         return PpnOutcome(sym_kl, sym_kl <= tau, samples_a, samples_b,
                           owner.id, source.id)
 

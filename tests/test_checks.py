@@ -15,7 +15,7 @@ from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                       VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, Dataset,
                       DataSplit, PosteriorDraws, split_data)
 from ppn.datagen import gen_gmm_data, gen_multmix_data
-from ppn.errors import CheckError, ParameterError, StateError
+from ppn.errors import CheckError, DegenerateSampleError, ParameterError, StateError
 from ppn.models import GmmModel, MultMixModel
 from ppn.rng import Seed, ks_distance
 
@@ -395,6 +395,19 @@ class TestEngine:
         with pytest.raises(CheckError) as exc:
             run()
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_pair_diagnostics_name_owner_and_source(self, bad):
+        class Owner(SquaredErrorModel):
+            def diagnostic_batch(self, x, states, stream):
+                d = super().diagnostic_batch(x, states, stream)
+                return np.full_like(d, bad) if np.all(x.values == 7.0) else d
+
+        with pytest.raises(CheckError, match="finite") as exc:
+            ppn_check(_split(), Owner("owner"), SevensModel("sevens"), R=5, seed=Seed(4),
+                      verified_passed=True)
+        assert (exc.value.model_id, exc.value.stage) == ("owner", "sym-KL against sevens")
+        assert isinstance(exc.value.cause, DegenerateSampleError)
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

@@ -50,10 +50,14 @@ def _replicates(name, R):
 
 class TestReplicateBlock:
     def test_replicates_are_views_built_without_checks(self, monkeypatch):
-        drawn = [_replicates(name, 20) for name in CASES]
+        drawn = {name: _replicates(name, 20) for name in CASES}
+        assert drawn["reg-B"][2].values.shape == (20, 500, 1)
         monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("checked again"))
-        for _, split, reps in drawn:
-            assert isinstance(reps, ReplicateBlock) and reps.values.shape[::2] == (20, split.x_in.d)
+        for name, (_, split, reps) in drawn.items():
+            # regression replicates are drawn at the fitted x_in rows, the rest shaped like x_out
+            rows = (split.x_in if name.startswith("reg") else split.x_out).n
+            assert isinstance(reps, ReplicateBlock)
+            assert reps.values.shape == (20, rows, split.x_in.d)
             for r, rep in enumerate(reps):
                 assert np.shares_memory(rep.values, reps.values)
                 assert rep.covariates is reps.covariates and rep.level_sizes is reps.level_sizes
