@@ -10,10 +10,10 @@ kept in log space throughout.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import BLOCK_CELLS
 from .errors import DataError, DegenerateSampleError
+from .rng import logsumexp
 
 DENSITY_FLOOR = 1e-12
 GRID_POINTS = 1024

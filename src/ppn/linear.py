@@ -8,6 +8,7 @@ solution and replicates through its linear-Gaussian generative process.
 
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -157,7 +158,9 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
     """EM for probabilistic PCA on centered data.
 
     Runs until the relative log-likelihood change drops below tol, returning
-    the maximum-likelihood loading matrix and isotropic noise variance.
+    the maximum-likelihood loading matrix and isotropic noise variance.  A
+    run that reaches max_iters first returns its last iterate and warns
+    (RuntimeWarning) with the iteration count and the last relative change.
     """
     if x.kind != CONTINUOUS:
         raise DataError("factor models expect continuous data")
@@ -173,7 +176,7 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
     # deterministic, data-derived initialization
     W = S[:, :K] + 1e-3 * np.eye(G)[:, :K]
     sigma2 = float(np.trace(S)) / G
-    prev = -np.inf
+    prev = ll = -np.inf
     for _ in range(max_iters):
         M = W.T @ W + sigma2 * np.eye(K)
         M_inv = np.linalg.inv(M)
@@ -183,10 +186,14 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
         sigma2_new = float(np.trace(S - SW @ M_inv @ W_new.T)) / G
         sigma2_new = max(sigma2_new, 1e-12)
         W, sigma2 = W_new, sigma2_new
-        ll = _ppca_loglik(S, W, sigma2, n, G)
+        prev, ll = ll, _ppca_loglik(S, W, sigma2, n, G)
         if np.isfinite(prev) and abs(ll - prev) <= tol * abs(prev):
             break
-        prev = ll
+    else:
+        change = abs(ll - prev) / abs(prev) if np.isfinite(prev) else np.inf
+        warnings.warn(f"PPCA EM did not converge within max_iters={max_iters}: the last "
+                      f"relative log-likelihood change was {change:.3g}, above tol={tol:g}",
+                      RuntimeWarning, stacklevel=2)
     return PpcaParams(W, sigma2, mean)
 
 

@@ -10,15 +10,15 @@ variable.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammaln, logsumexp
 
 from .core import (BLOCK_CELLS, CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws,
                    ReplicateBlock, StateBatch)
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
-from .rng import categorical
+from .rng import categorical, logsumexp
 
 # Gaussian mixture priors: means Normal(0, 25), variances Inverse-Gamma(1, 1),
 # weights a symmetric Dirichlet(1).
@@ -144,9 +144,9 @@ def gmm_full_loglik(x: Dataset, states) -> np.ndarray:
 def _gmm_log_prior(means, variances, weights) -> float:
     lp = -0.5 * (means**2 / GMM_MEAN_VAR + np.log(2 * np.pi * GMM_MEAN_VAR)).sum()
     a, b = GMM_IG_SHAPE, GMM_IG_SCALE
-    lp += (a * np.log(b) - gammaln(a) - (a + 1) * np.log(variances) - b / variances).sum()
+    lp += (a * np.log(b) - math.lgamma(a) - (a + 1) * np.log(variances) - b / variances).sum()
     K, a = len(weights), GMM_ALPHA_PI
-    lp += (a - 1) * np.log(weights).sum() + gammaln(K * a) - K * gammaln(a)
+    lp += (a - 1) * np.log(weights).sum() + math.lgamma(K * a) - K * math.lgamma(a)
     return float(lp)
 
 
@@ -350,8 +350,9 @@ def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
 
 def _dirichlet_log_density(p, alpha) -> np.ndarray:
     """Symmetric Dirichlet(alpha) log density of each row of p (... x L)."""
-    a = np.full(p.shape[-1], alpha)
-    return ((a - 1) * np.log(p)).sum(axis=-1) + gammaln(a.sum()) - gammaln(a).sum()
+    L = p.shape[-1]
+    constant = math.lgamma(L * alpha) - L * math.lgamma(alpha)
+    return ((alpha - 1) * np.log(p)).sum(axis=-1) + constant
 
 
 def _multmix_log_prior(states) -> np.ndarray:

@@ -14,7 +14,6 @@ import hashlib
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .errors import DegenerateSampleError, DomainError, ParameterError, integer
 
@@ -109,12 +108,34 @@ def categorical(stream, p, size: int) -> np.ndarray:
     return np.minimum((u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1), len(p) - 1)
 
 
+def logsumexp(a, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) along axis (all of a when None), with each slice's
+    largest entry subtracted before exponentiating.
+
+    A slice whose entries are all -inf gives -inf, without a warning; one
+    with a +inf entry gives +inf, and one with a NaN gives NaN.
+    """
+    a = np.asarray(a, dtype=float)
+    top = np.max(a, axis=axis, keepdims=True)
+    # no shift for an infinite or NaN maximum: -inf - -inf would be NaN
+    top[~np.isfinite(top)] = 0.0
+    shifted = a - top
+    total = np.exp(shifted, out=shifted).sum(axis=axis)
+    with np.errstate(divide="ignore"):
+        return np.log(total) + np.squeeze(top, axis=axis)
+
+
 def chi_square_cdf(x: float, k: float) -> float:
-    """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2)."""
+    """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2).
+
+    The only SciPy user in the package, so SciPy is imported on the first
+    call rather than with the package.
+    """
     if x < 0:
         raise DomainError("chi-square CDF argument must be nonnegative")
     if k < 1:
         raise DomainError("degrees of freedom must be >= 1")
+    from scipy import special
     return float(special.gammainc(k / 2.0, np.asarray(x, dtype=float) / 2.0))
 
 

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -135,6 +136,12 @@ class TestHarmonicMean:
 
     def test_constant_draws(self):
         assert abs(harmonic_mean_marginal_likelihood(np.full(200, -3.0)) + 3.0) < 1e-12
+
+    def test_matches_the_scipy_formula(self):
+        for scale in (1.0, 100.0, 5000.0):
+            draws = _normals("scipy", 400, mean=-10.0 * scale, sd=scale)
+            ref = np.log(draws.size) - scipy.special.logsumexp(-draws)
+            assert abs(harmonic_mean_marginal_likelihood(draws) - ref) <= 1e-13 * abs(ref)
 
     @given(st.floats(-50, 50))
     @settings(max_examples=30, deadline=None)

@@ -1,5 +1,7 @@
 """Regression pair and probabilistic PCA tests against closed-form oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -133,6 +135,9 @@ class TestRegressionDiagnostic:
 
 
 class TestPpcaFit:
+    # on noiseless data sigma2 falls towards 0 and the log-likelihood keeps
+    # rising, so EM stops at max_iters
+    @pytest.mark.filterwarnings("ignore:PPCA EM did not converge")
     def test_noiseless_subspace(self):
         g = Seed(8).stream("sub").generator
         W = g.standard_normal((6, 2))
@@ -154,6 +159,7 @@ class TestPpcaFit:
         eig = np.sort(np.linalg.eigvalsh(S))[::-1]
         assert abs(params.sigma2 - eig[K:].mean()) < 1e-6
 
+    @pytest.mark.filterwarnings("ignore:PPCA EM did not converge")
     def test_em_loglik_monotone(self):
         # successively longer runs cannot decrease the final log-likelihood
         data = gen_nonlinear_factor_data(300, Seed(10))
@@ -169,6 +175,18 @@ class TestPpcaFit:
         values = [loglik(ppca_em_fit(data, 2, tol=0.0, max_iters=i))
                   for i in (1, 2, 4, 8, 16, 32)]
         assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
+
+    def test_warns_when_max_iters_stops_it(self):
+        data = gen_linear_factor_data(300, Seed(11))
+        with pytest.warns(RuntimeWarning, match=r"max_iters=2: the last relative "
+                                                r"log-likelihood change was [0-9.e+-]+, above"):
+            ppca_em_fit(data, 2, max_iters=2)
+
+    def test_default_fit_converges_without_warning(self):
+        data = gen_linear_factor_data(3000, Seed(11))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            ppca_em_fit(data, 2)
 
     def test_preconditions(self):
         data = gen_linear_factor_data(50, Seed(11))

@@ -1,6 +1,7 @@
 """Gibbs samplers, predictives, and realized diagnostics for the mixtures."""
 
 import gc
+import math
 import warnings
 import weakref
 
@@ -18,8 +19,8 @@ from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR
                           gmm_loglik_diagnostic_batch, gmm_predictive,
                           multmix_chi2_diagnostic_batch, multmix_full_loglik,
                           multmix_gibbs_fit, multmix_predictive)
-from ppn.rng import Seed, categorical
-from scipy.special import gammaln, logsumexp
+from ppn.rng import Seed, categorical, logsumexp
+from scipy.special import gammaln
 
 
 def _gmm_state(means, variances, n=1):
@@ -69,9 +70,10 @@ def _gmm_gibbs_reference(x, K, iters, burnin, thin, stream):
             ll = float(logsumexp(comp + np.log(weights), axis=1).sum())
             a, b = GMM_IG_SHAPE, GMM_IG_SCALE
             lp = -0.5 * (means**2 / GMM_MEAN_VAR + np.log(2 * np.pi * GMM_MEAN_VAR)).sum()
-            lp += (a * np.log(b) - gammaln(a) - (a + 1) * np.log(variances) - b / variances).sum()
-            lp += ((GMM_ALPHA_PI - 1) * np.log(weights).sum() + gammaln(K * GMM_ALPHA_PI)
-                   - K * gammaln(GMM_ALPHA_PI))
+            lp += (a * np.log(b) - math.lgamma(a) - (a + 1) * np.log(variances)
+                   - b / variances).sum()
+            lp += ((GMM_ALPHA_PI - 1) * np.log(weights).sum() + math.lgamma(K * GMM_ALPHA_PI)
+                   - K * math.lgamma(GMM_ALPHA_PI))
             logliks.append(ll)
             logposts.append(ll + float(lp))
     return states, np.array(logliks), np.array(logposts)
@@ -443,7 +445,8 @@ class TestMultMixFit:
     def test_logpost_matches_per_row_prior_loop(self):
         def dirichlet_logpdf(p, alpha):
             a = np.full(len(p), alpha)
-            return float(((a - 1) * np.log(p)).sum() + gammaln(a.sum()) - gammaln(a).sum())
+            return float(((a - 1) * np.log(p)).sum() + math.lgamma(a.sum())
+                         - np.array([math.lgamma(v) for v in a]).sum())
 
         def log_prior(state):
             lp = dirichlet_logpdf(state.weights, MULTMIX_ALPHA_PI)
@@ -574,7 +577,7 @@ class TestMultMixDiagnostic:
         codes = x.codes()
         logp = np.log(state.weights) + sum(np.log(t[:, codes[:, j]]).T
                                            for j, t in enumerate(state.tables))
-        resp = np.exp(logp - logsumexp(logp, axis=1, keepdims=True))
+        resp = np.exp(logp - logsumexp(logp, axis=1)[:, None])
         return sum(-2.0 * np.log((resp @ t)[np.arange(x.n), codes[:, j]]).sum()
                    for j, t in enumerate(state.tables))
 
@@ -638,6 +641,33 @@ class TestMultMixDiagnostic:
                 Dataset([[0, 1]], level_sizes=(2, 2)), good)[0])
             with pytest.raises(DimensionError):
                 multmix_chi2_diagnostic_batch(Dataset([[0, 1]], level_sizes=(2, 3)), good)
+
+
+class TestPriorConstants:
+    """The log-Gamma constants of both log priors come from math.lgamma.
+    They may differ from scipy.special.gammaln in the last bit, and shift
+    every state's log prior by the same amount."""
+
+    @pytest.mark.parametrize("K", range(1, 11))
+    def test_gmm_log_prior_matches_gammaln(self, K):
+        # zero means, unit variances and weights of one leave the constants
+        # and a few exact terms
+        means, variances, weights = np.zeros((K, 1)), np.ones((K, 1)), np.ones(K)
+        a, b = GMM_IG_SHAPE, GMM_IG_SCALE
+        ref = -0.5 * (means**2 / GMM_MEAN_VAR + np.log(2 * np.pi * GMM_MEAN_VAR)).sum()
+        ref += (a * np.log(b) - gammaln(a) - (a + 1) * np.log(variances) - b / variances).sum()
+        ref += ((GMM_ALPHA_PI - 1) * np.log(weights).sum() + gammaln(K * GMM_ALPHA_PI)
+                - K * gammaln(GMM_ALPHA_PI))
+        assert abs(mixtures._gmm_log_prior(means, variances, weights) - ref) <= 1e-14
+
+    @pytest.mark.parametrize("alpha", [MULTMIX_ALPHA, MULTMIX_ALPHA_PI])
+    @pytest.mark.parametrize("L", range(1, 11))
+    def test_dirichlet_constant_matches_gammaln(self, alpha, L):
+        # at p = 1 every log p is 0, so the density is its constant alone
+        a = np.full(L, alpha)
+        ref = gammaln(a.sum()) - gammaln(a).sum()
+        got = mixtures._dirichlet_log_density(np.ones((1, L)), alpha)
+        assert got.shape == (1,) and abs(got[0] - ref) <= 1e-14
 
 
 class TestFullLoglikBlocks:

@@ -2,14 +2,17 @@
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
+import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppn.errors import DegenerateSampleError, DomainError, ParameterError
-from ppn.rng import Seed, VariateStream, categorical, chi_square_cdf, ks_distance
+from ppn.rng import (Seed, VariateStream, categorical, chi_square_cdf, ks_distance,
+                     logsumexp)
 
 
 def _series_gamma_p(s, x):
@@ -93,6 +96,32 @@ class TestSample:
         with pytest.raises(ParameterError) as err:
             categorical(Seed(0).stream("bad"), (0.5, 0.4), 10)
         assert "sum to 1" in str(err.value)
+
+
+class TestLogsumexp:
+    @pytest.mark.parametrize("axis", [None, 0, 1, 2])
+    def test_matches_scipy(self, axis):
+        g = Seed(5).stream("lse").generator
+        a = 30.0 * g.standard_normal((25, 50, 4))
+        a[g.random(a.shape) < 0.2] = -np.inf
+        got = logsumexp(a, axis=axis)
+        ref = scipy.special.logsumexp(a, axis=axis)
+        assert np.shape(got) == np.shape(ref)
+        np.testing.assert_allclose(got, ref, rtol=1e-13, atol=0)
+
+    def test_all_minus_inf_slices_stay_minus_inf_without_warning(self):
+        a = np.array([[0.5, -np.inf, 2.0], [-np.inf, -np.inf, -np.inf]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            rows = logsumexp(a, axis=1)
+            whole = logsumexp(a[1])
+        assert rows[0] == pytest.approx(np.log(np.exp(0.5) + np.exp(2.0)), rel=1e-15)
+        assert rows[1] == -np.inf and whole == -np.inf
+
+    def test_large_infinite_and_nan_entries(self):
+        assert logsumexp(np.array([1000.0, 1000.0])) == 1000.0 + np.log(2.0)
+        assert logsumexp(np.array([1.0, np.inf])) == np.inf
+        assert np.isnan(logsumexp(np.array([1.0, np.nan])))
 
 
 class TestChiSquareCdf:
