@@ -260,28 +260,61 @@ def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> Replica
 
 @dataclass(frozen=True)
 class _GmmStack:
-    """Arrays of B mixture states stacked for scoring, components first."""
+    """Arrays of B mixture states stacked for scoring, components first.
 
-    means: np.ndarray          # D x K x B
-    half_prec: np.ndarray      # D x K x B, 1 / (2 variance)
-    offset: np.ndarray         # K x B, log weight - log det / 2
-    log_weights: np.ndarray    # K x B
+    Component k's logit at a row x, log w_k - sum_d (x_d - mu_kd)^2 h_kd -
+    log det_k / 2 with h = 1 / (2 variance), is expanded about c_k, the
+    component's mean location over the B states.  With m = mu_k - c_k it is
+    the row [(x - c_k)^2, x - c_k, 1] times the coefficients
+    [-h, 2 h m, log w_k - log det_k / 2 - sum_d h m^2], so the logits of all
+    B states at all rows are one matrix product per component.  Centring
+    keeps the expansion accurate for data far from the origin, where the
+    uncentred terms would cancel; what cancellation is left grows with
+    h m^2, so only with means that move far, in standard deviations, between
+    states (label switching).
+    """
+
+    coef: np.ndarray           # K x B x (2D + 1)
+    centres: np.ndarray        # K x D
+    log_weights: np.ndarray    # K x B x 1
 
     @classmethod
     def of(cls, states):
-        means = np.stack([s.means for s in states])        # B x K x D
-        variances = np.stack([s.variances for s in states])
-        weights = np.stack([s.weights for s in states])    # B x K
+        shape = np.shape(states[0].means) if len(states) else ()
+        if len(shape) != 2 or any(
+                np.shape(s.means) != shape or np.shape(s.variances) != shape
+                or np.shape(s.weights) != shape[:1] for s in states):
+            raise StateError("every state needs K x D means and variances and K mixing "
+                             "weights, all of one shape")
+        means = np.stack([s.means for s in states], axis=1)            # K x B x D
+        variances = np.stack([s.variances for s in states], axis=1)
+        weights = np.stack([s.weights for s in states], axis=1)        # K x B
         # checked before any reciprocal or log, so a bad state warns nothing
         if not np.all(variances > 0):
             raise StateError("non-positive variance in a mixture state")
-        if weights.shape != means.shape[:2] or not np.all(weights > 0):
-            raise StateError("mixing weights must be positive, one per component")
-        log_weights = np.log(weights).T
-        offset = log_weights - 0.5 * np.log(variances).sum(-1).T
-        return cls(np.ascontiguousarray(means.transpose(2, 1, 0)),
-                   np.ascontiguousarray((0.5 / variances).transpose(2, 1, 0)),
-                   np.ascontiguousarray(offset), np.ascontiguousarray(log_weights))
+        if not np.all(weights > 0):
+            raise StateError("mixing weights must be positive")
+        centres = means.mean(axis=1)
+        centred = means - centres[:, None]
+        half_prec = 0.5 / variances
+        log_weights = np.log(weights)
+        constant = (log_weights - 0.5 * np.log(variances).sum(-1)
+                    - (half_prec * centred * centred).sum(-1))
+        coef = np.concatenate((-half_prec, 2.0 * half_prec * centred, constant[..., None]), -1)
+        return cls(coef, centres, log_weights[..., None])
+
+
+def _gmm_logits(x: Dataset, stack: _GmmStack) -> np.ndarray:
+    """Every state's logit at every row, states-major, K x B x n: one matrix
+    product per component of its coefficients and the rows' centred terms
+    [(x - c_k)^2, x - c_k, 1], (2D + 1) x n."""
+    K, D = stack.centres.shape
+    diff = x.values.T - stack.centres[:, :, None]                      # K x D x n
+    terms = np.empty((K, 2 * D + 1, x.n))
+    np.multiply(diff, diff, out=terms[:, :D])
+    terms[:, D:-1] = diff
+    terms[:, -1] = 1.0
+    return np.matmul(stack.coef, terms)
 
 
 def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
@@ -290,42 +323,37 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     For every state a class label is drawn per row from its responsibility,
     which includes the state's mixing weights, and the diagnostic is the
     Mahalanobis term plus log-determinant penalty summed over rows at those
-    labels.  The stacked state arrays are kept on a StateBatch (such as
+    labels.  The logits come from _gmm_logits (the centred expansion of
+    _GmmStack) as K x B x n, so every later pass runs along the rows.  The
+    stacked state arrays are kept on a StateBatch (such as
     PosteriorDraws.states) and rebuilt for any other sequence of states.
     """
     _require_continuous(x)
     stack = _stacked(states, _GmmStack.of)
-    D, K, B = stack.means.shape
+    K, D = stack.centres.shape
     if D != x.d:
         raise DimensionError("state dimension does not match data")
-    n = x.n
-    # log w_k - (Mahalanobis + log det) / 2, one data dimension at a time
-    logits = np.empty((K, n, B))
-    work = np.empty((n, B))
-    for k in range(K):
-        for d in range(D):
-            np.subtract(x.values[:, d, None], stack.means[d, k], out=work)
-            work *= work
-            work *= stack.half_prec[d, k]
-            np.subtract(logits[k] if d else stack.offset[k], work, out=logits[k])
+    logits = _gmm_logits(x, stack)
+    if K > 1:
+        cum = logits - logits.max(axis=0)
+        np.exp(cum, out=cum)
+        # cumulative unnormalized responsibilities, added in the order of a
+        # sum over axis 0, so that cum[-1] is their total
+        for k in range(1, K):
+            cum[k] += cum[k - 1]
+        # one uniform per row and state, drawn rows first, times the total
+        threshold = cum[-1]
+        threshold *= stream.generator.random((x.n, len(threshold))).T
     # the diagnostic is the logit at the drawn label less its log weight;
     # with one component the label is 0 and nothing needs drawing
-    picked = logits[0] - stack.log_weights[0]
-    if K == 1:
-        return picked.sum(axis=0)
-    cum = logits - logits.max(axis=0)
-    np.exp(cum, out=cum)
-    # cumulative unnormalized responsibilities, added in the order of a sum
-    # over axis 0, so that cum[-1] is their total
-    for k in range(1, K):
-        cum[k] += cum[k - 1]
+    logits -= stack.log_weights
+    picked = logits[0]
     # inverse-CDF label draw: cum only grows along k, so the last k with
     # cum[k - 1] < threshold is the drawn label
-    threshold = stream.generator.random((n, B)) * cum[-1]
     for k in range(1, K):
-        np.subtract(logits[k], stack.log_weights[k], out=work)
-        np.putmask(picked, cum[k - 1] < threshold, work)
-    return picked.sum(axis=0)
+        np.putmask(picked, cum[k - 1] < threshold, logits[k])
+    # each state's rows added one after another
+    return np.ascontiguousarray(picked.T).sum(axis=0)
 
 
 def _require_categorical(x: Dataset):

@@ -79,24 +79,23 @@ def _gmm_gibbs_reference(x, K, iters, burnin, thin, stream):
     return states, np.array(logliks), np.array(logposts)
 
 
-def _gmm_diagnostic_reference(x, states, stream):
-    """Reference scoring kernel: a label array, then the logits and log
-    weights gathered at those labels."""
-    means = np.stack([s.means for s in states]).transpose(2, 1, 0)      # D x K x B
-    variances = np.stack([s.variances for s in states])
+def _gmm_direct_logits(x, states):
+    """Each state's logits by the direct quadratic, K x n x B: log weight,
+    less the squared residuals over twice the variances, less half the log
+    determinant."""
+    logits = np.empty((states[0].K, x.n, len(states)))
+    for b, s in enumerate(states):
+        for k in range(s.K):
+            quad = ((x.values - s.means[k]) ** 2 / (2.0 * s.variances[k])).sum(axis=1)
+            logits[k, :, b] = np.log(s.weights[k]) - 0.5 * np.log(s.variances[k]).sum() - quad
+    return logits
+
+
+def _gmm_diagnostic_reference(logits, states, stream):
+    """Reference label step on K x n x B logits: a label array, then the
+    logits and log weights gathered at those labels."""
     log_weights = np.log(np.stack([s.weights for s in states])).T      # K x B
-    half_prec = (0.5 / variances).transpose(2, 1, 0)
-    offset = log_weights - 0.5 * np.log(variances).sum(-1).T
-    D, K, B = means.shape
-    n = x.n
-    logits = np.empty((K, n, B))
-    for k in range(K):
-        logits[k] = offset[k]
-        for d in range(D):
-            sq = x.values[:, d, None] - means[d, k]
-            sq *= sq
-            sq *= half_prec[d, k]
-            logits[k] -= sq
+    K, n, B = logits.shape
     e = logits - logits.max(axis=0)
     np.exp(e, out=e)
     threshold = stream.generator.random((n, B)) * e.sum(axis=0)
@@ -108,6 +107,12 @@ def _gmm_diagnostic_reference(x, states, stream):
     picked = np.take_along_axis(logits, labels[None], axis=0)[0]
     picked -= log_weights[labels, np.arange(B)]
     return picked.sum(axis=0)
+
+
+def _kernel_logits(x, states):
+    """The kernel's logits, rows first (K x n x B) and contiguous."""
+    logits = mixtures._gmm_logits(x, mixtures._GmmStack.of(states))
+    return np.ascontiguousarray(logits.transpose(0, 2, 1))
 
 
 class TestChainConfig:
@@ -380,15 +385,56 @@ class TestGmmDiagnostic:
     def test_kernel_matches_label_array_reference(self, K):
         fit = gmm_gibbs_fit(gen_gmm_data(150, Seed(40 + K)), K, 80, 40, 2, Seed(K).stream("f"))
         x, other = gen_gmm_data(70, Seed(50 + K)), gen_gmm_data(30, Seed(60 + K))
-        ref = _gmm_diagnostic_reference(x, fit.states, Seed(K).stream("d"))
+        ref = _gmm_diagnostic_reference(_kernel_logits(x, fit.states), fit.states,
+                                        Seed(K).stream("d"))
         got = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(K).stream("d"))
         assert np.array_equal(got, ref)
         batch = fit.states
         # later calls score the kept stacked arrays, also after another size
         for data in (x, x, other, x):
-            want = _gmm_diagnostic_reference(data, fit.states, Seed(K).stream("d", data.n))
+            want = _gmm_diagnostic_reference(_kernel_logits(data, fit.states), fit.states,
+                                             Seed(K).stream("d", data.n))
             got = gmm_loglik_diagnostic_batch(data, batch, Seed(K).stream("d", data.n))
             assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("case", ["origin", "offset", "permuted"])
+    def test_expanded_logits_match_the_direct_quadratic(self, case):
+        fit = gmm_gibbs_fit(gen_gmm_data(300, Seed(70)), 3, 80, 40, 2, Seed(70).stream("f"))
+        x, states = gen_gmm_data(200, Seed(71)), list(fit.states)
+        if case == "offset":
+            # far from the origin with small variances: uncentred squares of
+            # about 5e13 would cancel down to logits of a few thousand
+            states = [GmmState(s.means + 1e6, np.full_like(s.variances, 0.01), s.assignments,
+                               s.weights) for s in states]
+            x = Dataset(x.values + 1e6)
+        elif case == "permuted":
+            # label switching: every other state's components reversed, so
+            # each centre lies between clusters
+            states = [GmmState(s.means[::-1].copy(), s.variances[::-1].copy(), s.assignments,
+                               s.weights[::-1].copy()) if b % 2 else s
+                      for b, s in enumerate(states)]
+        got, want = _kernel_logits(x, states), _gmm_direct_logits(x, states)
+        assert np.all(np.abs(got - want) <= 1e-12 * (1.0 + np.abs(want)))
+
+    def test_batch_mixing_component_counts_raises(self):
+        x = gen_gmm_data(10, Seed(1))
+        two = _gmm_state([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
+        three = _gmm_state([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], np.ones((3, 2)))
+        with pytest.raises(StateError):
+            gmm_loglik_diagnostic_batch(x, [two, three], Seed(1).stream("b"))
+
+    def test_empty_batch_raises(self):
+        with pytest.raises(StateError):
+            gmm_loglik_diagnostic_batch(gen_gmm_data(10, Seed(1)), [], Seed(1).stream("b"))
+
+    @pytest.mark.parametrize("columns", [1, 3])
+    def test_variances_of_another_width_raise(self, columns):
+        # one column short, or one column over that would enter the log det
+        x = gen_gmm_data(10, Seed(1))
+        state = GmmState(np.zeros((2, 2)), np.ones((2, columns)), np.zeros(1, dtype=int),
+                         np.array([0.5, 0.5]))
+        with pytest.raises(StateError):
+            gmm_loglik_diagnostic_batch(x, [state], Seed(1).stream("b"))
 
     def test_continuous_required(self):
         x = gen_multmix_data(5, seed=Seed(0))
