@@ -36,7 +36,7 @@ def gen_gmm_data(n: int, seed: Seed) -> Dataset:
     """Equal-weight 3-component 2-d Gaussian mixture draw."""
     n = integer(n, "n", 1)
     stream = need_seed(seed, "the gmm generator").stream("gen", "gmm")
-    comp = categorical(stream, np.full(3, 1.0 / 3.0), n)
+    comp = categorical(stream.generator, np.full(3, 1.0 / 3.0), n)
     noise = stream.generator.standard_normal((n, 2))
     x = GMM_MEANS[comp] + np.sqrt(GMM_VARIANCES[comp]) * noise
     return Dataset(x)
@@ -105,11 +105,11 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
             if len(t) != level_sizes[j] or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-9:
                 raise ParameterError(f"tables[{k}][{j}] is not a valid probability vector")
     stream = need_seed(seed, "the multmix generator").stream("gen", "multmix")
-    z = categorical(stream, weights, n)
+    z = categorical(stream.generator, weights, n)
     codes = np.empty((n, len(level_sizes)), dtype=int)
     for j in range(len(level_sizes)):
         for k in range(len(tables)):
             mask = z == k
             if mask.any():
-                codes[mask, j] = categorical(stream.substream("v", j, "k", k), np.asarray(tables[k][j], dtype=float), int(mask.sum()))
+                codes[mask, j] = categorical(stream.substream("v", j, "k", k).generator, np.asarray(tables[k][j], dtype=float), int(mask.sum()))
     return Dataset(codes, level_sizes=level_sizes)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import Dataset
+from .core import Dataset, ReplicateBlock
 from .errors import WiringError
 from .models import REDUCTION_MAP
 
@@ -29,13 +29,15 @@ def replicate_diagnostics(reps, model, draws, stream) -> np.ndarray:
     stream.substream(r).
 
     An adapter whose diagnostic draws nothing (one with
-    ``replicate_diagnostics``) scores the whole set in one call, when its
+    ``replicate_diagnostics``) scores a ReplicateBlock in one call, when its
     reduction comes down to one state: a single draw, or the MAP state.
-    That gives each replicate the value validation_diagnostic gives it.
+    That gives each replicate the value validation_diagnostic gives it.  Any
+    other sequence of replicates is scored one replicate at a time.
     """
     _check_wiring(model, draws)
     score = getattr(model, "replicate_diagnostics", None)
-    if score is not None and (draws.B == 1 or model.reduction == REDUCTION_MAP):
+    if (score is not None and isinstance(reps, ReplicateBlock)
+            and (draws.B == 1 or model.reduction == REDUCTION_MAP)):
         return score(reps, _one_state(draws))
     vals = np.empty(len(reps))
     for r, rep in enumerate(reps):

@@ -20,7 +20,10 @@ GRID_POINTS = 1024
 
 
 def _silverman_bandwidth(samples: np.ndarray) -> float:
-    # checked before any arithmetic: max(0.0, nan) would read as a sym-KL of 0
+    # checked before any arithmetic: std and percentile of fewer than two
+    # values warn or raise, and max(0.0, nan) would read as a sym-KL of 0
+    if samples.size < 2:
+        raise DegenerateSampleError("need at least two samples for a density estimate")
     if not np.all(np.isfinite(samples)):
         raise DegenerateSampleError("samples must be finite")
     sd = samples.std(ddof=1)
@@ -36,8 +39,6 @@ def kde_density(samples, grid) -> np.ndarray:
     """Gaussian KDE with Silverman bandwidth, floored at a tiny positive value."""
     samples = np.asarray(samples, dtype=float)
     grid = np.asarray(grid, dtype=float)
-    if samples.size < 2:
-        raise DegenerateSampleError("need at least two samples for a density estimate")
     h = _silverman_bandwidth(samples)
     # the grid-by-sample matrix is built and worked in place a block of grid
     # rows at a time, at most 2 MB, where the whole of it holds 16 MB at

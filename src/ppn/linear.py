@@ -22,11 +22,18 @@ REGRESSION_PRED_VAR = 2.0
 
 @dataclass(frozen=True)
 class RegressionPosteriorA:
-    """Location-only predictive: Normal(mean of fitted responses, fixed var)."""
+    """Location-only predictive: Normal(mean of fitted responses, fixed var),
+    the same at every row; X_in holds the fitted rows' covariates, if any."""
 
     y_bar: float
     n_in: int
-    covariates: np.ndarray = None
+    X_in: np.ndarray = None
+
+    def predictive_mean(self, covariates) -> float:
+        return self.y_bar
+
+    def predictive_var(self, covariates) -> float:
+        return REGRESSION_PRED_VAR
 
 
 @dataclass(frozen=True)
@@ -44,7 +51,7 @@ class RegressionPosteriorB:
     gram_inv: np.ndarray
     x_mean: np.ndarray
     n_in: int
-    X_in: np.ndarray = None
+    X_in: np.ndarray
 
     def predictive_mean(self, covariates) -> np.ndarray:
         return self.intercept + np.asarray(covariates, dtype=float) @ self.coef
@@ -54,12 +61,12 @@ class RegressionPosteriorB:
         return REGRESSION_PRED_VAR + np.einsum("ij,jk,ik->i", centered, self.gram_inv, centered)
 
 
-def regression_fit_A(y_in, covariates=None) -> RegressionPosteriorA:
+def regression_fit_A(y_in, X_in=None) -> RegressionPosteriorA:
     """Store the response mean; the predictive is Normal(mean, fixed var)."""
     y_in = np.asarray(y_in, dtype=float).ravel()
     if y_in.size < 1:
         raise ParameterError("need at least one response")
-    return RegressionPosteriorA(float(y_in.mean()), y_in.size, covariates)
+    return RegressionPosteriorA(float(y_in.mean()), y_in.size, X_in)
 
 
 def regression_fit_B(y_in, X_in) -> RegressionPosteriorB:
@@ -83,24 +90,17 @@ def regression_fit_B(y_in, X_in) -> RegressionPosteriorB:
     return RegressionPosteriorB(intercept, coef, gram_inv, x_mean, n, X_in)
 
 
-def regression_predictive(posterior, covariates, R: int, stream) -> np.ndarray:
-    """R replicate response vectors, the rows of an R x n array, from the
-    stored predictive Normals; replicate r draws from stream.substream(r)."""
+def regression_predictive(posterior, R: int, stream) -> ReplicateBlock:
+    """R replicate response vectors at the fitted rows, from the stored
+    predictive Normals, as one R x n_in x 1 block carrying the fitted rows'
+    covariates; replicate r draws from stream.substream(r)."""
     R = integer(R, "R", 1)
-    if isinstance(posterior, RegressionPosteriorA):
-        n_rep = covariates if np.isscalar(covariates) else len(covariates)
-        mean = np.full(n_rep, posterior.y_bar)
-        sd = np.sqrt(REGRESSION_PRED_VAR)
-    elif isinstance(posterior, RegressionPosteriorB):
-        mean = posterior.predictive_mean(covariates)
-        sd = np.sqrt(posterior.predictive_var(covariates))
-        n_rep = mean.size
-    else:
-        raise ParameterError("unknown regression posterior kind")
-    reps = np.empty((R, n_rep))
-    for rep, g in zip(reps, stream.substream_generators(R)):
-        rep[:] = mean + sd * g.standard_normal(n_rep)
-    return reps
+    mean = posterior.predictive_mean(posterior.X_in)
+    sd = np.sqrt(posterior.predictive_var(posterior.X_in))
+    block = np.empty((R, posterior.n_in, 1))
+    for rep, g in zip(block[:, :, 0], stream.substream_generators(R)):
+        rep[:] = mean + sd * g.standard_normal(posterior.n_in)
+    return ReplicateBlock(block, posterior.X_in)
 
 
 def regression_diagnostic(y, covariates, fitted_on_val):
@@ -109,13 +109,8 @@ def regression_diagnostic(y, covariates, fitted_on_val):
     y = np.asarray(y, dtype=float)
     if y.ndim != 2:
         y = y.ravel()
-    if isinstance(fitted_on_val, RegressionPosteriorA):
-        mean = np.full(y.shape[-1], fitted_on_val.y_bar)
-    elif isinstance(fitted_on_val, RegressionPosteriorB):
-        mean = fitted_on_val.predictive_mean(covariates)
-    else:
-        raise ParameterError("unknown regression posterior kind")
-    if mean.shape != y.shape[-1:]:
+    mean = fitted_on_val.predictive_mean(covariates)
+    if np.ndim(mean) and mean.shape != y.shape[-1:]:
         raise DimensionError("response and predictive mean lengths differ")
     resid = y - mean
     resid *= resid

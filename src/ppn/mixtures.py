@@ -446,8 +446,7 @@ def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> Rep
         z = categorical(g, state.weights, n_rep)
         for j, table in enumerate(state.tables):
             cum = np.cumsum(table, axis=1)[z]
-            rep[:, j] = np.minimum((cum[:, :-1] < g.random(n_rep)[:, None]).sum(1),
-                                   table.shape[1] - 1)
+            rep[:, j] = (cum[:, :-1] < g.random(n_rep)[:, None]).sum(1)
     return ReplicateBlock(block, level_sizes=level_sizes)
 
 

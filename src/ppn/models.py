@@ -8,7 +8,7 @@ posterior: averaged over the draws, or taken at the MAP state.  Fits always
 come back as PosteriorDraws, even when the "posterior" is a single
 closed-form or maximum-likelihood state.  Every adapter draws its
 replicates as one ReplicateBlock; the single-state adapters also score a
-whole replicate set at one state with ``replicate_diagnostics``.
+whole block at one state with ``replicate_diagnostics``.
 """
 
 from __future__ import annotations
@@ -86,12 +86,9 @@ class _OneStateModel:
     def _at_states(self, x: Dataset, states) -> np.ndarray:
         return np.array([self._score(x, s) for s in states])
 
-    def replicate_diagnostics(self, reps, state) -> np.ndarray:
-        """The diagnostic of each of a sequence of replicates at one state:
-        a block of replicates at a time, or one dataset at a time from a
-        sequence that is not a ReplicateBlock (a custom adapter's)."""
-        if not isinstance(reps, ReplicateBlock):
-            return np.array([self._score(x, state) for x in reps])
+    def replicate_diagnostics(self, reps: ReplicateBlock, state) -> np.ndarray:
+        """The diagnostic of each replicate of a block at one state, a block
+        of replicates at a time."""
         vals = np.empty(len(reps))
         for start, block in reps.blocks():
             vals[start:start + len(block)] = self._score(block, state)
@@ -130,9 +127,7 @@ class RegressionModelA(_OneStateModel):
         return PosteriorDraws((post,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
-        post = fit.states[0]
-        ys = linear.regression_predictive(post, post.n_in, R, stream)
-        return ReplicateBlock(ys[:, :, None], post.covariates)
+        return linear.regression_predictive(fit.states[0], R, stream)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
         return self._at_states(x, states)
@@ -154,9 +149,7 @@ class RegressionModelB(_OneStateModel):
         return PosteriorDraws((post,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
-        post = fit.states[0]
-        ys = linear.regression_predictive(post, post.X_in, R, stream)
-        return ReplicateBlock(ys[:, :, None], post.X_in)
+        return linear.regression_predictive(fit.states[0], R, stream)
 
     def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
         return self._at_states(x, states)

@@ -99,13 +99,13 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
     return p
 
 
-def categorical(stream, p, size: int) -> np.ndarray:
-    """Draw ``size`` labels from Categorical(p) via inverse CDF, from a
-    VariateStream or straight from a numpy Generator."""
+def categorical(g: np.random.Generator, p, size: int) -> np.ndarray:
+    """Draw ``size`` labels from Categorical(p) via inverse CDF, from the
+    numpy Generator g."""
     p = _check_prob_vector(p, "p")
-    g = stream.generator if isinstance(stream, VariateStream) else stream
     u = g.random(size)
-    return np.minimum((u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1), len(p) - 1)
+    # a count over the first L - 1 cumulative sums is a label in [0, L - 1]
+    return (u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1)
 
 
 def logsumexp(a, axis=None) -> np.ndarray:

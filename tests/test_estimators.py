@@ -80,6 +80,15 @@ class TestSymKl:
         with pytest.raises(DegenerateSampleError):
             sym_kl_estimate(np.zeros(100), _normals("d", 100))
 
+    @pytest.mark.parametrize("few", [[], [1.0]])
+    def test_fewer_than_two_samples_raise_without_warning(self, few):
+        good = _normals("few", 100)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for pair in ((good, few), (few, good)):
+                with pytest.raises(DegenerateSampleError, match="two samples"):
+                    sym_kl_estimate(*pair)
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_samples_raise_without_warning(self, bad):
         good = _normals("nf", 100)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppn.core import Dataset
+from ppn.core import Dataset, ReplicateBlock
 from ppn.datagen import gen_linear_factor_data, gen_nonlinear_factor_data
 from ppn.errors import (DataError, DimensionError, ParameterError,
                         SingularityError, StateError)
@@ -89,8 +89,9 @@ class TestFitB:
 class TestRegressionPredictive:
     def test_model_a_moments(self):
         post = regression_fit_A([2.0, 3.0])
-        reps = regression_predictive(post, 100, 10**4, Seed(4).stream("ra"))
-        pooled = np.concatenate(reps)
+        reps = regression_predictive(post, 10**4, Seed(4).stream("ra"))
+        assert reps.values.shape == (10**4, 2, 1)
+        pooled = reps.values.ravel()
         assert abs(pooled.mean() - 2.5) < 0.05
         assert abs(pooled.var() - 2.0) < 0.05 * 2.0
 
@@ -103,11 +104,33 @@ class TestRegressionPredictive:
 
     def test_determinism_and_r(self):
         post = regression_fit_A([0.0, 1.0])
-        a = regression_predictive(post, 10, 3, Seed(6).stream("r"))
-        b = regression_predictive(post, 10, 3, Seed(6).stream("r"))
-        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+        a = regression_predictive(post, 3, Seed(6).stream("r"))
+        b = regression_predictive(post, 3, Seed(6).stream("r"))
+        assert np.array_equal(a.values, b.values)
         with pytest.raises(ParameterError):
-            regression_predictive(post, 10, 0, Seed(6).stream("r"))
+            regression_predictive(post, 0, Seed(6).stream("r"))
+
+    @pytest.mark.parametrize("name, with_covariates",
+                             [("A", False), ("A", True), ("B", True)])
+    def test_rows_are_the_substream_draws_at_the_fitted_rows(self, name, with_covariates):
+        g = Seed(8).stream("rows").generator
+        X, y = g.standard_normal((12, 2)), g.standard_normal(12)
+        X_in = X if with_covariates else None
+        post = regression_fit_A(y, X_in) if name == "A" else regression_fit_B(y, X)
+        stream = Seed(8).stream("reps")
+        reps = regression_predictive(post, 5, stream)
+        assert isinstance(reps, ReplicateBlock) and reps.values.shape == (5, 12, 1)
+        if name == "A":
+            mean, sd = post.y_bar, np.sqrt(2.0)
+        else:
+            mean, sd = post.predictive_mean(X), np.sqrt(post.predictive_var(X))
+        for r in range(5):
+            want = mean + sd * stream.substream(r).generator.standard_normal(12)
+            assert reps.values[r, :, 0].tobytes() == want.tobytes()
+        if X_in is None:
+            assert reps.covariates is None
+        else:
+            assert np.array_equal(reps.covariates, X)
 
 
 class TestRegressionDiagnostic:
