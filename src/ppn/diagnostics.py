@@ -4,7 +4,8 @@ A realized diagnostic d(x, theta) becomes a function of data alone through
 the model's reduction: averaging over a posterior anchored on the
 validation part, or evaluating at its MAP state.  The validation part never
 overlaps the data being scored, which is what makes the resulting p-values
-meaningful.
+meaningful.  A replicate set is scored one replicate at a time, or, for an
+adapter whose diagnostic draws nothing, as one block by one rule.
 """
 
 from __future__ import annotations
@@ -28,17 +29,19 @@ def replicate_diagnostics(reps, model, draws, stream) -> np.ndarray:
     """validation_diagnostic of each replicate, the r-th drawing from
     stream.substream(r).
 
-    An adapter whose diagnostic draws nothing (one with
-    ``replicate_diagnostics``) scores a ReplicateBlock in one call, when its
-    reduction comes down to one state: a single draw, or the MAP state.
+    An adapter whose diagnostic draws nothing declares ``scores_blocks``:
+    its diagnostic_batch then scores a whole ReplicateBlock in one call, at
+    the states its reduction needs, and each replicate's row of R x B values
+    is reduced as validation_diagnostic reduces the B values of one dataset.
     That gives each replicate the value validation_diagnostic gives it.  Any
-    other sequence of replicates is scored one replicate at a time.
+    other adapter, or sequence of replicates, is scored one replicate at a
+    time.
     """
     _check_wiring(model, draws)
-    score = getattr(model, "replicate_diagnostics", None)
-    if (score is not None and isinstance(reps, ReplicateBlock)
-            and (draws.B == 1 or model.reduction == REDUCTION_MAP)):
-        return score(reps, _one_state(draws))
+    if getattr(model, "scores_blocks", False) and isinstance(reps, ReplicateBlock):
+        if model.reduction == REDUCTION_MAP:
+            return model.diagnostic_batch(reps, [_one_state(draws)], stream)[:, 0]
+        return np.mean(model.diagnostic_batch(reps, draws.states, stream), axis=1)
     vals = np.empty(len(reps))
     for r, rep in enumerate(reps):
         vals[r] = validation_diagnostic(rep, model, draws, stream.substream(r))

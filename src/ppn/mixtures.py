@@ -15,8 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BLOCK_CELLS, CATEGORICAL, CONTINUOUS, Dataset, PosteriorDraws,
-                   ReplicateBlock, StateBatch)
+from .core import (BLOCK_CELLS, CONTINUOUS, Dataset, PosteriorDraws, ReplicateBlock,
+                   StateBatch)
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical, logsumexp
 
@@ -356,8 +356,9 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
     return np.ascontiguousarray(picked.T).sum(axis=0)
 
 
-def _require_categorical(x: Dataset):
-    if x.kind != CATEGORICAL:
+def _require_categorical(x):
+    """x (a Dataset or a ReplicateBlock) holds level codes."""
+    if x.level_sizes is None:
         raise DataError("expected categorical data")
 
 
@@ -479,8 +480,15 @@ class _MultMixStack:
             return cls(np.log(weights), tables, tuple(np.log(t) for t in tables))
 
 
-def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
-    """Deviance-style discrepancy of x at each state.
+# The rows the multmix kernel numbers together, and the log cells it gathers
+# together: few enough that its working arrays stay at a few hundred kB
+# whatever the size of the replicate set.
+_RUN_CELLS = BLOCK_CELLS // 64
+
+
+def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
+    """Deviance-style discrepancy of x at each state: B values for a
+    Dataset, R x B for a ReplicateBlock of R replicates.
 
     Predicted cell probabilities mix the class tables by each row's posterior
     class responsibility; the statistic is twice the summed log shortfall at
@@ -489,12 +497,73 @@ def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
     cell yields an infinite value.  The stacked state arrays are kept on a
     StateBatch (such as PosteriorDraws.states) and rebuilt for any other
     sequence of states.
+
+    A row of codes takes at most prod(level_sizes) values, so a replicate
+    set repeats its rows many times over: each distinct row of a run of
+    replicates is scored once, and each replicate then sums its rows' values
+    in order, rows before variables, as it would be scored on its own.
     """
     _require_categorical(x)
     stack = _stacked(states, _MultMixStack.of)
     if tuple(len(t) for t in stack.tables) != x.level_sizes:
         raise DimensionError("state level sizes do not match data")
-    codes = x.codes()
+    block = isinstance(x, ReplicateBlock)
+    values = x.values if block else x.values[None]
+    R, n, d = values.shape
+    K, B = stack.log_weights.shape
+    # a run of replicates shares one numbering of at most _RUN_CELLS rows
+    # and one scoring of its distinct rows, of K x B and d x B cells each:
+    # there are at most prod(level_sizes) of them, and BLOCK_CELLS in all
+    cells = max(K, d) * B
+    rows = _RUN_CELLS
+    if math.prod(x.level_sizes) * cells > BLOCK_CELLS:
+        rows = min(rows, BLOCK_CELLS // cells)
+    run = max(1, rows // n)
+    # and a part of a run at a time gathers d x part x n x B log cells
+    part = max(1, _RUN_CELLS // (n * d * B))
+    out = np.empty((R, B))
+    for start in range(0, R, run):
+        codes, ids = _distinct_rows(values[start:start + run], x.level_sizes)
+        log_obs = _multmix_log_obs(codes, stack)
+        for at in range(0, len(ids), part):
+            chunk = ids[at:at + part]
+            # take keeps the gathered rows in C order, so that a replicate's
+            # row sum runs as it does over a Dataset of its own; rows are
+            # summed before variables; 0.0 - keeps a perfect prediction at +0.0
+            sums = np.take(log_obs, chunk, axis=1).sum(axis=2).sum(axis=0)
+            out[start + at:start + at + len(chunk)] = 0.0 - 2.0 * sums
+    return out if block else out[0]
+
+
+def _distinct_rows(values, level_sizes):
+    """The distinct rows of an R x n x d block of level codes, as an m x d
+    integer matrix, and the R x n index of each row among them.
+
+    A row's id is built a column at a time, and renumbered after each column
+    so that it stays below the number of rows: id * L + code then stays
+    below rows x L, whatever the product of the level sizes.  Keys that fit
+    a table no longer than the rows are numbered through it, without a sort.
+    """
+    flat = values.reshape(-1, values.shape[2])
+    ids, m = np.zeros(len(flat), dtype=np.intp), 1
+    for j, L in enumerate(level_sizes):
+        key = ids * L + flat[:, j].astype(np.intp)
+        if m * L <= len(key):
+            seen = np.zeros(m * L, dtype=bool)
+            seen[key] = True
+            number = np.cumsum(seen) - 1
+            ids, m = number[key], number[-1] + 1
+        else:
+            distinct, ids = np.unique(key, return_inverse=True)
+            m = len(distinct)
+    first = np.empty(m, dtype=np.intp)
+    first[ids] = np.arange(len(ids))
+    return flat[first].astype(np.intp), ids.reshape(values.shape[:2])
+
+
+def _multmix_log_obs(codes, stack) -> np.ndarray:
+    """Log predicted probability of each observed cell of the n x d codes at
+    each stacked state, d x n x B; log 0 = -inf."""
     # log w_k + sum_j log table_j[k, code], gathered as n x K x B
     logits = stack.log_weights + stack.log_tables[0][codes[:, 0]]
     for j in range(1, codes.shape[1]):
@@ -513,5 +582,4 @@ def multmix_chi2_diagnostic_batch(x: Dataset, states) -> np.ndarray:
     for j in range(codes.shape[1]):
         np.einsum("nkb,nkb->nb", resp, stack.tables[j][codes[:, j]], out=obs[j])
     with np.errstate(divide="ignore"):
-        # rows summed before variables; 0.0 - keeps a perfect prediction at +0.0
-        return 0.0 - 2.0 * np.log(obs).sum(axis=1).sum(axis=0)
+        return np.log(obs, out=obs)

@@ -7,8 +7,10 @@ so its ``reduction`` says how that diagnostic is reduced over the x_val
 posterior: averaged over the draws, or taken at the MAP state.  Fits always
 come back as PosteriorDraws, even when the "posterior" is a single
 closed-form or maximum-likelihood state.  Every adapter draws its
-replicates as one ReplicateBlock; the single-state adapters also score a
-whole block at one state with ``replicate_diagnostics``.
+replicates as one ReplicateBlock.  An adapter whose diagnostic draws
+nothing (the categorical mixture and the single-state adapters) declares
+``scores_blocks``: its diagnostic_batch also takes a whole ReplicateBlock,
+and returns R x B values, one row per replicate.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ class GmmModel:
 class MultMixModel:
     """Categorical mixture over scored variables with K latent classes."""
 
+    scores_blocks = True
+
     def __init__(self, K, iters=2000, burnin=1000, thin=5, reduction=REDUCTION_AVERAGE):
         self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
@@ -75,23 +79,23 @@ class MultMixModel:
 class _OneStateModel:
     """An adapter whose fit is one state and whose diagnostic draws nothing.
 
-    Its diagnostic of a set of replicates is therefore taken at one state
-    for all of them, by the adapter's ``_score(x, state)``, which gives the
-    value of a Dataset and one value per replicate of a ReplicateBlock.
-    Each adapter class calls ``_at_states`` from its own diagnostic_batch,
-    so that every adapter class still defines the whole adapter surface
-    itself.
+    Its ``_score(x, state)`` gives the diagnostic of a Dataset, and
+    one value per replicate of a ReplicateBlock.  Each adapter class calls
+    ``_at_states`` from its own diagnostic_batch, so that every adapter
+    class still defines the whole adapter surface itself.
     """
 
-    def _at_states(self, x: Dataset, states) -> np.ndarray:
-        return np.array([self._score(x, s) for s in states])
+    scores_blocks = True
 
-    def replicate_diagnostics(self, reps: ReplicateBlock, state) -> np.ndarray:
-        """The diagnostic of each replicate of a block at one state, a block
-        of replicates at a time."""
-        vals = np.empty(len(reps))
-        for start, block in reps.blocks():
-            vals[start:start + len(block)] = self._score(block, state)
+    def _at_states(self, x, states) -> np.ndarray:
+        """B values for a Dataset; R x B for a ReplicateBlock, scored a
+        block of replicates at a time."""
+        if not isinstance(x, ReplicateBlock):
+            return np.array([self._score(x, s) for s in states])
+        vals = np.empty((len(x), len(states)))
+        for start, block in x.blocks():
+            for b, state in enumerate(states):
+                vals[start:start + len(block), b] = self._score(block, state)
         return vals
 
 

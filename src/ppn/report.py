@@ -4,7 +4,8 @@ The grid mirrors the study layout: heldout checks on the diagonal (reference
 histogram plus a vertical line at the observed diagnostic) and pairwise
 nulls off the diagonal (two overlaid histograms).  Every printed number is
 taken from the report object; the renderer computes nothing statistical
-beyond histogram binning.
+beyond histogram binning.  The histograms bin the finite values only, and an
+infinite observed diagnostic draws no line.
 """
 
 from __future__ import annotations
@@ -22,10 +23,15 @@ MARGIN = 70
 FOOTER_LINE = 16
 
 
-def _fd_edges(samples):
-    """Freedman-Diaconis histogram edges; falls back to ten equal bins."""
+def _finite(samples):
     samples = np.asarray(samples, dtype=float)
-    lo, hi = samples.min(), samples.max()
+    return samples[np.isfinite(samples)]
+
+
+def _fd_edges(samples):
+    """Freedman-Diaconis histogram edges of finite samples (perhaps none);
+    falls back to ten equal bins."""
+    lo, hi = (samples.min(), samples.max()) if samples.size else (0.0, 0.0)
     if hi <= lo:
         return np.linspace(lo - 0.5, hi + 0.5, 3)
     q75, q25 = np.percentile(samples, [75, 25])
@@ -80,16 +86,17 @@ def render_grid_svg(report: StudyReport) -> str:
         x0, y0 = _cell_box(i, i)
         out.append(f'<rect x="{x0}" y="{y0}" width="{CELL_W}" height="{CELL_H}" '
                    f'fill="none" stroke="black"/>')
-        pooled = np.append(check.diagnostic_replicates, check.diagnostic_observed)
-        edges = _fd_edges(pooled)
-        counts, _ = np.histogram(check.diagnostic_replicates, bins=edges)
+        replicates = _finite(check.diagnostic_replicates)
+        observed = _finite([check.diagnostic_observed])
+        edges = _fd_edges(np.append(replicates, observed))
+        counts, _ = np.histogram(replicates, bins=edges)
         peak = max(counts.max(), 1)
-        out += _hist_rects(check.diagnostic_replicates, edges, x0, y0,
-                           CELL_W, CELL_H, peak, "#4878a8", 0.9)
+        out += _hist_rects(replicates, edges, x0, y0, CELL_W, CELL_H, peak, "#4878a8", 0.9)
         span = edges[-1] - edges[0]
-        ox = x0 + (check.diagnostic_observed - edges[0]) / span * CELL_W
-        out.append(f'<line x1="{ox:.2f}" y1="{y0}" x2="{ox:.2f}" y2="{y0 + CELL_H}" '
-                   f'stroke="#b03030" stroke-width="2"/>')
+        for value in observed:
+            ox = x0 + (value - edges[0]) / span * CELL_W
+            out.append(f'<line x1="{ox:.2f}" y1="{y0}" x2="{ox:.2f}" y2="{y0 + CELL_H}" '
+                       f'stroke="#b03030" stroke-width="2"/>')
         mark = "pass" if check.passed else "FAIL"
         out.append(f'<text x="{x0 + 4}" y="{y0 + 13}">p={check.p_value:.2f} {mark}</text>')
     for pair in report.off_diagonal:
@@ -97,13 +104,13 @@ def render_grid_svg(report: StudyReport) -> str:
         x0, y0 = _cell_box(i, j)
         out.append(f'<rect x="{x0}" y="{y0}" width="{CELL_W}" height="{CELL_H}" '
                    f'fill="none" stroke="gray"/>')
-        pooled = np.concatenate([pair.samples_a, pair.samples_b])
-        edges = _fd_edges(pooled)
+        samples_a, samples_b = _finite(pair.samples_a), _finite(pair.samples_b)
+        edges = _fd_edges(np.concatenate([samples_a, samples_b]))
         peak = max(max(np.histogram(s, bins=edges)[0].max() for s in
-                       (pair.samples_a, pair.samples_b)), 1)
-        out += _hist_rects(pair.samples_a, edges, x0, y0, CELL_W, CELL_H,
+                       (samples_a, samples_b)), 1)
+        out += _hist_rects(samples_a, edges, x0, y0, CELL_W, CELL_H,
                            peak, "#4878a8", 0.55)
-        out += _hist_rects(pair.samples_b, edges, x0, y0, CELL_W, CELL_H,
+        out += _hist_rects(samples_b, edges, x0, y0, CELL_W, CELL_H,
                            peak, "#d08030", 0.55)
         out.append(f'<text x="{x0 + 4}" y="{y0 + 13}">KL={pair.sym_kl:.2f}'
                    f'{" fools" if pair.fools else ""}</text>')

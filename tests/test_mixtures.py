@@ -688,6 +688,133 @@ class TestMultMixDiagnostic:
             with pytest.raises(DimensionError):
                 multmix_chi2_diagnostic_batch(Dataset([[0, 1]], level_sizes=(2, 3)), good)
 
+    @staticmethod
+    def _each_alone(block, states):
+        return np.array([multmix_chi2_diagnostic_batch(rep, states) for rep in block])
+
+    def _assert_block_matches(self, block, states):
+        got = multmix_chi2_diagnostic_batch(block, states)
+        assert got.shape == (len(block), len(states))
+        assert got.tobytes() == self._each_alone(block, states).tobytes()
+        return got
+
+    def test_zero_cell_is_infinite_only_where_a_replicate_has_it(self):
+        # level 0 of the first variable has probability 0 under both classes
+        table = np.array([[0.0, 0.5, 0.5], [0.0, 0.2, 0.8]])
+        state = MultMixState(np.array([0.3, 0.7]), (table, np.array([[0.4, 0.6], [0.9, 0.1]])),
+                             np.zeros(1, dtype=int))
+        g = np.random.default_rng(3)
+        codes = np.stack([g.integers(1, 3, (6, 20)), g.integers(0, 2, (6, 20))], axis=-1)
+        codes[[1, 4], 7, 0] = 0
+        got = self._assert_block_matches(ReplicateBlock(codes, level_sizes=(3, 2)), [state])
+        assert np.array_equal(np.isinf(got[:, 0]), np.isin(np.arange(6), [1, 4]))
+
+    def test_zero_likelihood_row_in_a_block(self):
+        # (0, 0) is impossible under both classes, as in the single-row case
+        state = MultMixState(np.array([0.9, 0.1]),
+                             (np.array([[0.0, 1.0], [0.4, 0.6]]),
+                              np.array([[0.8, 0.2], [0.0, 1.0]])),
+                             np.zeros(1, dtype=int))
+        codes = np.array([[[0, 0], [1, 1], [0, 1]], [[1, 0], [1, 1], [1, 0]],
+                          [[0, 0], [0, 0], [1, 1]]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = self._assert_block_matches(ReplicateBlock(codes, level_sizes=(2, 2)), [state])
+        assert np.all(np.isfinite(got))
+
+    def test_level_sizes_whose_product_overflows_64_bits(self):
+        # 70 binary variables: 2**70 possible rows, ids renumbered per column
+        g = np.random.default_rng(4)
+        states = [MultMixState(np.array([0.4, 0.6]), tuple(g.dirichlet([2.0, 2.0], size=2)
+                                                           for _ in range(70)),
+                               np.zeros(1, dtype=int)) for _ in range(3)]
+        codes = g.integers(0, 2, (70, 40, 70))
+        codes[5] = codes[2]          # some rows repeat, across replicates
+        codes[9, :20] = codes[9, 20:]
+        # rows that differ in the first variable only: a mixed-radix id of
+        # all 70 codes would wrap and give them one id
+        codes[11, :, 1:] = codes[11, 0, 1:]
+        codes[11, :, 0] = np.arange(40) % 2
+        block = ReplicateBlock(codes, level_sizes=(2,) * 70)
+        # runs are sized so that a run's distinct rows score within a block;
+        # the first columns number their keys through a table, and the later
+        # ones, once most of a run's rows are distinct, by a sort
+        assert len(block) * block.n > mixtures.BLOCK_CELLS // (70 * 3)
+        got = self._assert_block_matches(block, PosteriorDraws(states, "multmix-K2").states)
+        assert np.array_equal(got[5], got[2])
+        ref = [self._reference(block[11], s) for s in states]
+        assert np.all(np.abs(got[11] - ref) <= 1e-12 * np.abs(ref))
+
+    def test_every_row_distinct(self):
+        g = np.random.default_rng(5)
+        rows = g.permutation(50 * 50)[:2000]
+        codes = np.stack([rows // 50, rows % 50], axis=-1).reshape(4, 500, 2)
+        states = [MultMixState(w, (g.dirichlet(np.ones(50), size=3),
+                                   g.dirichlet(np.ones(50), size=3)), np.zeros(1, dtype=int))
+                  for w in g.dirichlet(np.ones(3), size=5)]
+        self._assert_block_matches(ReplicateBlock(codes, level_sizes=(50, 50)),
+                                   PosteriorDraws(states, "multmix-K3").states)
+
+    @staticmethod
+    def _every_row(x, states):
+        """The kernel's arithmetic over every row of x, none shared: n x K x B
+        responsibilities, then sums over rows and then over variables."""
+        stack = mixtures._MultMixStack.of(states)
+        codes = x.codes()
+        logits = stack.log_weights + stack.log_tables[0][codes[:, 0]]
+        for j in range(1, x.d):
+            logits += stack.log_tables[j][codes[:, j]]
+        top = logits.max(axis=1, keepdims=True)
+        dead = np.isneginf(top)
+        np.copyto(logits, 0.0, where=dead)
+        top[dead] = 0.0
+        resp = np.exp(logits - top)
+        resp /= resp.sum(axis=1, keepdims=True)
+        obs = np.empty((x.d, x.n, len(states)))
+        for j in range(x.d):
+            np.einsum("nkb,nkb->nb", resp, stack.tables[j][codes[:, j]], out=obs[j])
+        with np.errstate(divide="ignore"):
+            return 0.0 - 2.0 * np.log(obs).sum(axis=1).sum(axis=0)
+
+    def test_dataset_sums_as_if_no_row_were_shared(self):
+        # the rows of a replicate are summed in order whichever distinct row
+        # they share: pairwise over rows for one state, row by row for several
+        data = gen_multmix_data(150, seed=Seed(28))
+        fit = multmix_gibbs_fit(data, 3, 200, 100, 4, Seed(28).stream("f"))
+        for n in (1, 7, 170, 1000):
+            x = gen_multmix_data(n, seed=Seed(29 + n))
+            for states in (fit.states, [fit.map_state()]):
+                got = multmix_chi2_diagnostic_batch(x, states)
+                assert got.tobytes() == self._every_row(x, states).tobytes()
+
+    def test_fitted_states_over_several_runs_and_parts(self):
+        data = gen_multmix_data(150, seed=Seed(27))
+        fit = multmix_gibbs_fit(data, 3, 200, 100, 4, Seed(27).stream("f"))
+        reps = multmix_predictive(fit, 100, 700, Seed(27).stream("r"))
+        # several runs of numbering, each gathered in parts of one replicate
+        # at 25 states and of several at one
+        assert len(reps) * reps.n > mixtures._RUN_CELLS > 2 * reps.n * reps.d
+        for states in (fit.states, [fit.map_state()]):
+            self._assert_block_matches(reps, states)
+
+    def test_block_refusals(self):
+        table = np.array([[0.5, 0.5], [0.25, 0.75]])
+        block = ReplicateBlock(np.zeros((3, 2, 2)), level_sizes=(2, 2))
+        z = np.zeros(1, dtype=int)
+        good = MultMixState(np.array([0.5, 0.5]), (table, table), z)
+        for bad in (MultMixState(np.array([1.2, -0.2]), (table, table), z),
+                    MultMixState(np.array([0.5, 0.5]), (table[:1], table), z)):
+            with pytest.raises(StateError):
+                multmix_chi2_diagnostic_batch(block, [bad])
+        with pytest.raises(DimensionError):
+            multmix_chi2_diagnostic_batch(ReplicateBlock(np.zeros((3, 2, 2)), level_sizes=(2, 3)),
+                                          [good])
+        with pytest.raises(DimensionError):
+            multmix_chi2_diagnostic_batch(ReplicateBlock(np.zeros((3, 2, 1)), level_sizes=(2,)),
+                                          [good])
+        with pytest.raises(DataError, match="categorical"):
+            multmix_chi2_diagnostic_batch(ReplicateBlock(np.zeros((3, 2, 2))), [good])
+
 
 class TestPriorConstants:
     """The log-Gamma constants of both log priors come from math.lgamma.

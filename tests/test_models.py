@@ -1,11 +1,12 @@
-"""Model adapters: replicate blocks, the single-state adapters' block scoring
-and the data they refuse."""
+"""Model adapters: replicate blocks, the block scoring of the adapters whose
+diagnostic draws nothing, and the data they refuse."""
 
 import dataclasses
 
 import numpy as np
 import pytest
 
+from ppn import mixtures
 from ppn.checks import heldout_predictive_check
 from ppn.core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock, split_data
 from ppn.datagen import (gen_gmm_data, gen_linear_factor_data, gen_multmix_data,
@@ -46,6 +47,19 @@ def _replicates(name, R):
     reps = model.replicate(model.fit(split.x_in, SEED.stream("in")), split.x_out, R,
                            SEED.stream("rep"))
     return model, split, reps
+
+
+def _recorded_calls(monkeypatch, model):
+    """The (values shape, state count) of each diagnostic_batch call of model."""
+    calls = []
+    batch = model.diagnostic_batch
+
+    def recorded(x, states, stream):
+        calls.append((x.values.shape, len(states)))
+        return batch(x, states, stream)
+
+    monkeypatch.setattr(model, "diagnostic_batch", recorded)
+    return calls
 
 
 class TestReplicateBlock:
@@ -103,8 +117,8 @@ class TestReplicateBlock:
 
 
 class TestReplicateScoring:
-    """A single-state adapter scores a whole replicate set at its anchor
-    state, a block of replicates at a time; each value must be the one
+    """An adapter whose diagnostic draws nothing scores a whole replicate
+    block in one diagnostic_batch call; each value must be the one
     validation_diagnostic gives that replicate on its own."""
 
     @pytest.mark.parametrize("name, R", [("reg-A", 7), ("reg-A", 1100), ("reg-B", 1100),
@@ -121,6 +135,33 @@ class TestReplicateScoring:
         # a block of the model's own, and any other sequence of datasets
         for given in (reps, list(reps)):
             assert replicate_diagnostics(given, model, anchor, stream).tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("reduction", ["average", "map"])
+    @pytest.mark.parametrize("source_K", [2, 3])
+    def test_multmix_block_matches_each_replicate(self, reduction, source_K, monkeypatch):
+        split = _thirds(gen_multmix_data(300, seed=SEED))
+        source = MultMixModel(source_K, 40, 20, 5)
+        reps = source.replicate(source.fit(split.x_in, SEED.stream("in")), split.x_out, 700,
+                                SEED.stream("rep"))
+        # several runs of numbering in the kernel, each of several parts
+        assert len(reps) * reps.n > mixtures._RUN_CELLS
+        owner = MultMixModel(2, 40, 20, 5, reduction=reduction)
+        anchor = owner.fit(split.x_val, SEED.stream("val"))
+        stream = SEED.stream("diag")
+        alone = np.array([validation_diagnostic(rep, owner, anchor, stream.substream(r))
+                          for r, rep in enumerate(reps)])
+        calls = _recorded_calls(monkeypatch, owner)
+        got = replicate_diagnostics(reps, owner, anchor, stream)
+        assert got.tobytes() == alone.tobytes()
+        # the whole block in one call, at the states the reduction needs
+        assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
+
+    def test_gmm_scores_one_replicate_at_a_time(self, monkeypatch):
+        model, split, reps = _replicates("gmm-2", 5)
+        anchor = model.fit(split.x_val, SEED.stream("val"))
+        calls = _recorded_calls(monkeypatch, model)
+        replicate_diagnostics(reps, model, anchor, SEED.stream("diag"))
+        assert calls == [(reps[0].values.shape, anchor.B)] * 5
 
     def test_cross_family_scores_match(self):
         _, split, reps = _replicates("reg-A", 600)

@@ -12,7 +12,7 @@ import pytest
 from ppn import cli
 from ppn.checks import StudyConfig, ppn_check, ppn_study
 from ppn.cli import main
-from ppn.core import Dataset, split_data
+from ppn.core import CheckOutcome, Dataset, PpnOutcome, StudyReport, split_data
 from ppn.errors import PpnError
 from ppn.report import emit_report, render_grid_svg
 from ppn.rng import Seed
@@ -71,6 +71,32 @@ class TestEmitReport:
         assert "p=" in svg
         if small_report.off_diagonal:
             assert "KL=" in svg
+
+    @staticmethod
+    def _one_cell_report(replicates, observed):
+        g = np.random.default_rng(6)
+        finite = CheckOutcome(0.5, True, g.normal(size=40), 0.1, "m0")
+        return StudyReport(("m0", "m1"), 0.1, 1.0,
+                           (finite, CheckOutcome(0.0, False, replicates, observed, "m1")))
+
+    def test_infinite_observed_diagnostic_draws_no_line(self, tmp_path):
+        replicates = np.random.default_rng(7).normal(size=40)
+        emit_report(self._one_cell_report(replicates, np.inf), tmp_path)
+        svg = (tmp_path / "grid.svg").read_text()
+        # the finite cell's observed line only
+        assert svg.count("<line ") == 1
+        assert "nan" not in svg and "inf" not in svg and "p=0.00 FAIL" in svg
+
+    def test_infinite_replicates_are_left_out_of_the_histogram(self):
+        replicates = np.random.default_rng(8).normal(size=40)
+        with_inf = replicates.copy()
+        with_inf[[3, 17]] = [np.inf, -np.inf]
+        svg = render_grid_svg(self._one_cell_report(with_inf, 0.1))
+        assert "nan" not in svg and 'height="-' not in svg
+        assert svg == render_grid_svg(self._one_cell_report(np.delete(replicates, [3, 17]), 0.1))
+        pair = PpnOutcome(np.inf, False, with_inf, replicates[::-1], "m1", "m0")
+        report = StudyReport(("m0", "m1"), 0.1, 1.0, off_diagonal=(pair,))
+        assert "nan" not in render_grid_svg(report)
 
     def test_emission_deterministic(self, small_report, tmp_path):
         emit_report(small_report, tmp_path / "a")
