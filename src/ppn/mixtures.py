@@ -480,12 +480,6 @@ class _MultMixStack:
             return cls(np.log(weights), tables, tuple(np.log(t) for t in tables))
 
 
-# The rows the multmix kernel numbers together, and the log cells it gathers
-# together: few enough that its working arrays stay at a few hundred kB
-# whatever the size of the replicate set.
-_RUN_CELLS = BLOCK_CELLS // 64
-
-
 def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     """Deviance-style discrepancy of x at each state: B values for a
     Dataset, R x B for a ReplicateBlock of R replicates.
@@ -499,9 +493,12 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     sequence of states.
 
     A row of codes takes at most prod(level_sizes) values, so a replicate
-    set repeats its rows many times over: each distinct row of a run of
-    replicates is scored once, and each replicate then sums its rows' values
-    in order, rows before variables, as it would be scored on its own.
+    set may repeat its rows many times over.  Replicates are scored a run at
+    a time.  A run in which at least half the rows repeat scores each
+    distinct row once and gathers each replicate's rows back in order; any
+    other run scores its rows where they stand.  Either way each replicate
+    sums its rows' values in order, rows before variables, as it would on
+    its own.
     """
     _require_categorical(x)
     stack = _stacked(states, _MultMixStack.of)
@@ -511,43 +508,60 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     values = x.values if block else x.values[None]
     R, n, d = values.shape
     K, B = stack.log_weights.shape
-    # a run of replicates shares one numbering of at most _RUN_CELLS rows
-    # and one scoring of its distinct rows, of K x B and d x B cells each:
-    # there are at most prod(level_sizes) of them, and BLOCK_CELLS in all
-    cells = max(K, d) * B
-    rows = _RUN_CELLS
-    if math.prod(x.level_sizes) * cells > BLOCK_CELLS:
-        rows = min(rows, BLOCK_CELLS // cells)
-    run = max(1, rows // n)
-    # and a part of a run at a time gathers d x part x n x B log cells
-    part = max(1, _RUN_CELLS // (n * d * B))
+    # all rows of a run score within a block: n x K x B and d x n x B cells
+    run = max(1, BLOCK_CELLS // (n * max(K, d) * B))
+    part = max(1, _GATHER_CELLS // (n * d * B))
     out = np.empty((R, B))
     for start in range(0, R, run):
-        codes, ids = _distinct_rows(values[start:start + run], x.level_sizes)
-        log_obs = _multmix_log_obs(codes, stack)
-        for at in range(0, len(ids), part):
-            chunk = ids[at:at + part]
+        reps = values[start:start + run]
+        codes = reps.reshape(-1, d).astype(np.intp)
+        numbered = _distinct_rows(codes, x.level_sizes)
+        if numbered is None:
+            # most rows are distinct: score every row where it stands
+            log_obs = _multmix_log_obs(codes, stack).reshape(d, len(reps), n, B)
+            out[start:start + len(reps)] = _deviance(log_obs)
+            continue
+        ids, m = numbered
+        first = np.empty(m, dtype=np.intp)
+        first[ids] = np.arange(len(ids))
+        log_obs = _multmix_log_obs(codes[first], stack)
+        ids = ids.reshape(len(reps), n)
+        for at in range(start, start + len(reps), part):
             # take keeps the gathered rows in C order, so that a replicate's
-            # row sum runs as it does over a Dataset of its own; rows are
-            # summed before variables; 0.0 - keeps a perfect prediction at +0.0
-            sums = np.take(log_obs, chunk, axis=1).sum(axis=2).sum(axis=0)
-            out[start + at:start + at + len(chunk)] = 0.0 - 2.0 * sums
+            # row sum runs as it does over a Dataset of its own
+            chunk = np.take(log_obs, ids[at - start:at - start + part], axis=1)
+            out[at:at + chunk.shape[1]] = _deviance(chunk)
     return out if block else out[0]
 
 
-def _distinct_rows(values, level_sizes):
-    """The distinct rows of an R x n x d block of level codes, as an m x d
-    integer matrix, and the R x n index of each row among them.
+# The log cells the multmix kernel gathers at a time for the replicates
+# of a run.
+_GATHER_CELLS = BLOCK_CELLS // 16
+
+
+def _deviance(log_obs):
+    """d x R x n x B log cells to R x B values.  Rows are summed before
+    variables, and each replicate's d x B row sums are laid out as one
+    dataset's, so that its sum over variables runs in the same order
+    (pairwise at B = 1); 0.0 - keeps a perfect prediction at +0.0."""
+    sums = np.ascontiguousarray(log_obs.sum(axis=2).transpose(1, 0, 2))
+    return 0.0 - 2.0 * sums.sum(axis=1)
+
+
+def _distinct_rows(codes, level_sizes):
+    """The id of each row of an N x d matrix of level codes among its m
+    distinct rows, and m; None once more than half the rows are distinct,
+    as later columns can only add more.
 
     A row's id is built a column at a time, and renumbered after each column
-    so that it stays below the number of rows: id * L + code then stays
-    below rows x L, whatever the product of the level sizes.  Keys that fit
-    a table no longer than the rows are numbered through it, without a sort.
+    so that it stays below N: id * L + code then stays below N x L, whatever
+    the product of the level sizes.  Keys that fit a table no longer than
+    the rows are numbered through it, without a sort: np.unique's sort
+    kernels add about 0.7 MB of resident code to a run that never sorts.
     """
-    flat = values.reshape(-1, values.shape[2])
-    ids, m = np.zeros(len(flat), dtype=np.intp), 1
+    ids, m = np.zeros(len(codes), dtype=np.intp), 1
     for j, L in enumerate(level_sizes):
-        key = ids * L + flat[:, j].astype(np.intp)
+        key = ids * L + codes[:, j]
         if m * L <= len(key):
             seen = np.zeros(m * L, dtype=bool)
             seen[key] = True
@@ -556,9 +570,9 @@ def _distinct_rows(values, level_sizes):
         else:
             distinct, ids = np.unique(key, return_inverse=True)
             m = len(distinct)
-    first = np.empty(m, dtype=np.intp)
-    first[ids] = np.arange(len(ids))
-    return flat[first].astype(np.intp), ids.reshape(values.shape[:2])
+        if 2 * m > len(key):
+            return None
+    return ids, m
 
 
 def _multmix_log_obs(codes, stack) -> np.ndarray:

@@ -728,22 +728,20 @@ class TestMultMixDiagnostic:
         states = [MultMixState(np.array([0.4, 0.6]), tuple(g.dirichlet([2.0, 2.0], size=2)
                                                            for _ in range(70)),
                                np.zeros(1, dtype=int)) for _ in range(3)]
-        codes = g.integers(0, 2, (70, 40, 70))
-        codes[5] = codes[2]          # some rows repeat, across replicates
-        codes[9, :20] = codes[9, 20:]
+        base = g.integers(0, 2, (10, 40, 70))
+        base[3, :20] = base[3, 20:]
         # rows that differ in the first variable only: a mixed-radix id of
         # all 70 codes would wrap and give them one id
-        codes[11, :, 1:] = codes[11, 0, 1:]
-        codes[11, :, 0] = np.arange(40) % 2
-        block = ReplicateBlock(codes, level_sizes=(2,) * 70)
-        # runs are sized so that a run's distinct rows score within a block;
-        # the first columns number their keys through a table, and the later
-        # ones, once most of a run's rows are distinct, by a sort
-        assert len(block) * block.n > mixtures.BLOCK_CELLS // (70 * 3)
+        base[1, :, 1:] = base[1, 0, 1:]
+        base[1, :, 0] = np.arange(40) % 2
+        block = ReplicateBlock(np.tile(base, (7, 1, 1)), level_sizes=(2,) * 70)
+        # runs of at least 20 replicates, at most 10 of them distinct, so
+        # that each run but the last scores only its distinct rows
+        assert 20 <= mixtures.BLOCK_CELLS // (block.n * 70 * 3) < len(block)
         got = self._assert_block_matches(block, PosteriorDraws(states, "multmix-K2").states)
-        assert np.array_equal(got[5], got[2])
-        ref = [self._reference(block[11], s) for s in states]
-        assert np.all(np.abs(got[11] - ref) <= 1e-12 * np.abs(ref))
+        assert np.array_equal(got[15], got[5])
+        ref = [self._reference(block[1], s) for s in states]
+        assert np.all(np.abs(got[1] - ref) <= 1e-12 * np.abs(ref))
 
     def test_every_row_distinct(self):
         g = np.random.default_rng(5)
@@ -787,15 +785,60 @@ class TestMultMixDiagnostic:
                 got = multmix_chi2_diagnostic_batch(x, states)
                 assert got.tobytes() == self._every_row(x, states).tobytes()
 
+    def test_many_variables_at_one_state(self):
+        # over 8 variables a dataset's sum over them at one state is
+        # pairwise; parts of several replicates, and a run of every row,
+        # must sum each replicate's variables in that order too
+        g = np.random.default_rng(8)
+        states = [MultMixState(w, tuple(g.dirichlet(np.ones(3), size=2) for _ in range(20)),
+                               np.zeros(1, dtype=int)) for w in g.dirichlet(np.ones(2), size=4)]
+        distinct = g.integers(0, 3, (40, 30, 20))
+        repeated = distinct.copy()
+        repeated[:, :, 2:] = distinct[0, 0, 2:]
+        for codes in (distinct, repeated):
+            block = ReplicateBlock(codes, level_sizes=(3,) * 20)
+            assert 1 < mixtures._GATHER_CELLS // (block.n * block.d) < len(block)
+            for batch in (states, states[:1]):
+                got = self._assert_block_matches(block, batch)
+                ref = [self._every_row(rep, batch) for rep in block]
+                assert got.tobytes() == np.array(ref).tobytes()
+
     def test_fitted_states_over_several_runs_and_parts(self):
         data = gen_multmix_data(150, seed=Seed(27))
         fit = multmix_gibbs_fit(data, 3, 200, 100, 4, Seed(27).stream("f"))
         reps = multmix_predictive(fit, 100, 700, Seed(27).stream("r"))
-        # several runs of numbering, each gathered in parts of one replicate
-        # at 25 states and of several at one
-        assert len(reps) * reps.n > mixtures._RUN_CELLS > 2 * reps.n * reps.d
+        # at 25 states several runs, each gathered in several parts; at one
+        # state one run, gathered in several parts
+        cells = reps.n * reps.d * fit.B
+        assert 1 < mixtures.BLOCK_CELLS // cells < len(reps)
+        assert mixtures._GATHER_CELLS // cells < mixtures.BLOCK_CELLS // cells
+        assert len(reps) * reps.n * reps.d > mixtures._GATHER_CELLS
         for states in (fit.states, [fit.map_state()]):
             self._assert_block_matches(reps, states)
+
+    def test_runs_score_distinct_rows_or_every_row(self, monkeypatch):
+        # runs of 2 replicates of 40 rows: a run with at least half its rows
+        # repeated scores only its distinct rows, any other run every row
+        g = np.random.default_rng(6)
+        fresh = (g.permutation(50 * 50)[:200, None] // [50, 1] % 50).reshape(5, 40, 2)
+        codes = np.empty((8, 40, 2), dtype=int)
+        codes[[0, 1, 2, 4]] = fresh[:4]
+        codes[3] = codes[2, ::-1]               # 40 distinct rows of 80
+        codes[5] = codes[4, ::-1]
+        codes[5, 0] = fresh[4, 0]               # 41 of 80
+        codes[6:] = fresh[4, 1]                 # 1 of 80
+        block = ReplicateBlock(codes, level_sizes=(50, 50))
+        states = [MultMixState(w, (g.dirichlet(np.ones(50), size=3),
+                                   g.dirichlet(np.ones(50), size=3)), np.zeros(1, dtype=int))
+                  for w in g.dirichlet(np.ones(3), size=5)]
+        monkeypatch.setattr(mixtures, "BLOCK_CELLS", 2 * 40 * 3 * 5)
+        scored = []
+        log_obs = mixtures._multmix_log_obs
+        monkeypatch.setattr(mixtures, "_multmix_log_obs",
+                            lambda codes, stack: scored.append(len(codes)) or log_obs(codes, stack))
+        got = multmix_chi2_diagnostic_batch(block, PosteriorDraws(states, "multmix-K3").states)
+        assert scored == [80, 40, 80, 1]
+        assert got.tobytes() == self._each_alone(block, states).tobytes()
 
     def test_block_refusals(self):
         table = np.array([[0.5, 0.5], [0.25, 0.75]])

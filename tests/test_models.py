@@ -143,10 +143,12 @@ class TestReplicateScoring:
         source = MultMixModel(source_K, 40, 20, 5)
         reps = source.replicate(source.fit(split.x_in, SEED.stream("in")), split.x_out, 700,
                                 SEED.stream("rep"))
-        # several runs of numbering in the kernel, each of several parts
-        assert len(reps) * reps.n > mixtures._RUN_CELLS
         owner = MultMixModel(2, 40, 20, 5, reduction=reduction)
         anchor = owner.fit(split.x_val, SEED.stream("val"))
+        # the kernel gathers several parts, and at every state several runs
+        cells = len(reps) * reps.n * reps.d * (1 if reduction == "map" else anchor.B)
+        assert cells > mixtures._GATHER_CELLS
+        assert reduction == "map" or cells > 2 * BLOCK_CELLS
         stream = SEED.stream("diag")
         alone = np.array([validation_diagnostic(rep, owner, anchor, stream.substream(r))
                           for r, rep in enumerate(reps)])
