@@ -27,9 +27,9 @@ from dataclasses import dataclass
 
 from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                    VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, CheckOutcome,
-                   DataSplit, PpnOutcome, StudyReport, pass_fail)
+                   DataSplit, PpnOutcome, ReplicateBlock, StudyReport, pass_fail)
 from .diagnostics import replicate_diagnostics, validation_diagnostic
-from .errors import CheckError, ParameterError, PpnError, finite, integer
+from .errors import CheckError, ParameterError, PpnError, WiringError, finite, integer
 from .estimators import sym_kl_estimate
 from .rng import need_seed
 
@@ -107,7 +107,7 @@ class _Engine:
         return self._once(model, f"fit-{name}", f"fit x_{name}", model.fit, data)
 
     def reps(self, model):
-        return self._once(model, "rep", "replicate", model.replicate,
+        return self._once(model, "rep", "replicate", _replicate_block, model,
                           self.fit(model, self.source), self.x_out, self.R)
 
     def samples(self, owner, source):
@@ -138,6 +138,16 @@ class _Engine:
                         samples_a, samples_b)
         return PpnOutcome(sym_kl, sym_kl <= tau, samples_a, samples_b,
                           owner.id, source.id)
+
+
+def _replicate_block(model, fit, like, R, stream):
+    """model's replicates, refused unless they are one ReplicateBlock of R."""
+    reps = model.replicate(fit, like, R, stream)
+    if not isinstance(reps, ReplicateBlock):
+        raise WiringError(f"replicate gave a {type(reps).__name__}, not a ReplicateBlock")
+    if len(reps) != R:
+        raise WiringError(f"replicate gave {len(reps)} replicates, not {R}")
+    return reps
 
 
 def heldout_predictive_check(split: DataSplit, model, R=200, alpha=0.1,

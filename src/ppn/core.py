@@ -15,9 +15,7 @@ from __future__ import annotations
 
 import io
 import json
-import operator
 import re
-from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -162,13 +160,13 @@ class Dataset:
         return Dataset(body[:, ~is_cov], body[:, is_cov] if is_cov.any() else None)
 
 
-class ReplicateBlock(Sequence):
-    """R replicate datasets drawn together: the row views of one R x n x d
-    block of values, which share one covariate matrix (or none) and one set
-    of level sizes.
+class ReplicateBlock:
+    """R replicate datasets drawn together: one R x n x d block of values,
+    whose replicates share one covariate matrix (or none) and one set of
+    level sizes.
 
     The block and the covariates are checked once, as a Dataset checks its
-    parts; a replicate is then a view built without checking it again.
+    parts.
     """
 
     def __init__(self, values, covariates=None, level_sizes=None):
@@ -191,54 +189,29 @@ class ReplicateBlock(Sequence):
     def __len__(self):
         return len(self.values)
 
-    def __getitem__(self, r) -> Dataset:
-        return _unchecked(Dataset, self.values[operator.index(r)], self.covariates,
-                          self.level_sizes)
-
     def blocks(self):
         """(first index, block) over views of whole replicates, in order, at
         most BLOCK_CELLS values each (but at least one replicate)."""
         rows = max(1, BLOCK_CELLS // (self.n * self.d))
         for start in range(0, len(self), rows):
-            yield start, _unchecked(ReplicateBlock, self.values[start:start + rows],
-                                    self.covariates, self.level_sizes)
-
-
-def _unchecked(cls, values, covariates, level_sizes):
-    """A Dataset or ReplicateBlock of parts that were checked already, built
-    without checking them again."""
-    made = object.__new__(cls)
-    for name, value in (("values", values), ("covariates", covariates),
-                        ("level_sizes", level_sizes)):
-        object.__setattr__(made, name, value)    # past a frozen dataclass's guard
-    return made
-
-
-class StateBatch(tuple):
-    """Retained states scored together.
-
-    A scoring kernel may keep the arrays it stacks from the states in
-    ``stacked``, so they are built once and freed with the batch.
-    """
-
-    stacked = None
+            # built without checking its parts again
+            block = object.__new__(ReplicateBlock)
+            block.values = self.values[start:start + rows]
+            block.covariates, block.level_sizes = self.covariates, self.level_sizes
+            yield start, block
 
 
 @dataclass(frozen=True)
 class PosteriorDraws:
-    """B retained parameter states plus their (log) likelihood bookkeeping.
+    """B retained parameter states plus their (log) likelihood bookkeeping."""
 
-    ``states`` is kept as one StateBatch, so the arrays a kernel stacks from
-    them are built once per fit.
-    """
-
-    states: StateBatch
+    states: tuple
     model_id: str
     loglik: np.ndarray = None
     logpost: np.ndarray = None
 
     def __post_init__(self):
-        object.__setattr__(self, "states", StateBatch(self.states))
+        object.__setattr__(self, "states", tuple(self.states))
         if len(self.states) < 1:
             raise ParameterError("need at least one retained draw")
 

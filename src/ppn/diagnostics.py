@@ -4,8 +4,8 @@ A realized diagnostic d(x, theta) becomes a function of data alone through
 the model's reduction: averaging over a posterior anchored on the
 validation part, or evaluating at its MAP state.  The validation part never
 overlaps the data being scored, which is what makes the resulting p-values
-meaningful.  A replicate set is scored one replicate at a time, or, for an
-adapter whose diagnostic draws nothing, as one block by one rule.
+meaningful.  A dataset and a whole replicate set are each scored by one
+diagnostic_batch call and reduced by one rule.
 """
 
 from __future__ import annotations
@@ -19,33 +19,30 @@ from .models import REDUCTION_MAP
 
 def validation_diagnostic(x: Dataset, model, draws, stream) -> float:
     """Reduce model's realized diagnostic of x over draws anchored on x_val."""
-    _check_wiring(model, draws)
-    if model.reduction == REDUCTION_MAP:
-        return float(model.diagnostic_batch(x, [_one_state(draws)], stream)[0])
-    return float(np.mean(model.diagnostic_batch(x, draws.states, stream)))
+    return float(_reduced(x, model, draws, stream))
 
 
-def replicate_diagnostics(reps, model, draws, stream) -> np.ndarray:
+def replicate_diagnostics(reps: ReplicateBlock, model, draws, stream) -> np.ndarray:
     """validation_diagnostic of each replicate, the r-th drawing from
-    stream.substream(r).
+    stream.substream(r)."""
+    if not isinstance(reps, ReplicateBlock):
+        raise WiringError(f"replicates must be one ReplicateBlock, not a {type(reps).__name__}")
+    return _reduced(reps, model, draws, stream)
 
-    An adapter whose diagnostic draws nothing declares ``scores_blocks``:
-    its diagnostic_batch then scores a whole ReplicateBlock in one call, at
-    the states its reduction needs, and each replicate's row of R x B values
-    is reduced as validation_diagnostic reduces the B values of one dataset.
-    That gives each replicate the value validation_diagnostic gives it.  Any
-    other adapter, or sequence of replicates, is scored one replicate at a
-    time.
-    """
+
+def _reduced(x, model, draws, stream):
+    """The diagnostic_batch of x at the states model's reduction needs,
+    reduced over the states: B values for a Dataset, or R x B for a
+    ReplicateBlock, to one value per dataset."""
     _check_wiring(model, draws)
-    if getattr(model, "scores_blocks", False) and isinstance(reps, ReplicateBlock):
-        if model.reduction == REDUCTION_MAP:
-            return model.diagnostic_batch(reps, [_one_state(draws)], stream)[:, 0]
-        return np.mean(model.diagnostic_batch(reps, draws.states, stream), axis=1)
-    vals = np.empty(len(reps))
-    for r, rep in enumerate(reps):
-        vals[r] = validation_diagnostic(rep, model, draws, stream.substream(r))
-    return vals
+    states = [_one_state(draws)] if model.reduction == REDUCTION_MAP else draws.states
+    vals = model.diagnostic_batch(x, states, stream)
+    shape = (len(x), len(states)) if isinstance(x, ReplicateBlock) else (len(states),)
+    if not (isinstance(vals, np.ndarray) and vals.shape == shape):
+        got = vals.shape if isinstance(vals, np.ndarray) else type(vals).__name__
+        raise WiringError(f"the diagnostic_batch of {model.id!r} gave {got}, "
+                          f"not {shape} values")
+    return vals[..., 0] if model.reduction == REDUCTION_MAP else np.mean(vals, axis=-1)
 
 
 def _one_state(draws):

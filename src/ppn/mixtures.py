@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (BLOCK_CELLS, CONTINUOUS, Dataset, PosteriorDraws, ReplicateBlock,
-                   StateBatch)
+from .core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
 from .rng import categorical, logsumexp
 
@@ -75,17 +74,9 @@ class MultMixState:
         return len(self.weights)
 
 
-def _stacked(states, build):
-    """build(states), kept on a StateBatch so that it is built only once."""
-    if not isinstance(states, StateBatch):
-        return build(states)
-    if states.stacked is None:
-        states.stacked = build(states)
-    return states.stacked
-
-
-def _require_continuous(x: Dataset):
-    if x.kind != CONTINUOUS:
+def _require_continuous(x):
+    """x (a Dataset or a ReplicateBlock) holds continuous values."""
+    if x.level_sizes is not None:
         raise DataError("expected continuous data")
 
 
@@ -304,36 +295,48 @@ class _GmmStack:
         return cls(coef, centres, log_weights[..., None])
 
 
-def _gmm_logits(x: Dataset, stack: _GmmStack) -> np.ndarray:
-    """Every state's logit at every row, states-major, K x B x n: one matrix
-    product per component of its coefficients and the rows' centred terms
-    [(x - c_k)^2, x - c_k, 1], (2D + 1) x n."""
+def _gmm_logits(values, stack: _GmmStack) -> np.ndarray:
+    """Every state's logit at every row of the n x D values, states-major,
+    K x B x n: one matrix product per component of its coefficients and the
+    rows' centred terms [(x - c_k)^2, x - c_k, 1], (2D + 1) x n."""
     K, D = stack.centres.shape
-    diff = x.values.T - stack.centres[:, :, None]                      # K x D x n
-    terms = np.empty((K, 2 * D + 1, x.n))
+    diff = values.T - stack.centres[:, :, None]                        # K x D x n
+    terms = np.empty((K, 2 * D + 1, len(values)))
     np.multiply(diff, diff, out=terms[:, :D])
     terms[:, D:-1] = diff
     terms[:, -1] = 1.0
     return np.matmul(stack.coef, terms)
 
 
-def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
-    """Log-likelihood diagnostic of x at each state, one fresh label draw each.
+def gmm_loglik_diagnostic_batch(x, states, stream) -> np.ndarray:
+    """Log-likelihood diagnostic of x at each state, one fresh label draw
+    each: B values for a Dataset, drawn from stream.generator, and R x B for
+    a ReplicateBlock of R replicates, replicate r drawing from
+    stream.substream(r).
 
     For every state a class label is drawn per row from its responsibility,
     which includes the state's mixing weights, and the diagnostic is the
     Mahalanobis term plus log-determinant penalty summed over rows at those
     labels.  The logits come from _gmm_logits (the centred expansion of
-    _GmmStack) as K x B x n, so every later pass runs along the rows.  The
-    stacked state arrays are kept on a StateBatch (such as
-    PosteriorDraws.states) and rebuilt for any other sequence of states.
+    _GmmStack) as K x B x n, so every later pass runs along the rows.
     """
     _require_continuous(x)
-    stack = _stacked(states, _GmmStack.of)
-    K, D = stack.centres.shape
-    if D != x.d:
+    stack = _GmmStack.of(states)
+    if stack.centres.shape[1] != x.d:
         raise DimensionError("state dimension does not match data")
-    logits = _gmm_logits(x, stack)
+    if not isinstance(x, ReplicateBlock):
+        return _gmm_diagnostic(x.values, stack, stream.generator)
+    out = np.empty((len(x), len(states)))
+    for row, values, g in zip(out, x.values, stream.substream_generators(len(x))):
+        row[:] = _gmm_diagnostic(values, stack, g)
+    return out
+
+
+def _gmm_diagnostic(values, stack, g) -> np.ndarray:
+    """The diagnostic of the n x D values at each stacked state, with the
+    labels drawn from the generator g."""
+    K = len(stack.centres)
+    logits = _gmm_logits(values, stack)
     if K > 1:
         cum = logits - logits.max(axis=0)
         np.exp(cum, out=cum)
@@ -343,7 +346,7 @@ def gmm_loglik_diagnostic_batch(x: Dataset, states, stream) -> np.ndarray:
             cum[k] += cum[k - 1]
         # one uniform per row and state, drawn rows first, times the total
         threshold = cum[-1]
-        threshold *= stream.generator.random((x.n, len(threshold))).T
+        threshold *= g.random((len(values), len(threshold))).T
     # the diagnostic is the logit at the drawn label less its log weight;
     # with one component the label is 0 and nothing needs drawing
     logits -= stack.log_weights
@@ -488,9 +491,7 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     class responsibility; the statistic is twice the summed log shortfall at
     the observed cells.  Rows with zero likelihood under every class get
     uniform responsibilities, and a zero predicted probability at an observed
-    cell yields an infinite value.  The stacked state arrays are kept on a
-    StateBatch (such as PosteriorDraws.states) and rebuilt for any other
-    sequence of states.
+    cell yields an infinite value.
 
     A row of codes takes at most prod(level_sizes) values, so a replicate
     set may repeat its rows many times over.  Replicates are scored a run at
@@ -501,7 +502,7 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     its own.
     """
     _require_categorical(x)
-    stack = _stacked(states, _MultMixStack.of)
+    stack = _MultMixStack.of(states)
     if tuple(len(t) for t in stack.tables) != x.level_sizes:
         raise DimensionError("state level sizes do not match data")
     block = isinstance(x, ReplicateBlock)

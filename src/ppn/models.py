@@ -1,16 +1,13 @@
 """Uniform model adapters used by the check and study orchestration.
 
-Every adapter exposes the same surface: fit a dataset, draw replicate
-datasets shaped like a target part, and evaluate the realized diagnostic at
-a batch of parameter states.  Each adapter also owns its predictive check,
-so its ``reduction`` says how that diagnostic is reduced over the x_val
-posterior: averaged over the draws, or taken at the MAP state.  Fits always
-come back as PosteriorDraws, even when the "posterior" is a single
-closed-form or maximum-likelihood state.  Every adapter draws its
-replicates as one ReplicateBlock.  An adapter whose diagnostic draws
-nothing (the categorical mixture and the single-state adapters) declares
-``scores_blocks``: its diagnostic_batch also takes a whole ReplicateBlock,
-and returns R x B values, one row per replicate.
+Every adapter exposes the same surface: ``fit`` a dataset to
+PosteriorDraws (even when the "posterior" is a single closed-form or
+maximum-likelihood state), ``replicate`` R datasets shaped like a target
+part as one ReplicateBlock, and ``diagnostic_batch`` at B parameter
+states: B values for a Dataset, R x B for a ReplicateBlock.  Each adapter
+also owns its predictive check, so its ``reduction`` says how that
+diagnostic is reduced over the x_val posterior: averaged over the draws,
+or taken at the MAP state.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ class GmmModel:
 class MultMixModel:
     """Categorical mixture over scored variables with K latent classes."""
 
-    scores_blocks = True
-
     def __init__(self, K, iters=2000, burnin=1000, thin=5, reduction=REDUCTION_AVERAGE):
         self.K = integer(K, "K", 1)
         self.chain = mixtures.ChainConfig(iters, burnin, thin)
@@ -84,8 +79,6 @@ class _OneStateModel:
     ``_at_states`` from its own diagnostic_batch, so that every adapter
     class still defines the whole adapter surface itself.
     """
-
-    scores_blocks = True
 
     def _at_states(self, x, states) -> np.ndarray:
         """B values for a Dataset; R x B for a ReplicateBlock, scored a

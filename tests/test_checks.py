@@ -13,9 +13,10 @@ from ppn.checks import (StudyConfig, _verdict, heldout_predictive_check,
                         posterior_predictive_pvalue, ppn_check, ppn_study)
 from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                       VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, Dataset,
-                      DataSplit, PosteriorDraws, split_data)
+                      DataSplit, PosteriorDraws, ReplicateBlock, split_data)
 from ppn.datagen import gen_gmm_data, gen_multmix_data
-from ppn.errors import CheckError, DegenerateSampleError, ParameterError, StateError
+from ppn.errors import (CheckError, DegenerateSampleError, ParameterError, StateError,
+                        WiringError)
 from ppn.models import GmmModel, MultMixModel
 from ppn.rng import Seed, ks_distance
 
@@ -36,20 +37,28 @@ class NormalModel:
     def replicate(self, fit, like, R, stream):
         mean = fit.states[0]
         sd = self.rep_sd[: mean.size]
-        return [Dataset(mean + sd * stream.substream(r).generator
-                        .standard_normal((like.n, mean.size)))
-                for r in range(R)]
+        block = np.empty((R, like.n, mean.size))
+        for rep, g in zip(block, stream.substream_generators(R)):
+            rep[:] = mean + sd * g.standard_normal((like.n, mean.size))
+        return ReplicateBlock(block)
 
     def diagnostic_batch(self, x, states, stream):
-        # mean of one designated column, ignoring the anchoring state
-        return np.array([x.values[:, self.column].mean() for _ in states])
+        # mean of one designated column, ignoring the anchoring state: one
+        # value for a Dataset, one per replicate for a ReplicateBlock
+        means = np.ascontiguousarray(x.values[..., self.column]).mean(axis=-1)
+        return np.stack([means] * len(states), axis=-1)
 
 
 class SquaredErrorModel(NormalModel):
     """Well-specified unit normal with a chi-square-like realized diagnostic."""
 
     def diagnostic_batch(self, x, states, stream):
-        return np.array([((x.values - s) ** 2).sum() for s in states])
+        sums = []
+        for s in states:
+            sq = (x.values - s) ** 2
+            # each dataset's squares as one contiguous 1-d sum
+            sums.append(sq.reshape(sq.shape[:-2] + (-1,)).sum(axis=-1))
+        return np.stack(sums, axis=-1)
 
 
 class BrokenModel(NormalModel):
@@ -115,7 +124,21 @@ class SevensModel(NormalModel):
     """Replicates every cell as 7.0."""
 
     def replicate(self, fit, like, R, stream):
-        return [Dataset(np.full((like.n, 1), 7.0)) for _ in range(R)]
+        return ReplicateBlock(np.full((R, like.n, 1), 7.0))
+
+
+class ListModel(NormalModel):
+    """Returns its replicates as a list of datasets, not as one block."""
+
+    def replicate(self, fit, like, R, stream):
+        return [Dataset(rep) for rep in super().replicate(fit, like, R, stream).values]
+
+
+class FlatModel(NormalModel):
+    """Scores a replicate block as if it were one dataset: B values."""
+
+    def diagnostic_batch(self, x, states, stream):
+        return np.zeros(len(states))
 
 
 class WarningModel(NormalModel):
@@ -156,7 +179,8 @@ class TestHeldoutCheck:
         # the strict comparison then yields p = 0
         split = _split()
         model = NormalModel()
-        model.diagnostic_batch = lambda x, states, stream: np.zeros(len(states))
+        model.diagnostic_batch = lambda x, states, stream: np.zeros(
+            x.values.shape[:-2] + (len(states),))
         out = heldout_predictive_check(split, model, R=20, seed=Seed(3))
         assert out.p_value == 0.0
 
@@ -273,8 +297,8 @@ class TestStudy:
         bad = SquaredErrorModel("bad")
         # the variance diagnostic cannot see the shift, so good passes while
         # bad's squared-error diagnostic fails on the shifted holdout
-        good.diagnostic_batch = lambda x, states, stream: np.array(
-            [x.values.var() for _ in states])
+        good.diagnostic_batch = lambda x, states, stream: np.stack(
+            [x.values.reshape(x.values.shape[:-2] + (-1,)).var(axis=-1)] * len(states), -1)
         report = ppn_study(split, [good, bad], seed=Seed(13))
         assert sum(c.passed for c in report.diagonal) == 1
         assert len(report.off_diagonal) == 0
@@ -395,6 +419,16 @@ class TestEngine:
         with pytest.raises(CheckError) as exc:
             run()
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
+
+    @pytest.mark.parametrize("model, stage", [
+        (ListModel("bad-model"), "replicate"),
+        (FlatModel("bad-model"), "replicate diagnostics")], ids=["list", "flat"])
+    def test_malformed_adapter_output_fails_its_stage(self, model, stage):
+        # a list of replicates, and B values for a block of R replicates
+        with pytest.raises(CheckError) as exc:
+            heldout_predictive_check(_split(), model, R=5, seed=Seed(4))
+        assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
+        assert isinstance(exc.value.cause, WiringError)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_diagnostics_name_owner_and_source(self, bad):

@@ -6,7 +6,7 @@ import pytest
 from ppn.checks import heldout_predictive_check
 from ppn.core import Dataset, PosteriorDraws, split_data
 from ppn.datagen import gen_gmm_data
-from ppn.diagnostics import validation_diagnostic
+from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
 from ppn.errors import ParameterError, WiringError
 from ppn.mixtures import gmm_loglik_diagnostic_batch
 from ppn.models import (GmmModel, MultMixModel, PpcaModel, RegressionModelA,
@@ -88,6 +88,10 @@ class TestValidationDiagnostic:
         with pytest.raises(WiringError):
             validation_diagnostic(Dataset(np.array([[0.0]])), model,
                                   draws, Seed(0).stream("d"))
+        # replicates that are not one block, such as a list of datasets
+        with pytest.raises(WiringError, match="ReplicateBlock"):
+            replicate_diagnostics([Dataset(np.array([[0.0]]))], model,
+                                  _draws([1.0], model_id="m1"), Seed(0).stream("d"))
 
     def test_bad_spec(self):
         # the reduction is checked where the adapter is built

@@ -233,7 +233,7 @@ class TestPpcaPredictive:
         W = g.standard_normal((4, 2))
         params = PpcaParams(W, 0.5, np.zeros(4))
         reps = ppca_predictive(params, 10**5, 1, Seed(12).stream("rep"))
-        sample_cov = np.cov(reps[0].values, rowvar=False)
+        sample_cov = np.cov(reps.values[0], rowvar=False)
         target = W @ W.T + 0.5 * np.eye(4)
         gap = np.linalg.norm(sample_cov - target) / np.linalg.norm(target)
         assert gap < 0.05
@@ -250,7 +250,7 @@ class TestPpcaPredictive:
         params = PpcaParams(np.ones((3, 1)), 1.0, np.zeros(3))
         a = ppca_predictive(params, 20, 3, Seed(14).stream("r"))
         b = ppca_predictive(params, 20, 3, Seed(14).stream("r"))
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert np.array_equal(a.values, b.values)
 
 
 class TestPpcaDiagnostic:

@@ -1,15 +1,13 @@
 """Gibbs samplers, predictives, and realized diagnostics for the mixtures."""
 
-import gc
 import math
 import warnings
-import weakref
 
 import numpy as np
 import pytest
 
 from ppn import mixtures
-from ppn.core import Dataset, PosteriorDraws, ReplicateBlock, StateBatch
+from ppn.core import Dataset, PosteriorDraws, ReplicateBlock
 from ppn.datagen import gen_gmm_data, gen_multmix_data, MULTMIX_TABLES
 from ppn.errors import DataError, DimensionError, ParameterError, StateError
 from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR,
@@ -109,9 +107,14 @@ def _gmm_diagnostic_reference(logits, states, stream):
     return picked.sum(axis=0)
 
 
+def _datasets(block):
+    """The replicates of a block, each as a Dataset of its own."""
+    return [Dataset(rep, block.covariates, block.level_sizes) for rep in block.values]
+
+
 def _kernel_logits(x, states):
     """The kernel's logits, rows first (K x n x B) and contiguous."""
-    logits = mixtures._gmm_logits(x, mixtures._GmmStack.of(states))
+    logits = mixtures._gmm_logits(x.values, mixtures._GmmStack.of(states))
     return np.ascontiguousarray(logits.transpose(0, 2, 1))
 
 
@@ -255,16 +258,16 @@ class TestGmmPredictive:
         data = Dataset(0.05 * g.standard_normal((300, 2)))
         fit = gmm_gibbs_fit(data, 1, 600, 100, 5, Seed(4).stream("fitt"))
         reps = gmm_predictive(fit, 400, 50, Seed(4).stream("rep"))
-        grand = np.mean([r.values.mean(axis=0) for r in reps], axis=0)
+        grand = np.mean([rep.mean(axis=0) for rep in reps.values], axis=0)
         assert np.all(np.abs(grand) < 0.2)
-        assert all(r.n == 400 for r in reps)
+        assert reps.n == 400
 
     def test_components_follow_weights(self):
         state = GmmState(np.array([[0.0], [100.0]]), np.array([[1e-4], [1e-4]]),
                          np.zeros(1, dtype=int), np.array([0.7, 0.3]))
         fit = PosteriorDraws((state,), "gmm-K2")
         reps = gmm_predictive(fit, 2000, 20, Seed(7).stream("rep"))
-        share = np.mean([(r.values[:, 0] > 50.0).mean() for r in reps])
+        share = np.mean([(rep[:, 0] > 50.0).mean() for rep in reps.values])
         assert abs(share - 0.3) < 0.02
 
     def test_r_zero(self):
@@ -277,7 +280,7 @@ class TestGmmPredictive:
         fit = gmm_gibbs_fit(data, 2, 200, 100, 5, Seed(6).stream("f"))
         a = gmm_predictive(fit, 30, 5, Seed(6).stream("r"))
         b = gmm_predictive(fit, 30, 5, Seed(6).stream("r"))
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert np.array_equal(a.values, b.values)
 
     def test_block_rows_match_the_per_replicate_recipe(self):
         data = gen_gmm_data(60, Seed(6))
@@ -331,6 +334,11 @@ class TestGmmDiagnostic:
         x = gen_gmm_data(10, Seed(1))
         vals = gmm_loglik_diagnostic_batch(x, states, Seed(1).stream("b"))
         assert vals.shape == (7,)
+        block = ReplicateBlock(np.stack([x.values] * 3))
+        assert gmm_loglik_diagnostic_batch(block, states, Seed(1).stream("b")).shape == (3, 7)
+        with pytest.raises(DimensionError):
+            gmm_loglik_diagnostic_batch(ReplicateBlock(np.zeros((3, 4, 3))), states,
+                                        Seed(1).stream("b"))
         bad = _gmm_state([[0.0, 0.0]], [[1.0, -1.0]])
         with pytest.raises(StateError):
             gmm_loglik_diagnostic_batch(x, [bad], Seed(1).stream("b"))
@@ -352,15 +360,9 @@ class TestGmmDiagnostic:
         fit = gmm_gibbs_fit(data, 3, 300, 100, 4, Seed(9).stream("f"))
         x = gen_gmm_data(80, Seed(10))
         fresh = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(9).stream("s"))
-        batch = fit.states
-        for _ in range(2):  # the second call scores the kept stacked arrays
-            got = gmm_loglik_diagnostic_batch(x, batch, Seed(9).stream("s"))
+        for _ in range(2):  # every call stacks the draws' states afresh
+            got = gmm_loglik_diagnostic_batch(x, fit.states, Seed(9).stream("s"))
             assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
-        # the stacked arrays belong to the draws and go with them
-        kept = weakref.ref(batch.stacked)
-        del fit, batch
-        gc.collect()
-        assert kept() is None
 
     def test_bad_states_raise_on_every_call_without_warning(self):
         x = gen_gmm_data(10, Seed(1))
@@ -390,7 +392,7 @@ class TestGmmDiagnostic:
         got = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(K).stream("d"))
         assert np.array_equal(got, ref)
         batch = fit.states
-        # later calls score the kept stacked arrays, also after another size
+        # later calls, also after another size
         for data in (x, x, other, x):
             want = _gmm_diagnostic_reference(_kernel_logits(data, fit.states), fit.states,
                                              Seed(K).stream("d", data.n))
@@ -441,6 +443,9 @@ class TestGmmDiagnostic:
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DataError):
             gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))
+        block = ReplicateBlock(x.values[None], level_sizes=x.level_sizes)
+        with pytest.raises(DataError):
+            gmm_loglik_diagnostic_batch(block, [state], Seed(0).stream("d"))
 
 
 class TestMultMixFit:
@@ -542,8 +547,8 @@ class TestMultMixPredictive:
         fit = multmix_gibbs_fit(data, 1, 800, 300, 5, Seed(15).stream("f"))
         reps = multmix_predictive(fit, 1000, 20, Seed(15).stream("r"))
         post_table = np.mean([s.tables[0][0] for s in fit.states], axis=0)
-        freq = np.mean([np.bincount(r.codes()[:, 0], minlength=4) / r.n
-                        for r in reps], axis=0)
+        freq = np.mean([np.bincount(rep.codes()[:, 0], minlength=4) / rep.n
+                        for rep in _datasets(reps)], axis=0)
         assert np.allclose(freq, post_table, atol=0.05)
 
     def test_onehot_and_determinism(self):
@@ -551,8 +556,8 @@ class TestMultMixPredictive:
         fit = multmix_gibbs_fit(data, 2, 300, 100, 5, Seed(16).stream("f"))
         a = multmix_predictive(fit, 50, 4, Seed(16).stream("r"))
         b = multmix_predictive(fit, 50, 4, Seed(16).stream("r"))
-        assert all(r.kind == "categorical" and r.level_sizes == (4, 3, 3) for r in a)
-        assert all(np.array_equal(x.values, y.values) for x, y in zip(a, b))
+        assert a.level_sizes == (4, 3, 3)
+        assert np.array_equal(a.values, b.values)
 
     def test_block_rows_match_the_per_replicate_recipe(self):
         data = gen_multmix_data(100, seed=Seed(16))
@@ -633,15 +638,9 @@ class TestMultMixDiagnostic:
         for K in (1, 3):
             fit = multmix_gibbs_fit(data, K, 200, 100, 4, Seed(24).stream("f", K))
             ref = np.array([self._reference(x, s) for s in fit.states])
-            batch = fit.states
-            for _ in range(2):  # the second call scores the kept stacked arrays
-                got = multmix_chi2_diagnostic_batch(x, batch)
+            for _ in range(2):  # every call stacks the draws' states afresh
+                got = multmix_chi2_diagnostic_batch(x, fit.states)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
-        # the stacked arrays belong to the draws and go with them
-        kept = weakref.ref(batch.stacked)
-        del fit, batch
-        gc.collect()
-        assert kept() is None
 
     def test_zero_likelihood_row_gets_uniform_responsibilities(self):
         # the row (0, 0) is impossible under both classes; uniform weights
@@ -690,7 +689,7 @@ class TestMultMixDiagnostic:
 
     @staticmethod
     def _each_alone(block, states):
-        return np.array([multmix_chi2_diagnostic_batch(rep, states) for rep in block])
+        return np.array([multmix_chi2_diagnostic_batch(rep, states) for rep in _datasets(block)])
 
     def _assert_block_matches(self, block, states):
         got = multmix_chi2_diagnostic_batch(block, states)
@@ -740,7 +739,7 @@ class TestMultMixDiagnostic:
         assert 20 <= mixtures.BLOCK_CELLS // (block.n * 70 * 3) < len(block)
         got = self._assert_block_matches(block, PosteriorDraws(states, "multmix-K2").states)
         assert np.array_equal(got[15], got[5])
-        ref = [self._reference(block[1], s) for s in states]
+        ref = [self._reference(_datasets(block)[1], s) for s in states]
         assert np.all(np.abs(got[1] - ref) <= 1e-12 * np.abs(ref))
 
     def test_every_row_distinct(self):
@@ -800,7 +799,7 @@ class TestMultMixDiagnostic:
             assert 1 < mixtures._GATHER_CELLS // (block.n * block.d) < len(block)
             for batch in (states, states[:1]):
                 got = self._assert_block_matches(block, batch)
-                ref = [self._every_row(rep, batch) for rep in block]
+                ref = [self._every_row(rep, batch) for rep in _datasets(block)]
                 assert got.tobytes() == np.array(ref).tobytes()
 
     def test_fitted_states_over_several_runs_and_parts(self):
@@ -929,7 +928,7 @@ class TestPosteriorDraws:
     def test_states_are_kept_as_one_batch(self):
         states = [_gmm_state([[0.0]], [[1.0]]), _gmm_state([[1.0]], [[2.0]])]
         draws = PosteriorDraws(states, "m")
-        assert isinstance(draws.states, StateBatch) and draws.states == tuple(states)
+        assert draws.states == tuple(states)
         assert draws.B == 2
 
     def test_map_needs_logpost(self):

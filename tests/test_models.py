@@ -1,5 +1,5 @@
-"""Model adapters: replicate blocks, the block scoring of the adapters whose
-diagnostic draws nothing, and the data they refuse."""
+"""Model adapters: replicate blocks, the scoring of a whole block in one
+call, and the data they refuse."""
 
 import dataclasses
 
@@ -66,17 +66,18 @@ class TestReplicateBlock:
     def test_replicates_are_views_built_without_checks(self, monkeypatch):
         drawn = {name: _replicates(name, 20) for name in CASES}
         assert drawn["reg-B"][2].values.shape == (20, 500, 1)
-        monkeypatch.setattr(Dataset, "__post_init__", lambda self: pytest.fail("checked again"))
+        monkeypatch.setattr(ReplicateBlock, "__init__", lambda *a: pytest.fail("checked again"))
         for name, (_, split, reps) in drawn.items():
             # regression replicates are drawn at the fitted x_in rows, the rest shaped like x_out
             rows = (split.x_in if name.startswith("reg") else split.x_out).n
             assert isinstance(reps, ReplicateBlock)
             assert reps.values.shape == (20, rows, split.x_in.d)
-            for r, rep in enumerate(reps):
-                assert np.shares_memory(rep.values, reps.values)
-                assert rep.covariates is reps.covariates and rep.level_sizes is reps.level_sizes
-                assert np.array_equal(rep.values, reps.values[r])
-            assert len(list(reps)) == len(reps) == 20
+            for start, block in reps.blocks():
+                assert np.shares_memory(block.values, reps.values)
+                assert block.covariates is reps.covariates
+                assert block.level_sizes is reps.level_sizes
+                assert np.array_equal(block.values, reps.values[start:start + len(block)])
+            assert len(reps) == 20
 
     def test_block_is_checked_once_as_a_dataset_is(self):
         good = np.zeros((3, 4, 2))
@@ -94,7 +95,7 @@ class TestReplicateBlock:
         with pytest.raises(DataError, match="out of range"):
             ReplicateBlock(np.full((2, 3, 2), 1.0), level_sizes=(2, 1))
         codes = ReplicateBlock(np.ones((2, 3, 2)), level_sizes=(2, 3))
-        assert codes[1].level_sizes == (2, 3) and codes[1].kind == "categorical"
+        assert codes.level_sizes == (2, 3)
 
     @pytest.mark.parametrize("name", ["reg-A", "reg-B", "ppca-2", "gmm-2"])
     def test_non_finite_replicates_fail_at_the_replicate_stage(self, name):
@@ -117,61 +118,43 @@ class TestReplicateBlock:
 
 
 class TestReplicateScoring:
-    """An adapter whose diagnostic draws nothing scores a whole replicate
-    block in one diagnostic_batch call; each value must be the one
-    validation_diagnostic gives that replicate on its own."""
+    """Every adapter scores a whole replicate block in one diagnostic_batch
+    call; each value must be the one validation_diagnostic gives that
+    replicate on its own."""
 
     @pytest.mark.parametrize("name, R", [("reg-A", 7), ("reg-A", 1100), ("reg-B", 1100),
-                                         ("ppca-2", 600)])
-    def test_scores_match_each_replicate_on_its_own(self, name, R):
+                                         ("ppca-2", 600), ("gmm-2", 30), ("multmix-2", 700)])
+    def test_scores_match_each_replicate_on_its_own(self, name, R, monkeypatch):
         model, split, reps = _replicates(name, R)
+        anchor = model.fit(split.x_val, SEED.stream("val"))
         rows = BLOCK_CELLS // (reps.n * reps.d)
-        if R > 100:   # several blocks, the last one short
+        if name.startswith(("reg", "ppca")) and R > 100:   # several blocks, the last one short
             assert R > rows and R % rows
-        anchor = model.fit(split.x_val, SEED.stream("val"))
+        if name == "multmix-2":
+            # the kernel gathers several parts, and at every state several runs
+            cells = len(reps) * reps.n * reps.d
+            assert cells > mixtures._GATHER_CELLS and cells * anchor.B > 2 * BLOCK_CELLS
         stream = SEED.stream("diag")
-        alone = np.array([validation_diagnostic(rep, model, anchor, stream.substream(r))
-                          for r, rep in enumerate(reps)])
-        # a block of the model's own, and any other sequence of datasets
-        for given in (reps, list(reps)):
-            assert replicate_diagnostics(given, model, anchor, stream).tobytes() == alone.tobytes()
-
-    @pytest.mark.parametrize("reduction", ["average", "map"])
-    @pytest.mark.parametrize("source_K", [2, 3])
-    def test_multmix_block_matches_each_replicate(self, reduction, source_K, monkeypatch):
-        split = _thirds(gen_multmix_data(300, seed=SEED))
-        source = MultMixModel(source_K, 40, 20, 5)
-        reps = source.replicate(source.fit(split.x_in, SEED.stream("in")), split.x_out, 700,
-                                SEED.stream("rep"))
-        owner = MultMixModel(2, 40, 20, 5, reduction=reduction)
-        anchor = owner.fit(split.x_val, SEED.stream("val"))
-        # the kernel gathers several parts, and at every state several runs
-        cells = len(reps) * reps.n * reps.d * (1 if reduction == "map" else anchor.B)
-        assert cells > mixtures._GATHER_CELLS
-        assert reduction == "map" or cells > 2 * BLOCK_CELLS
-        stream = SEED.stream("diag")
-        alone = np.array([validation_diagnostic(rep, owner, anchor, stream.substream(r))
-                          for r, rep in enumerate(reps)])
-        calls = _recorded_calls(monkeypatch, owner)
-        got = replicate_diagnostics(reps, owner, anchor, stream)
-        assert got.tobytes() == alone.tobytes()
-        # the whole block in one call, at the states the reduction needs
-        assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
-
-    def test_gmm_scores_one_replicate_at_a_time(self, monkeypatch):
-        model, split, reps = _replicates("gmm-2", 5)
-        anchor = model.fit(split.x_val, SEED.stream("val"))
-        calls = _recorded_calls(monkeypatch, model)
-        replicate_diagnostics(reps, model, anchor, SEED.stream("diag"))
-        assert calls == [(reps[0].values.shape, anchor.B)] * 5
+        for reduction in ("average", "map"):
+            model.reduction = reduction
+            alone = np.array([validation_diagnostic(
+                Dataset(reps.values[r], reps.covariates, reps.level_sizes), model, anchor,
+                stream.substream(r)) for r in range(R)])
+            calls = _recorded_calls(monkeypatch, model)
+            got = replicate_diagnostics(reps, model, anchor, stream)
+            monkeypatch.undo()
+            assert got.tobytes() == alone.tobytes()
+            # the whole block in one call, at the states the reduction needs
+            assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
 
     def test_cross_family_scores_match(self):
         _, split, reps = _replicates("reg-A", 600)
         owner = RegressionModelB()
         anchor = owner.fit(split.x_val, SEED.stream("val"))
         stream = SEED.stream("diag")
-        alone = [validation_diagnostic(rep, owner, anchor, stream.substream(r))
-                 for r, rep in enumerate(reps)]
+        alone = [validation_diagnostic(Dataset(rep, reps.covariates), owner, anchor,
+                                       stream.substream(r))
+                 for r, rep in enumerate(reps.values)]
         assert np.array_equal(replicate_diagnostics(reps, owner, anchor, stream), alone)
 
 

@@ -17,7 +17,7 @@ from ppn.errors import PpnError
 from ppn.report import emit_report, render_grid_svg
 from ppn.rng import Seed
 
-from test_checks import NormalModel
+from test_checks import FlatModel, ListModel, NormalModel
 
 
 @pytest.fixture
@@ -297,6 +297,15 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: ppn")
+
+    @pytest.mark.parametrize("bad", [ListModel, FlatModel], ids=["list", "flat"])
+    def test_malformed_adapter_output_exits_2(self, bad, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "make_model", lambda family, K=None, **settings: bad(family))
+        cfg = _study_config(tmp_path, models=["a", "b"])
+        capsys.readouterr()
+        assert main(["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: model 'a' failed during "), err
 
     @pytest.mark.parametrize("probe", sorted(CLI_PROBES))
     def test_bad_input_exits_2_with_one_error_line(self, probe, tmp_path,
