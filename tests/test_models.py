@@ -123,17 +123,13 @@ class TestReplicateScoring:
     replicate on its own."""
 
     @pytest.mark.parametrize("name, R", [("reg-A", 7), ("reg-A", 1100), ("reg-B", 1100),
-                                         ("ppca-2", 600), ("gmm-2", 30), ("multmix-2", 700)])
+                                         ("ppca-2", 600), ("gmm-2", 30)])
     def test_scores_match_each_replicate_on_its_own(self, name, R, monkeypatch):
         model, split, reps = _replicates(name, R)
         anchor = model.fit(split.x_val, SEED.stream("val"))
         rows = BLOCK_CELLS // (reps.n * reps.d)
-        if name.startswith(("reg", "ppca")) and R > 100:   # several blocks, the last one short
+        if R > 100:   # several blocks, the last one short
             assert R > rows and R % rows
-        if name == "multmix-2":
-            # the kernel gathers several parts, and at every state several runs
-            cells = len(reps) * reps.n * reps.d
-            assert cells > mixtures._GATHER_CELLS and cells * anchor.B > 2 * BLOCK_CELLS
         stream = SEED.stream("diag")
         for reduction in ("average", "map"):
             model.reduction = reduction
@@ -146,6 +142,29 @@ class TestReplicateScoring:
             assert got.tobytes() == alone.tobytes()
             # the whole block in one call, at the states the reduction needs
             assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
+
+    @pytest.mark.parametrize("reduction", ["average", "map"])
+    @pytest.mark.parametrize("source_K", [2, 3])
+    def test_multmix_block_matches_each_replicate(self, reduction, source_K, monkeypatch):
+        split = _thirds(gen_multmix_data(300, seed=SEED))
+        source = MultMixModel(source_K, 40, 20, 5)
+        reps = source.replicate(source.fit(split.x_in, SEED.stream("in")), split.x_out, 700,
+                                SEED.stream("rep"))
+        owner = MultMixModel(2, 40, 20, 5, reduction=reduction)
+        anchor = owner.fit(split.x_val, SEED.stream("val"))
+        # the kernel gathers several parts, and at every state several runs
+        cells = len(reps) * reps.n * reps.d * (1 if reduction == "map" else anchor.B)
+        assert cells > mixtures._GATHER_CELLS
+        assert reduction == "map" or cells > 2 * BLOCK_CELLS
+        stream = SEED.stream("diag")
+        alone = np.array([validation_diagnostic(
+            Dataset(rep, level_sizes=reps.level_sizes), owner, anchor, stream.substream(r))
+            for r, rep in enumerate(reps.values)])
+        calls = _recorded_calls(monkeypatch, owner)
+        got = replicate_diagnostics(reps, owner, anchor, stream)
+        assert got.tobytes() == alone.tobytes()
+        # the whole block in one call, at the states the reduction needs
+        assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
 
     def test_cross_family_scores_match(self):
         _, split, reps = _replicates("reg-A", 600)
