@@ -10,9 +10,9 @@ all checks, filters to passers, and classifies every passing pair.
 
 Every product is drawn from its own labelled stream, so the order in which
 products are made cannot change a value.  A study therefore makes each
-model's products, then each passing pair's cross diagnostics, on a pool of
-forked worker processes, one per usable core; with one core, or where
-``fork`` is unavailable, the same tasks run in the calling process.
+model's products, then finishes each passing pair, on a pool of forked
+worker processes, one per usable core; with one core, or where ``fork`` is
+unavailable, the same tasks run in the calling process.
 """
 
 from __future__ import annotations
@@ -39,7 +39,8 @@ MODE_CHAIN = "chain"
 
 @dataclass(frozen=True)
 class StudyConfig:
-    """Knobs shared by every check in a study."""
+    """The settings every entry point runs on, checked before any fit: the
+    single checks and ``ppn_check`` build one from their R, alpha and tau."""
 
     R: int = 200
     alpha: float = 0.1
@@ -73,17 +74,20 @@ class _Engine:
     ``diag/<source>`` for the diagnostics of a source model's replicates
     under an owner's diagnostic.  Replicates are drawn from the fit to the
     source part and shaped like x_out; diagnostics are anchored on the fit
-    to the anchor part.
+    to the anchor part.  They are made in one order, the source's fit and
+    replicates, the owner's anchor fit, the replicate diagnostics, then a
+    check's observed one, so every entry point reports the same failing
+    stage.  config gives R, the check's alpha and the pair's tau.
     """
 
-    def __init__(self, seed, R, x_out, source, anchor):
-        self.seed, self.R, self.x_out = need_seed(seed, "a check"), R, x_out
-        self.source, self.anchor = source, anchor      # (part name, data)
+    def __init__(self, seed, config: StudyConfig, x_out, source, anchor):
+        self.seed, self.config = need_seed(seed, "a check"), config
+        self.x_out, self.source, self.anchor = x_out, source, anchor  # (part name, data)
         self._kept = {}
 
     @classmethod
-    def of_split(cls, split: DataSplit, seed, R):
-        return cls(seed, R, split.x_out, ("in", split.x_in), ("val", split.x_val))
+    def of_split(cls, split: DataSplit, seed, config):
+        return cls(seed, config, split.x_out, ("in", split.x_in), ("val", split.x_val))
 
     def _once(self, model, label, stage, fn, *args):
         key = (model, label)
@@ -108,35 +112,29 @@ class _Engine:
 
     def reps(self, model):
         return self._once(model, "rep", "replicate", _replicate_block, model,
-                          self.fit(model, self.source), self.x_out, self.R)
+                          self.fit(model, self.source), self.x_out, self.config.R)
 
     def samples(self, owner, source):
+        reps = self.reps(source)
         anchor = self.fit(owner, self.anchor)
         stage = "replicate diagnostics" if source is owner else "cross diagnostics"
-        return self._once(owner, _samples_label(source), stage, replicate_diagnostics,
-                          self.reps(source), owner, anchor)
+        return self._once(owner, f"diag/{source.id}", stage, replicate_diagnostics,
+                          reps, owner, anchor)
 
-    def prepare(self, model):
-        """Fit both parts and draw the replicates, in that order."""
-        self.fit(model, self.source)
-        self.fit(model, self.anchor)
-        self.reps(model)
-
-    def check(self, model, alpha) -> CheckOutcome:
-        self.prepare(model)
+    def check(self, model) -> CheckOutcome:
+        d_rep = self.samples(model, model)
         d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
                        self.x_out, model, self.fit(model, self.anchor),
                        self.seed.stream(model.id, "diag", "observed"))
-        d_rep = self.samples(model, model)
         p = float((d_rep > d_obs).mean())
-        return CheckOutcome(p, pass_fail(p, alpha), d_rep, d_obs, model.id)
+        return CheckOutcome(p, pass_fail(p, self.config.alpha), d_rep, d_obs, model.id)
 
-    def pair(self, owner, source, tau) -> PpnOutcome:
+    def pair(self, owner, source) -> PpnOutcome:
         samples_a = self.samples(owner, owner)
         samples_b = self.samples(owner, source)
         sym_kl = _stage(owner.id, f"sym-KL against {source.id}", sym_kl_estimate,
                         samples_a, samples_b)
-        return PpnOutcome(sym_kl, sym_kl <= tau, samples_a, samples_b,
+        return PpnOutcome(sym_kl, sym_kl <= self.config.tau, samples_a, samples_b,
                           owner.id, source.id)
 
 
@@ -153,7 +151,7 @@ def _replicate_block(model, fit, like, R, stream):
 def heldout_predictive_check(split: DataSplit, model, R=200, alpha=0.1,
                              seed=None) -> CheckOutcome:
     """Locate x_out's diagnostic within replicates of the x_in fit."""
-    return _Engine.of_split(split, seed, R).check(model, alpha)
+    return _Engine.of_split(split, seed, StudyConfig(R=R, alpha=alpha)).check(model)
 
 
 def posterior_predictive_pvalue(x_obs, model, R=200, alpha=0.1,
@@ -165,7 +163,7 @@ def posterior_predictive_pvalue(x_obs, model, R=200, alpha=0.1,
     the anchor.
     """
     obs = ("obs", x_obs)
-    return _Engine(seed, R, x_obs, obs, obs).check(model, alpha)
+    return _Engine(seed, StudyConfig(R=R, alpha=alpha), x_obs, obs, obs).check(model)
 
 
 def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None,
@@ -176,14 +174,11 @@ def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None,
     validation diagnostic; closeness is the symmetrized KL between the two
     diagnostic sample sets.
     """
+    config = StudyConfig(R=R, tau=tau)
     if not verified_passed:
         warnings.warn("pairwise null run without verified heldout passes; "
                       "interpret with care", stacklevel=2)
-    return _Engine.of_split(split, seed, R).pair(model_a, model_b, tau)
-
-
-def _samples_label(source):
-    return f"diag/{source.id}"
+    return _Engine.of_split(split, seed, config).pair(model_a, model_b)
 
 
 def _worker_count(tasks):
@@ -256,15 +251,14 @@ def _reissued(outputs):
 def _check_task(engine, models, i):
     """Model i's fits, replicates and own diagnostic set, as kept products."""
     model = models[i]
-    engine.prepare(model)
     engine.samples(model, model)
     return engine.products(model)
 
 
 def _pair_task(engine, models, pair):
-    """The owner's diagnostic set of the source's replicates."""
+    """The owner's finished null against the source's replicates."""
     owner, source = pair
-    return engine.samples(models[owner], models[source])
+    return engine.pair(models[owner], models[source])
 
 
 def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
@@ -284,9 +278,9 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
 
     Full mode compares every ordered passing pair; chain mode only
     consecutive passers, with the later model owning the diagnostic.  The
-    models' products, then the pairs' cross diagnostics, are made on up to
-    one forked worker per usable core; the report does not depend on how
-    many.
+    models' products, then the finished pairs, are made on up to one forked
+    worker per usable core; the report does not depend on how many.  config
+    must be a StudyConfig (None for the defaults).
     """
     if len(models) < 2:
         raise ParameterError("a study needs at least two models")
@@ -295,21 +289,19 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
         raise ParameterError(f"model ids must be unique, not {ids}")
     if config is None:
         config = StudyConfig()
-    engine = _Engine.of_split(split, seed, config.R)
+    elif not isinstance(config, StudyConfig):
+        raise ParameterError(f"config must be a StudyConfig, not a {type(config).__name__}")
+    engine = _Engine.of_split(split, seed, config)
     for model, products in zip(models, _run_tasks(_check_task, engine, models,
                                                   range(len(models)))):
         engine.adopt(model, products)
-    diagonal = [engine.check(model, config.alpha) for model in models]
+    diagonal = [engine.check(model) for model in models]
     passers = [i for i, c in enumerate(diagonal) if c.passed]
     if config.mode == MODE_CHAIN:
         pairs_to_run = list(zip(passers[1:], passers[:-1]))
     else:
         pairs_to_run = [(a, b) for a in passers for b in passers if a != b]
-    for (a, b), samples in zip(pairs_to_run, _run_tasks(_pair_task, engine, models,
-                                                        pairs_to_run)):
-        engine.adopt(models[a], {_samples_label(models[b]): samples})
-    off_diagonal = [engine.pair(models[a], models[b], config.tau)
-                    for a, b in pairs_to_run]
+    off_diagonal = _run_tasks(_pair_task, engine, models, pairs_to_run)
     survivors = [models[i] for i in passers]
     outcome = {(p.diagnostic_owner, p.data_source): p for p in off_diagonal}
     verdicts = []

@@ -18,6 +18,7 @@ from .errors import (DataError, DimensionError, ParameterError,
                      SingularityError, StateError, integer)
 
 REGRESSION_PRED_VAR = 2.0
+PPCA_SIGMA2_FLOOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -156,6 +157,10 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
     the maximum-likelihood loading matrix and isotropic noise variance.  A
     run that reaches max_iters first returns its last iterate and warns
     (RuntimeWarning) with the iteration count and the last relative change.
+    On data of rank K the noise variance reaches its floor, where every W
+    spanning the data's subspace is a fixed point of EM; the fit stops there
+    and returns W = U_K Lambda_K^(1/2) from the K leading eigenpairs of the
+    sample covariance S, so that WW' equals S on that subspace.
     """
     if x.kind != CONTINUOUS:
         raise DataError("factor models expect continuous data")
@@ -179,7 +184,11 @@ def ppca_em_fit(x: Dataset, K: int, tol: float = 1e-8, max_iters: int = 1000) ->
         # E-step sufficient statistics folded into the closed-form M-step
         W_new = SW @ np.linalg.inv(sigma2 * np.eye(K) + M_inv @ W.T @ SW)
         sigma2_new = float(np.trace(S - SW @ M_inv @ W_new.T)) / G
-        sigma2_new = max(sigma2_new, 1e-12)
+        if sigma2_new <= PPCA_SIGMA2_FLOOR:
+            eigval, eigvec = np.linalg.eigh(S)      # ascending
+            W = eigvec[:, :-K - 1:-1] * np.sqrt(np.maximum(eigval[:-K - 1:-1], 0.0))
+            sigma2 = PPCA_SIGMA2_FLOOR
+            break
         W, sigma2 = W_new, sigma2_new
         prev, ll = ll, _ppca_loglik(S, W, sigma2, n, G)
         if np.isfinite(prev) and abs(ll - prev) <= tol * abs(prev):

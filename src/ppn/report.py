@@ -123,11 +123,8 @@ def render_grid_svg(report: StudyReport) -> str:
     return "\n".join(out) + "\n"
 
 
-def _write_cell_csv(path, rows):
-    with open(path, "w") as fh:
-        fh.write("source,value\n")
-        for source, value in rows:
-            fh.write(f"{source},{value!r}\n")
+def _cell_csv(rows):
+    return "source,value\n" + "".join(f"{source},{value!r}\n" for source, value in rows)
 
 
 def emit_report(report: StudyReport, out_dir) -> list:
@@ -145,15 +142,10 @@ def emit_report(report: StudyReport, out_dir) -> list:
     for check in report.diagonal:
         rows = [(check.model_id, float(v)) for v in check.diagnostic_replicates]
         rows.append(("observed", float(check.diagnostic_observed)))
-        path = os.path.join(out_dir, f"cell_{check.model_id}_{check.model_id}.csv")
-        _write_cell_csv(path, rows)
-        paths.append(path)
+        emit(f"cell_{check.model_id}_{check.model_id}.csv", _cell_csv(rows))
     for pair in report.off_diagonal:
         rows = [(pair.diagnostic_owner, float(v)) for v in pair.samples_a]
         rows += [(pair.data_source, float(v)) for v in pair.samples_b]
-        path = os.path.join(out_dir,
-                            f"cell_{pair.diagnostic_owner}_{pair.data_source}.csv")
-        _write_cell_csv(path, rows)
-        paths.append(path)
+        emit(f"cell_{pair.diagnostic_owner}_{pair.data_source}.csv", _cell_csv(rows))
     emit("grid.svg", render_grid_svg(report))
     return paths

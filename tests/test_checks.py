@@ -336,6 +336,11 @@ class TestStudy:
             StudyConfig(tau=-0.1)
         with pytest.raises(ParameterError):
             StudyConfig(mode="grid")
+        models = [NormalModel("m0"), NormalModel("m1")]
+        with pytest.raises(ParameterError, match="tau must be nonnegative"):
+            ppn_check(_split(), *models, tau=-0.5, seed=Seed(15), verified_passed=True)
+        with pytest.raises(ParameterError, match="must be a StudyConfig"):
+            ppn_study(_split(), models, config={"R": 10}, seed=Seed(15))
 
     def test_report_reproducible(self):
         split = _split()
@@ -489,7 +494,7 @@ class TestWorkers:
 
     @pytest.mark.parametrize("stage", [
         "fit x_val", "replicate", "replicate diagnostics", "observed diagnostic",
-        "cross diagnostics"])
+        "cross diagnostics", "both diagnostics"])
     def test_failing_model_raises_the_same_error(self, monkeypatch, stage):
         split = _split(seed=7)
         faults = {
@@ -499,7 +504,10 @@ class TestWorkers:
             "observed diagnostic": dict(score_fails=lambda x: x is split.x_out),
             # only the wide model's replicates spread this far
             "cross diagnostics": dict(score_fails=lambda x: x.values.std() > 5.0),
+            # the replicate diagnostics fail first, in a study and alone
+            "both diagnostics": dict(score_fails=lambda x: True),
         }
+        expected = "replicate diagnostics" if stage == "both diagnostics" else stage
         models = [NormalModel("m0"), FaultyModel("bad-model", **faults[stage]),
                   NormalModel("wide", rep_sd=(30.0,))]
         errors = []
@@ -508,8 +516,13 @@ class TestWorkers:
             with pytest.raises(CheckError) as exc:
                 ppn_study(split, models, StudyConfig(R=10), Seed(7))
             errors.append(exc.value)
+            if stage == "both diagnostics":
+                with pytest.raises(CheckError) as alone:
+                    heldout_predictive_check(split, models[1], R=10, seed=Seed(7))
+                assert (alone.value.model_id, alone.value.stage) == (
+                    exc.value.model_id, exc.value.stage)
         inline, pooled = errors
-        assert (inline.model_id, inline.stage) == ("bad-model", stage)
+        assert (inline.model_id, inline.stage) == ("bad-model", expected)
         assert type(pooled) is type(inline)
         assert (pooled.model_id, pooled.stage, str(pooled)) == (
             inline.model_id, inline.stage, str(inline))

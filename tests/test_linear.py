@@ -158,9 +158,9 @@ class TestRegressionDiagnostic:
 
 
 class TestPpcaFit:
-    # on noiseless data sigma2 falls towards 0 and the log-likelihood keeps
-    # rising, so EM stops at max_iters
-    @pytest.mark.filterwarnings("ignore:PPCA EM did not converge")
+    # on noiseless data sigma2 reaches its floor, where the fit stops, with
+    # no warning, at a W whose WW' is the sample covariance
+    @pytest.mark.filterwarnings("error")
     def test_noiseless_subspace(self):
         g = Seed(8).stream("sub").generator
         W = g.standard_normal((6, 2))
@@ -172,6 +172,10 @@ class TestPpcaFit:
         qb, _ = np.linalg.qr(params.W)
         angles = np.arccos(np.clip(np.linalg.svd(qa.T @ qb)[1], -1, 1))
         assert np.all(angles < 1e-4)
+        centered = z @ W.T - (z @ W.T).mean(axis=0)
+        S = centered.T @ centered / len(z)
+        C = params.W @ params.W.T + params.sigma2 * np.eye(6)
+        assert np.linalg.norm(C - S) <= 1e-10 * np.linalg.norm(S)
 
     def test_sigma2_eigenvalue_oracle(self):
         data = gen_linear_factor_data(800, Seed(9))

@@ -8,11 +8,31 @@ import numpy as np
 import pytest
 
 from ppn import datagen
-from ppn.checks import StudyConfig
+from ppn.checks import (StudyConfig, heldout_predictive_check, posterior_predictive_pvalue,
+                        ppn_check)
+from ppn.core import split_data
 from ppn.errors import ParameterError, finite, integer
 from ppn.mixtures import ChainConfig
 from ppn.models import GmmModel, MultMixModel, PpcaModel
 from ppn.rng import Seed
+
+# The entry points check their settings before any fit, so these inputs
+# are never fitted.
+SPLIT = split_data(datagen.gen_gmm_data(30, Seed(0)), (1 / 3, 1 / 3, 1 / 3), Seed(0))
+MODELS = GmmModel(1), GmmModel(2)
+
+
+def _heldout(**settings):
+    return heldout_predictive_check(SPLIT, MODELS[0], seed=Seed(0), **settings)
+
+
+def _classical(**settings):
+    return posterior_predictive_pvalue(SPLIT.x_in, MODELS[0], seed=Seed(0), **settings)
+
+
+def _pair(**settings):
+    return ppn_check(SPLIT, *MODELS, seed=Seed(0), verified_passed=True, **settings)
+
 
 # Each builder passes its one argument to the setting named by its key.
 INTEGER_SETTINGS = {
@@ -30,11 +50,17 @@ INTEGER_SETTINGS = {
     "gen_nonlinear_factor_data.n": lambda v: datagen.gen_nonlinear_factor_data(v, Seed(0)),
     "gen_multmix_data.n": lambda v: datagen.gen_multmix_data(v, seed=Seed(0)),
     "StudyConfig.R": lambda v: StudyConfig(R=v),
+    "heldout_predictive_check.R": lambda v: _heldout(R=v),
+    "posterior_predictive_pvalue.R": lambda v: _classical(R=v),
+    "ppn_check.R": lambda v: _pair(R=v),
 }
 FINITE_SETTINGS = {
     "PpcaModel.tol": lambda v: PpcaModel(1, tol=v),
     "StudyConfig.alpha": lambda v: StudyConfig(alpha=v),
     "StudyConfig.tau": lambda v: StudyConfig(tau=v),
+    "heldout_predictive_check.alpha": lambda v: _heldout(alpha=v),
+    "posterior_predictive_pvalue.alpha": lambda v: _classical(alpha=v),
+    "ppn_check.tau": lambda v: _pair(tau=v),
 }
 
 
