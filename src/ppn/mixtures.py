@@ -17,7 +17,7 @@ import numpy as np
 
 from .core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock
 from .errors import DataError, DimensionError, ParameterError, StateError, integer
-from .rng import categorical, logsumexp
+from .rng import categories, category_bounds, logsumexp
 
 # Gaussian mixture priors: means Normal(0, 25), variances Inverse-Gamma(1, 1),
 # weights a symmetric Dirichlet(1).
@@ -178,6 +178,16 @@ def _kmeans_init(data, K, iters=100):
     return centers, variances
 
 
+def _dirichlet_from_gammas(gammas) -> np.ndarray:
+    """A Dirichlet variate from the standard Gamma variates drawn for it, as
+    Generator.dirichlet makes it from concentrations of at least 0.1: each
+    variate times the reciprocal of their sum, added one after another."""
+    total = 0.0
+    for v in gammas.tolist():
+        total += v
+    return gammas * (1.0 / total)
+
+
 def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
     """Gibbs chain over assignments, mixing weights, means, and variances.
 
@@ -210,7 +220,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
         z = (cum[:-1] < u * cum[-1]).sum(0)
         counts = np.bincount(z, minlength=K)
         # conjugate Dirichlet update for the mixing weights
-        weights = g.dirichlet(GMM_ALPHA_PI + counts)
+        weights = _dirichlet_from_gammas(g.standard_gamma(GMM_ALPHA_PI + counts))
         # per component and dimension, rows summed in order: bin z * D + d
         bins = (z[:, None] * D + dims).ravel()
         sums = np.bincount(bins, data.ravel(), K * D).reshape(K, D)
@@ -223,7 +233,8 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
         sq = np.bincount(bins, resid.ravel(), K * D).reshape(K, D)
         shape = GMM_IG_SHAPE + counts[:, None] / 2.0
         scale = GMM_IG_SCALE + sq / 2.0
-        variances = 1.0 / g.gamma(shape, 1.0 / scale)
+        # Generator.gamma(shape, theta) draws theta * standard_gamma(shape)
+        variances = 1.0 / (g.standard_gamma(shape, scale.shape) * (1.0 / scale))
         empty = counts == 0
         if empty.any():
             k_empty = int(empty.sum())
@@ -237,15 +248,34 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
     return PosteriorDraws(states, f"gmm-K{K}", loglik=loglik, logpost=logpost)
 
 
+def _replicate_states(draws: PosteriorDraws, R, stream, prepare):
+    """The generator and prepared state of each of R replicates: replicate r
+    draws its state's index first from stream.substream(r), and each state
+    is prepared once, when it is first drawn."""
+    prepared = {}
+    for g in stream.substream_generators(R):
+        b = int(g.integers(draws.B))
+        if b not in prepared:
+            prepared[b] = prepare(draws.states[b])
+        yield g, prepared[b]
+
+
+def _gmm_sampler(state: GmmState):
+    """The state's weight bounds, means and standard deviations."""
+    return category_bounds(state.weights), state.means, np.sqrt(state.variances)
+
+
 def gmm_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> ReplicateBlock:
     """R replicate datasets, each generated from one retained posterior state,
     as one block; replicate r draws from stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     block = np.empty((R, n_rep, draws.states[0].means.shape[1]))
-    for rep, g in zip(block, stream.substream_generators(R)):
-        state = draws.states[int(g.integers(draws.B))]
-        comp = categorical(g, state.weights, n_rep)
-        rep[:] = state.means[comp] + np.sqrt(state.variances[comp]) * g.standard_normal(rep.shape)
+    replicates = _replicate_states(draws, R, stream, _gmm_sampler)
+    for rep, (g, (bounds, means, sd)) in zip(block, replicates):
+        comp = categories(bounds, g.random(n_rep))
+        g.standard_normal(out=rep)
+        rep *= sd[comp]
+        rep += means[comp]
     return ReplicateBlock(block)
 
 
@@ -399,7 +429,14 @@ def _multmix_log_prior(states) -> np.ndarray:
 
 
 def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
-    """Gibbs chain over class labels, weights, and per-class tables."""
+    """Gibbs chain over class labels, weights, and per-class tables.
+
+    The chain's parameters live in one flat vector: the K weights, then each
+    variable's K x L table, rows end to end.  A sweep gathers the logs of
+    the weight and the cells at every row's codes and sums them, log weight
+    first; it then draws every weight and table cell with one standard
+    Gamma call, the weights' variates first as a Dirichlet draw takes them.
+    """
     _require_categorical(x)
     K = integer(K, "K", 1)
     ChainConfig(iters, burnin, thin)
@@ -409,30 +446,54 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
     level_sizes = x.level_sizes
     weights = g.dirichlet(np.full(K, MULTMIX_ALPHA_PI))
     tables = [g.dirichlet(np.full(L, MULTMIX_ALPHA), size=K) for L in level_sizes]
+    params = np.concatenate([weights] + [t.ravel() for t in tables])
+    # where each table starts in params, and each run of consecutive tables
+    # of one level size, whose rows are normalised together
+    d = len(level_sizes)
+    starts = K + np.concatenate(([0], np.cumsum(K * np.array(level_sizes))))
+    breaks = [0] + [j for j in range(1, d) if level_sizes[j] != level_sizes[j - 1]] + [d]
+    runs = [(starts[a], starts[b], level_sizes[a]) for a, b in zip(breaks[:-1], breaks[1:])]
+    # terms: the index in params of each class's weight and table rows, side
+    # by side, K x (1 + sum L).  Row j + 1 of cols is the column of variable
+    # j's cell at each data row, and row 0 the weight's; row j of offsets
+    # is the same term's index in params at class 0, and of strides the
+    # step to the next class.
+    terms = np.hstack([np.arange(K)[:, None]] + [
+        a + L * np.arange(K)[:, None] + np.arange(L) for a, L in zip(starts, level_sizes)])
+    first = np.cumsum((0, 1) + level_sizes[:-1])[:, None]
+    levels = np.vstack((np.zeros(n, dtype=np.intp), codes.T))
+    cols, offsets = levels + first, levels + terms[0, first]
+    strides = np.array((1,) + level_sizes)[:, None]
+    rows = max(1, BLOCK_CELLS // terms.size)
+    prior = np.full(len(params), MULTMIX_ALPHA)
+    prior[:K] = MULTMIX_ALPHA_PI
     states = []
-    sizes = np.array(level_sizes)
-    ends = np.concatenate(([0], np.cumsum(K * sizes)))
     for it in range(iters):
-        # class responsibilities: log tables gathered levels-first, n x K
-        logp = np.log(weights)
-        for j, table in enumerate(tables):
-            logp = logp + np.log(table.T)[codes[:, j]]
+        # class logits log w_k + sum_j log table_j[k, code], added in that
+        # order, K x n, at most BLOCK_CELLS terms at a time
+        logs = np.log(params)[terms]
+        logp = np.empty((K, n))
+        for a in range(0, n, rows):
+            logs.take(cols[:, a:a + rows], axis=1).sum(axis=1, out=logp[:, a:a + rows])
         # inverse-CDF label draw on the unnormalized responsibilities
-        cum = np.cumsum(np.exp(logp - logp.max(axis=1, keepdims=True)), axis=1)
+        logp -= logp.max(axis=0)
+        cum = np.exp(logp, out=logp)
+        for k in range(1, K):
+            cum[k] += cum[k - 1]
         u = g.random(n)
-        z = (cum[:, :-1] < (u * cum[:, -1])[:, None]).sum(1)
-        counts = np.bincount(z, minlength=K)
-        weights = g.dirichlet(MULTMIX_ALPHA_PI + counts)
-        # every table's K x L cell counts, laid end to end
-        cells = np.bincount((z[:, None] * sizes + codes + ends[:-1]).ravel(), minlength=ends[-1])
-        # Dirichlet rows via normalized Gamma draws: one call for all tables
-        # draws the same variates, in the same order, as one call per table
-        gam = g.gamma(MULTMIX_ALPHA + cells)
-        for j, L in enumerate(level_sizes):
-            block = gam[ends[j]:ends[j + 1]].reshape(K, L)
-            tables[j] = block / block.sum(axis=1, keepdims=True)
+        z = (cum[:-1] < u * cum[-1]).sum(0)
+        # Gamma shapes: the class counts, then every table's K x L cell
+        # counts, on their priors
+        shapes = prior + np.bincount((strides * z + offsets).ravel(), minlength=len(params))
+        params = g.standard_gamma(shapes)
+        params[:K] = _dirichlet_from_gammas(params[:K])
+        for start, end, L in runs:
+            block = params[start:end].reshape(-1, L)
+            block /= block.sum(axis=1, keepdims=True)
         if it >= burnin and (it - burnin) % thin == 0:
-            states.append(MultMixState(weights, tuple(tables), z))
+            # params is rebuilt, not updated, by the next sweep
+            tables = tuple(params[a:b].reshape(K, -1) for a, b in zip(starts[:-1], starts[1:]))
+            states.append(MultMixState(params[:K], tables, z))
     loglik = multmix_full_loglik(x, states)
     logpost = loglik + _multmix_log_prior(states)
     return PosteriorDraws(states, f"multmix-K{K}", loglik=loglik, logpost=logpost)
@@ -444,14 +505,30 @@ def multmix_predictive(draws: PosteriorDraws, n_rep: int, R: int, stream) -> Rep
     stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     level_sizes = tuple(t.shape[1] for t in draws.states[0].tables)
-    block = np.empty((R, n_rep, len(level_sizes)))
-    for rep, g in zip(block, stream.substream_generators(R)):
-        state = draws.states[int(g.integers(draws.B))]
-        z = categorical(g, state.weights, n_rep)
-        for j, table in enumerate(state.tables):
-            cum = np.cumsum(table, axis=1)[z]
-            rep[:, j] = (cum[:, :-1] < g.random(n_rep)[:, None]).sum(1)
+    d = len(level_sizes)
+    block = np.empty((R, n_rep, d))
+    # the variable of each row of a state's table bounds, and a d x rows 0/1
+    # matrix that counts each variable's rows; integer, so that the product
+    # runs in numpy's own loop, not in BLAS, whose first call adds about
+    # 0.3 MB of resident pages to a run that makes no other
+    variable = np.repeat(np.arange(d), np.array(level_sizes) - 1)
+    count = (variable == np.arange(d)[:, None]).astype(np.intp)
+    replicates = _replicate_states(draws, R, stream, _multmix_sampler)
+    for rep, (g, (bounds, cells)) in zip(block, replicates):
+        # a class per row, then one uniform per row and variable, drawn
+        # variable by variable: a code is the count of its class's table row
+        # bounds below its uniform
+        z = categories(bounds, g.random(n_rep))
+        below = cells.take(z, axis=1) < g.random((d, n_rep))[variable]
+        np.matmul(count, below, out=rep.T)
     return ReplicateBlock(block, level_sizes=level_sizes)
+
+
+def _multmix_sampler(state: MultMixState):
+    """The state's weight bounds, and the first L - 1 cumulative sums of
+    every table row, stacked variable by variable, sum(L - 1) x K."""
+    cells = np.concatenate([np.cumsum(t, axis=1)[:, :-1].T for t in state.tables])
+    return category_bounds(state.weights), cells
 
 
 @dataclass(frozen=True)

@@ -99,13 +99,23 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
     return p
 
 
+def category_bounds(p) -> np.ndarray:
+    """The first L - 1 cumulative sums of the probability vector p, once p
+    is checked."""
+    return np.cumsum(_check_prob_vector(p, "p"))[:-1]
+
+
+def categories(bounds, u) -> np.ndarray:
+    """The inverse-CDF label in [0, L - 1] of each uniform variate in u: the
+    count of the L - 1 category bounds below it."""
+    return (bounds[:, None] < u).sum(axis=0)
+
+
 def categorical(g: np.random.Generator, p, size: int) -> np.ndarray:
     """Draw ``size`` labels from Categorical(p) via inverse CDF, from the
     numpy Generator g."""
-    p = _check_prob_vector(p, "p")
-    u = g.random(size)
-    # a count over the first L - 1 cumulative sums is a label in [0, L - 1]
-    return (u[:, None] > np.cumsum(p)[None, :-1]).sum(axis=1)
+    bounds = category_bounds(p)
+    return categories(bounds, g.random(size))
 
 
 def logsumexp(a, axis=None) -> np.ndarray:

@@ -77,6 +77,44 @@ def _gmm_gibbs_reference(x, K, iters, burnin, thin, stream):
     return states, np.array(logliks), np.array(logposts)
 
 
+def _multmix_gibbs_reference(x, K, iters, burnin, thin, stream):
+    """Reference Gibbs sweep: one gather and add per variable, n x K, a
+    Dirichlet call for the weights and a Gamma call for the table cells, and
+    each table normalised on its own.  Returns (states, loglik, logpost)."""
+    g = stream.generator
+    codes = x.codes()
+    n = x.n
+    level_sizes = x.level_sizes
+    weights = g.dirichlet(np.full(K, MULTMIX_ALPHA_PI))
+    tables = [g.dirichlet(np.full(L, MULTMIX_ALPHA), size=K) for L in level_sizes]
+    states = []
+    sizes = np.array(level_sizes)
+    ends = np.concatenate(([0], np.cumsum(K * sizes)))
+    for it in range(iters):
+        # class responsibilities: log tables gathered levels-first, n x K
+        logp = np.log(weights)
+        for j, table in enumerate(tables):
+            logp = logp + np.log(table.T)[codes[:, j]]
+        # inverse-CDF label draw on the unnormalized responsibilities
+        cum = np.cumsum(np.exp(logp - logp.max(axis=1, keepdims=True)), axis=1)
+        u = g.random(n)
+        z = (cum[:, :-1] < (u * cum[:, -1])[:, None]).sum(1)
+        counts = np.bincount(z, minlength=K)
+        weights = g.dirichlet(MULTMIX_ALPHA_PI + counts)
+        # every table's K x L cell counts, laid end to end
+        cells = np.bincount((z[:, None] * sizes + codes + ends[:-1]).ravel(), minlength=ends[-1])
+        # Dirichlet rows via normalized Gamma draws: one call for all tables
+        # draws the same variates, in the same order, as one call per table
+        gam = g.gamma(MULTMIX_ALPHA + cells)
+        for j, L in enumerate(level_sizes):
+            block = gam[ends[j]:ends[j + 1]].reshape(K, L)
+            tables[j] = block / block.sum(axis=1, keepdims=True)
+        if it >= burnin and (it - burnin) % thin == 0:
+            states.append(MultMixState(weights, tuple(tables), z))
+    loglik = multmix_full_loglik(x, states)
+    return states, loglik, loglik + _multmix_log_prior(states)
+
+
 def _gmm_direct_logits(x, states):
     """Each state's logits by the direct quadratic, K x n x B: log weight,
     less the squared residuals over twice the variances, less half the log
@@ -515,14 +553,15 @@ class TestMultMixFit:
 
     def test_cell_counts_match_add_at(self):
         # every iteration is kept, so the gamma shapes of iteration it must be
-        # the prior plus the cell counts of state it's labels, table by table
+        # the prior plus the class counts, then the cell counts table by
+        # table, of state it's labels
         class Recording:
             def __init__(self, g):
                 self.g, self.shapes = g, []
 
-            def gamma(self, shape, *args):
+            def standard_gamma(self, shape, *args):
                 self.shapes.append(np.array(shape))
-                return self.g.gamma(shape, *args)
+                return self.g.standard_gamma(shape, *args)
 
             def __getattr__(self, name):
                 return getattr(self.g, name)
@@ -538,7 +577,51 @@ class TestMultMixFit:
                 cell = np.zeros((3, L))
                 np.add.at(cell, (state.assignments, codes[:, j]), 1.0)
                 cells.append(cell.ravel())
-            assert np.array_equal(shape, MULTMIX_ALPHA + np.concatenate(cells))
+            counts = np.bincount(state.assignments, minlength=3)
+            assert np.array_equal(shape[:3], MULTMIX_ALPHA_PI + counts)
+            assert np.array_equal(shape[3:], MULTMIX_ALPHA + np.concatenate(cells))
+
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_fit_matches_reference_sweep(self, K):
+        # the sweep on the chain's own stream: the (4, 3, 3) preset at two
+        # sizes, 20 three-level variables, level sizes of 1 and of 8 or more
+        # (whose row sums numpy adds in pairwise blocks), and three rows,
+        # where classes empty out
+        g = Seed(40).stream("codes").generator
+        many = Dataset(g.integers(0, 3, (90, 20)).astype(float), level_sizes=(3,) * 20)
+        sizes = (10, 1, 3, 8, 3, 3)
+        mixed = Dataset(np.column_stack([g.integers(0, L, 120) for L in sizes]).astype(float),
+                        level_sizes=sizes)
+        tiny = Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]), level_sizes=(4, 2))
+        cases = ((gen_multmix_data(60, seed=Seed(41)), "60"),
+                 (gen_multmix_data(170, seed=Seed(42)), "170"),
+                 (many, "many"), (mixed, "mixed"), (tiny, "tiny"))
+        for data, label in cases:
+            fit = multmix_gibbs_fit(data, K, 60, 20, 2, Seed(K).stream("f", label))
+            ref = _multmix_gibbs_reference(data, K, 60, 20, 2, Seed(K).stream("f", label))
+            assert len(fit.states) == len(ref[0]) == 20
+            for got, want in zip(fit.states, ref[0]):
+                for name in ("weights", "assignments"):
+                    assert np.array_equal(getattr(got, name), getattr(want, name))
+                    assert getattr(got, name).dtype == getattr(want, name).dtype
+                assert len(got.tables) == len(want.tables)
+                for a, b in zip(got.tables, want.tables):
+                    assert a.shape == b.shape and np.array_equal(a, b)
+            assert np.array_equal(fit.loglik, ref[1])
+            assert np.array_equal(fit.logpost, ref[2])
+        if K > 3:  # the three-row chain did empty a class
+            assert any(np.bincount(s.assignments, minlength=K).min() == 0 for s in fit.states)
+
+    def test_logits_built_in_parts_match_the_reference(self, monkeypatch):
+        # 3 classes x 11 terms, so parts of 6 rows and a last part of 4
+        monkeypatch.setattr(mixtures, "BLOCK_CELLS", 200)
+        data = gen_multmix_data(64, seed=Seed(43))
+        fit = multmix_gibbs_fit(data, 3, 30, 10, 2, Seed(3).stream("f"))
+        ref = _multmix_gibbs_reference(data, 3, 30, 10, 2, Seed(3).stream("f"))
+        for got, want in zip(fit.states, ref[0]):
+            assert np.array_equal(got.assignments, want.assignments)
+            assert np.array_equal(got.weights, want.weights)
+        assert np.array_equal(fit.logpost, ref[2])
 
 
 class TestMultMixPredictive:
@@ -856,6 +939,61 @@ class TestMultMixDiagnostic:
                                           [good])
         with pytest.raises(DataError, match="categorical"):
             multmix_chi2_diagnostic_batch(ReplicateBlock(np.zeros((3, 2, 2))), [good])
+
+
+class TestGammaVariates:
+    """The samplers draw standard Gamma variates and scale them, which must
+    give numpy's own Dirichlet and scaled Gamma variates byte for byte."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_normalised_gammas_are_dirichlet_variates(self, seed):
+        pick = Seed(seed).stream("alpha").generator
+        for L in range(1, 9):
+            for alpha in (np.ones(L), 2.0 + pick.integers(0, 500, L), 1.0 + 40.0 * pick.random(L)):
+                want = Seed(seed).stream("draw", L).generator
+                got = Seed(seed).stream("draw", L).generator
+                for _ in range(3):
+                    a = want.dirichlet(alpha)
+                    b = mixtures._dirichlet_from_gammas(got.standard_gamma(alpha))
+                    assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_scaled_standard_gammas_are_gamma_variates(self, seed):
+        pick = Seed(seed).stream("shape").generator
+        for K, D in ((1, 1), (3, 2), (4, 5)):
+            shape = 1.0 + pick.integers(0, 300, (K, 1)) / 2.0
+            scale = 1.0 + 50.0 * pick.random((K, D))
+            want = Seed(seed).stream("draw", K).generator
+            got = Seed(seed).stream("draw", K).generator
+            a = want.gamma(shape, 1.0 / scale)
+            b = got.standard_gamma(shape, scale.shape) * (1.0 / scale)
+            assert a.tobytes() == b.tobytes()
+
+
+class TestPredictiveWeights:
+    @pytest.mark.parametrize("family", ["gmm", "multmix"])
+    def test_bad_weights_raise_once_a_replicate_draws_them(self, family):
+        # the state's weights are checked when a replicate first draws it,
+        # so the predictive raises exactly when one of its R replicates does
+        weights = (np.array([0.5, 0.5]), np.array([0.5, 0.4]))
+        if family == "gmm":
+            states = [GmmState(np.zeros((2, 1)), np.ones((2, 1)), np.zeros(1, dtype=int), w)
+                      for w in weights]
+            predictive = gmm_predictive
+        else:
+            states = [MultMixState(w, (np.full((2, 3), 1 / 3),), np.zeros(1, dtype=int))
+                      for w in weights]
+            predictive = multmix_predictive
+        fit = PosteriorDraws(tuple(states), f"{family}-K2")
+        stream = Seed(3).stream("bad")
+        picks = [int(stream.substream(r).generator.integers(2)) for r in range(8)]
+        assert 0 in picks and 1 in picks
+        for R in range(1, 9):
+            if 1 in picks[:R]:
+                with pytest.raises(ParameterError, match="sum to 1"):
+                    predictive(fit, 5, R, stream)
+            else:
+                predictive(fit, 5, R, stream)
 
 
 class TestPriorConstants:
