@@ -96,13 +96,14 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
     weights = np.asarray(weights, dtype=float)
     if len(tables) != len(weights):
         raise ParameterError("one weight per class required")
-    if abs(weights.sum() - 1.0) > 1e-9 or np.any(weights < 0):
+    # written, as the table check below, so that a NaN entry fails
+    if not (abs(weights.sum() - 1.0) <= 1e-9 and np.all(weights >= 0)):
         raise ParameterError("weights must lie on the simplex")
     level_sizes = tuple(len(t) for t in tables[0])
     for k, cls in enumerate(tables):
         for j, t in enumerate(cls):
             t = np.asarray(t, dtype=float)
-            if len(t) != level_sizes[j] or np.any(t < 0) or abs(t.sum() - 1.0) > 1e-9:
+            if len(t) != level_sizes[j] or not (np.all(t >= 0) and abs(t.sum() - 1.0) <= 1e-9):
                 raise ParameterError(f"tables[{k}][{j}] is not a valid probability vector")
     stream = need_seed(seed, "the multmix generator").stream("gen", "multmix")
     z = categorical(stream.generator, weights, n)

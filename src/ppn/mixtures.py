@@ -570,13 +570,13 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     uniform responsibilities, and a zero predicted probability at an observed
     cell yields an infinite value.
 
-    A row of codes takes at most prod(level_sizes) values, so a replicate
-    set may repeat its rows many times over.  Replicates are scored a run at
-    a time.  A run in which at least half the rows repeat scores each
-    distinct row once and gathers each replicate's rows back in order; any
-    other run scores its rows where they stand.  Either way each replicate
-    sums its rows' values in order, rows before variables, as it would on
-    its own.
+    A row of codes is one of P = prod(level_sizes) possible rows.  Where P
+    is at most the R x n rows of x and the possible rows' arrays fit a
+    block, each possible row is scored once, in mixed-radix order, and each
+    replicate's rows are gathered back by their mixed-radix indices;
+    otherwise every row is scored where it stands, a run of replicates at a
+    time.  Either way each replicate sums its rows' values in order, rows
+    before variables, as it would on its own.
     """
     _require_categorical(x)
     stack = _MultMixStack.of(states)
@@ -586,28 +586,27 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     values = x.values if block else x.values[None]
     R, n, d = values.shape
     K, B = stack.log_weights.shape
-    # all rows of a run score within a block: n x K x B and d x n x B cells
-    run = max(1, BLOCK_CELLS // (n * max(K, d) * B))
+    # a run's rows, and the possible rows when looked up, score within a
+    # block: rows x K x B and d x rows x B cells
+    width = max(K, d) * B
+    run = max(1, BLOCK_CELLS // (n * width))
     part = max(1, _GATHER_CELLS // (n * d * B))
+    table = None
+    if math.prod(x.level_sizes) <= min(R * n, BLOCK_CELLS // width):
+        table = _multmix_log_obs(np.indices(x.level_sizes).reshape(d, -1).T, stack)
     out = np.empty((R, B))
     for start in range(0, R, run):
         reps = values[start:start + run]
         codes = reps.reshape(-1, d).astype(np.intp)
-        numbered = _distinct_rows(codes, x.level_sizes)
-        if numbered is None:
-            # most rows are distinct: score every row where it stands
+        if table is None:
             log_obs = _multmix_log_obs(codes, stack).reshape(d, len(reps), n, B)
             out[start:start + len(reps)] = _deviance(log_obs)
             continue
-        ids, m = numbered
-        first = np.empty(m, dtype=np.intp)
-        first[ids] = np.arange(len(ids))
-        log_obs = _multmix_log_obs(codes[first], stack)
-        ids = ids.reshape(len(reps), n)
+        ids = np.ravel_multi_index(codes.T, x.level_sizes).reshape(len(reps), n)
         for at in range(start, start + len(reps), part):
             # take keeps the gathered rows in C order, so that a replicate's
             # row sum runs as it does over a Dataset of its own
-            chunk = np.take(log_obs, ids[at - start:at - start + part], axis=1)
+            chunk = np.take(table, ids[at - start:at - start + part], axis=1)
             out[at:at + chunk.shape[1]] = _deviance(chunk)
     return out if block else out[0]
 
@@ -624,33 +623,6 @@ def _deviance(log_obs):
     (pairwise at B = 1); 0.0 - keeps a perfect prediction at +0.0."""
     sums = np.ascontiguousarray(log_obs.sum(axis=2).transpose(1, 0, 2))
     return 0.0 - 2.0 * sums.sum(axis=1)
-
-
-def _distinct_rows(codes, level_sizes):
-    """The id of each row of an N x d matrix of level codes among its m
-    distinct rows, and m; None once more than half the rows are distinct,
-    as later columns can only add more.
-
-    A row's id is built a column at a time, and renumbered after each column
-    so that it stays below N: id * L + code then stays below N x L, whatever
-    the product of the level sizes.  Keys that fit a table no longer than
-    the rows are numbered through it, without a sort: np.unique's sort
-    kernels add about 0.7 MB of resident code to a run that never sorts.
-    """
-    ids, m = np.zeros(len(codes), dtype=np.intp), 1
-    for j, L in enumerate(level_sizes):
-        key = ids * L + codes[:, j]
-        if m * L <= len(key):
-            seen = np.zeros(m * L, dtype=bool)
-            seen[key] = True
-            number = np.cumsum(seen) - 1
-            ids, m = number[key], number[-1] + 1
-        else:
-            distinct, ids = np.unique(key, return_inverse=True)
-            m = len(distinct)
-        if 2 * m > len(key):
-            return None
-    return ids, m
 
 
 def _multmix_log_obs(codes, stack) -> np.ndarray:

@@ -92,9 +92,10 @@ def _check_prob_vector(p, name: str) -> np.ndarray:
     p = np.asarray(p, dtype=float)
     if p.ndim != 1 or p.size == 0:
         raise ParameterError(f"{name} must be a nonempty vector")
-    if np.any(p < 0):
-        raise ParameterError(f"{name} has negative entries")
-    if abs(p.sum() - 1.0) > _PROB_TOL:
+    # written so that NaN fails both tests, and an infinite entry the sum
+    if not np.all(p >= 0):
+        raise ParameterError(f"{name} has negative or NaN entries")
+    if not abs(p.sum() - 1.0) <= _PROB_TOL:
         raise ParameterError(f"{name} must sum to 1 (got {p.sum()!r})")
     return p
 
@@ -141,9 +142,10 @@ def chi_square_cdf(x: float, k: float) -> float:
     The only SciPy user in the package, so SciPy is imported on the first
     call rather than with the package.
     """
-    if x < 0:
+    # written so that a NaN x or k fails
+    if not x >= 0:
         raise DomainError("chi-square CDF argument must be nonnegative")
-    if k < 1:
+    if not k >= 1:
         raise DomainError("degrees of freedom must be >= 1")
     from scipy import special
     return float(special.gammainc(k / 2.0, np.asarray(x, dtype=float) / 2.0))
@@ -152,8 +154,8 @@ def chi_square_cdf(x: float, k: float) -> float:
 def ks_distance(samples, cdf) -> float:
     """Kolmogorov-Smirnov distance between an empirical sample and a CDF."""
     s = np.sort(np.asarray(samples, dtype=float))
-    if s.size == 0:
-        raise DegenerateSampleError("ks_distance needs a nonempty sample")
+    if s.size == 0 or not np.all(np.isfinite(s)):
+        raise DegenerateSampleError("ks_distance needs a nonempty, finite sample")
     n = s.size
     c = np.asarray([cdf(v) for v in s], dtype=float)
     upper = np.max(np.arange(1, n + 1) / n - c)

@@ -105,6 +105,13 @@ class TestMultMix:
             gen_multmix_data(10, tables=MULTMIX_TABLES, weights=(0.9, 0.2),
                              seed=Seed(0))
 
+    @pytest.mark.parametrize("weights, cell", [((np.nan, 1.0), 0.1), ((0.5, np.nan), 0.1),
+                                               ((0.5, 0.5), np.nan), ((0.5, 0.5), np.inf)])
+    def test_non_finite_weights_and_cells(self, weights, cell):
+        tables = (([cell, 0.9], [1.0]), ([0.5, 0.5], [1.0]))
+        with pytest.raises(ParameterError):
+            gen_multmix_data(10, tables=tables, weights=weights, seed=Seed(0))
+
 
 @pytest.mark.parametrize("generate", [
     lambda: gen_regression_data(50),

@@ -805,20 +805,20 @@ class TestMultMixDiagnostic:
         assert np.all(np.isfinite(got))
 
     def test_level_sizes_whose_product_overflows_64_bits(self):
-        # 70 binary variables: 2**70 possible rows, ids renumbered per column
+        # 70 binary variables: 2**70 possible rows, an exact int, so the set
+        # is scored row by row
         g = np.random.default_rng(4)
         states = [MultMixState(np.array([0.4, 0.6]), tuple(g.dirichlet([2.0, 2.0], size=2)
                                                            for _ in range(70)),
                                np.zeros(1, dtype=int)) for _ in range(3)]
         base = g.integers(0, 2, (10, 40, 70))
         base[3, :20] = base[3, 20:]
-        # rows that differ in the first variable only: a mixed-radix id of
-        # all 70 codes would wrap and give them one id
+        # rows that differ in the first variable only: a mixed-radix index
+        # of all 70 codes in 64 bits would wrap and give them one index
         base[1, :, 1:] = base[1, 0, 1:]
         base[1, :, 0] = np.arange(40) % 2
         block = ReplicateBlock(np.tile(base, (7, 1, 1)), level_sizes=(2,) * 70)
-        # runs of at least 20 replicates, at most 10 of them distinct, so
-        # that each run but the last scores only its distinct rows
+        # runs of at least 20 replicates, the last one shorter
         assert 20 <= mixtures.BLOCK_CELLS // (block.n * 70 * 3) < len(block)
         got = self._assert_block_matches(block, PosteriorDraws(states, "multmix-K2").states)
         assert np.array_equal(got[15], got[5])
@@ -889,8 +889,9 @@ class TestMultMixDiagnostic:
         data = gen_multmix_data(150, seed=Seed(27))
         fit = multmix_gibbs_fit(data, 3, 200, 100, 4, Seed(27).stream("f"))
         reps = multmix_predictive(fit, 100, 700, Seed(27).stream("r"))
-        # at 25 states several runs, each gathered in several parts; at one
-        # state one run, gathered in several parts
+        # the 36 possible rows are looked up; at 25 states the replicates
+        # are numbered in several runs, each gathered in several parts, and
+        # at one state in one run, gathered in several parts
         cells = reps.n * reps.d * fit.B
         assert 1 < mixtures.BLOCK_CELLS // cells < len(reps)
         assert mixtures._GATHER_CELLS // cells < mixtures.BLOCK_CELLS // cells
@@ -898,29 +899,52 @@ class TestMultMixDiagnostic:
         for states in (fit.states, [fit.map_state()]):
             self._assert_block_matches(reps, states)
 
-    def test_runs_score_distinct_rows_or_every_row(self, monkeypatch):
-        # runs of 2 replicates of 40 rows: a run with at least half its rows
-        # repeated scores only its distinct rows, any other run every row
+    def test_many_binary_variables_looked_up_at_one_state(self):
+        # 10 binary variables: 1024 possible rows, looked up; over 8
+        # variables a dataset's sum over them at one state is pairwise, and
+        # a part of several replicates, not all, must keep that order
+        g = np.random.default_rng(9)
+        states = [MultMixState(w, tuple(g.dirichlet(np.ones(2), size=2) for _ in range(10)),
+                               np.zeros(1, dtype=int)) for w in g.dirichlet(np.ones(2), size=4)]
+        block = ReplicateBlock(g.integers(0, 2, (40, 60, 10)), level_sizes=(2,) * 10)
+        assert 2**10 <= min(len(block) * block.n, mixtures.BLOCK_CELLS // (10 * len(states)))
+        assert 1 < mixtures._GATHER_CELLS // (block.n * block.d) < len(block)
+        for batch in (states, states[:1]):
+            got = self._assert_block_matches(block, batch)
+            ref = [self._every_row(rep, batch) for rep in _datasets(block)]
+            assert got.tobytes() == np.array(ref).tobytes()
+
+    def test_lookup_or_row_by_row(self, monkeypatch):
+        # P = 4 x 5 = 20 possible rows, K = 3, d = 2, B = 5: the possible
+        # rows are looked up when P <= min(R x n, BLOCK_CELLS // (3 x 5));
+        # otherwise every row is scored, a run of BLOCK_CELLS // (n x 15)
+        # replicates at a time.  The second variable takes 2 of its 5
+        # levels, so no set holds more than 8 distinct rows.
         g = np.random.default_rng(6)
-        fresh = (g.permutation(50 * 50)[:200, None] // [50, 1] % 50).reshape(5, 40, 2)
-        codes = np.empty((8, 40, 2), dtype=int)
-        codes[[0, 1, 2, 4]] = fresh[:4]
-        codes[3] = codes[2, ::-1]               # 40 distinct rows of 80
-        codes[5] = codes[4, ::-1]
-        codes[5, 0] = fresh[4, 0]               # 41 of 80
-        codes[6:] = fresh[4, 1]                 # 1 of 80
-        block = ReplicateBlock(codes, level_sizes=(50, 50))
-        states = [MultMixState(w, (g.dirichlet(np.ones(50), size=3),
-                                   g.dirichlet(np.ones(50), size=3)), np.zeros(1, dtype=int))
-                  for w in g.dirichlet(np.ones(3), size=5)]
-        monkeypatch.setattr(mixtures, "BLOCK_CELLS", 2 * 40 * 3 * 5)
+        states = PosteriorDraws(tuple(
+            MultMixState(w, (g.dirichlet(np.ones(4), size=3), g.dirichlet(np.ones(5), size=3)),
+                         np.zeros(1, dtype=int)) for w in g.dirichlet(np.ones(3), size=5)),
+            "multmix-K3").states
         scored = []
         log_obs = mixtures._multmix_log_obs
         monkeypatch.setattr(mixtures, "_multmix_log_obs",
                             lambda codes, stack: scored.append(len(codes)) or log_obs(codes, stack))
-        got = multmix_chi2_diagnostic_batch(block, PosteriorDraws(states, "multmix-K3").states)
-        assert scored == [80, 40, 80, 1]
-        assert got.tobytes() == self._each_alone(block, states).tobytes()
+        cases = [(300, 10, 4, [20]),          # P < R x n, the possible rows fit
+                 (300, 5, 4, [20]),           # P = R x n
+                 (300, 3, 6, [18]),           # P > R x n: one run of 3
+                 (299, 10, 4, [16, 16, 8]),   # P > 299 // 15: runs of 4
+                 (300, None, 20, [20]),       # a Dataset: R = 1
+                 (300, None, 19, [19])]
+        for cells, R, n, want in cases:
+            monkeypatch.setattr(mixtures, "BLOCK_CELLS", cells)
+            codes = np.stack([g.integers(0, 4, (R or 1, n)), g.integers(0, 2, (R or 1, n))], -1)
+            x = (Dataset(codes[0], level_sizes=(4, 5)) if R is None
+                 else ReplicateBlock(codes, level_sizes=(4, 5)))
+            scored.clear()
+            got = multmix_chi2_diagnostic_batch(x, states)
+            assert scored == want
+            ref = self._every_row(x, states) if R is None else self._each_alone(x, states)
+            assert got.tobytes() == ref.tobytes()
 
     def test_block_refusals(self):
         table = np.array([[0.5, 0.5], [0.25, 0.75]])
@@ -994,6 +1018,19 @@ class TestPredictiveWeights:
                     predictive(fit, 5, R, stream)
             else:
                 predictive(fit, 5, R, stream)
+
+    @pytest.mark.parametrize("family", ["gmm", "multmix"])
+    @pytest.mark.parametrize("weights", [(np.nan, 1.0), (np.nan, np.nan), (0.5, np.nan)])
+    def test_nan_weights_raise(self, family, weights):
+        w = np.array(weights)
+        if family == "gmm":
+            state = GmmState(np.zeros((2, 1)), np.ones((2, 1)), np.zeros(1, dtype=int), w)
+            predictive = gmm_predictive
+        else:
+            state = MultMixState(w, (np.full((2, 3), 1 / 3),), np.zeros(1, dtype=int))
+            predictive = multmix_predictive
+        with pytest.raises(ParameterError, match="NaN"):
+            predictive(PosteriorDraws((state,), f"{family}-K2"), 5, 3, Seed(3).stream("nan"))
 
 
 class TestPriorConstants:

@@ -91,6 +91,12 @@ class TestSample:
             categorical(Seed(0).stream("bad").generator, (0.5, 0.4), 10)
         assert "sum to 1" in str(err.value)
 
+    @pytest.mark.parametrize("p", [(np.nan, 1.0), (np.nan, np.nan), (0.5, 0.5, np.nan),
+                                   (np.inf, 0.0)])
+    def test_categorical_refuses_non_finite_probabilities(self, p):
+        with pytest.raises(ParameterError):
+            categorical(Seed(0).stream("bad").generator, p, 5)
+
 
 class TestLogsumexp:
     @pytest.mark.parametrize("axis", [None, 0, 1, 2])
@@ -141,6 +147,11 @@ class TestChiSquareCdf:
         with pytest.raises(DomainError):
             chi_square_cdf(1.0, 0.5)
 
+    @pytest.mark.parametrize("x, k", [(np.nan, 2), (1.0, np.nan), (np.nan, np.nan)])
+    def test_nan_arguments_are_domain_errors(self, x, k):
+        with pytest.raises(DomainError):
+            chi_square_cdf(x, k)
+
     @given(st.floats(0, 100), st.floats(0, 100), st.integers(1, 50))
     @settings(max_examples=50, deadline=None)
     def test_monotone_and_bounded(self, x1, x2, k):
@@ -166,3 +177,8 @@ class TestKsDistance:
     def test_empty_sample(self):
         with pytest.raises(DegenerateSampleError):
             ks_distance([], lambda v: v)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_sample(self, bad):
+        with pytest.raises(DegenerateSampleError):
+            ks_distance([0.1, bad, 0.5], lambda v: min(max(v, 0.0), 1.0))
