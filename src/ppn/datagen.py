@@ -86,11 +86,20 @@ def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed
         tables = MULTMIX_TABLES
         weights = MULTMIX_WEIGHTS
     if K_true is not None:
+        K_true = integer(K_true, "K_true", 1)
+        if K_true > len(tables):
+            raise ParameterError(f"K_true = {K_true} exceeds the {len(tables)} tables")
         tables = tables[:K_true]
         if weights is not None:
-            # renormalize the surviving class weights
+            # renormalize the surviving class weights, once their sum is
+            # known to be positive and finite, so that no NaN or inf is made
             kept = np.asarray(weights[:K_true], dtype=float)
-            weights = kept / kept.sum()
+            with np.errstate(over="ignore", invalid="ignore"):
+                total = kept.sum()
+            if not (np.all(kept >= 0) and 0 < total < np.inf):
+                raise ParameterError("the kept class weights must be nonnegative "
+                                     "with a positive, finite sum")
+            weights = kept / total
     if weights is None:
         weights = np.full(len(tables), 1.0 / len(tables))
     weights = np.asarray(weights, dtype=float)

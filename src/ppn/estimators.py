@@ -89,7 +89,9 @@ def harmonic_mean_marginal_likelihood(loglik_draws) -> float:
 
 
 def bayes_factor(log_ml_a: float, log_ml_b: float) -> float:
-    """Evidence ratio of two models under equal prior model probabilities."""
+    """Evidence ratio of two models under equal prior model probabilities;
+    inf when the ratio exceeds the float range, and 0.0 when it underflows."""
     if not (np.isfinite(log_ml_a) and np.isfinite(log_ml_b)):
         raise DataError("log marginal likelihoods must be finite")
-    return float(np.exp(log_ml_a - log_ml_b))
+    with np.errstate(over="ignore"):
+        return float(np.exp(log_ml_a - log_ml_b))

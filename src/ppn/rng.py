@@ -5,12 +5,16 @@ from a root :class:`Seed` and a string label.  Streams with distinct labels
 are statistically independent (counter-based Philox keys derived by hashing),
 so replicates and chains can run in any order, or concurrently, and still
 give bit-identical results.
+
+The special functions (``logsumexp``, ``chi_square_cdf``) need numpy and the
+standard library alone.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,6 +22,10 @@ import numpy as np
 from .errors import DegenerateSampleError, DomainError, ParameterError, integer
 
 _PROB_TOL = 1e-9
+# the series' and continued fraction's relative stopping step, and Lentz's
+# stand-in for a zero denominator
+_EPS = 2.0**-53
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -139,16 +147,54 @@ def logsumexp(a, axis=None) -> np.ndarray:
 def chi_square_cdf(x: float, k: float) -> float:
     """Chi-square CDF: regularized lower incomplete gamma P(k/2, x/2).
 
-    The only SciPy user in the package, so SciPy is imported on the first
-    call rather than with the package.
+    x must be nonnegative and k lie in [1, 1e6]; NaN is refused for either.
+    x = 0 gives exactly 0.0 and x = inf exactly 1.0.  Computed by the
+    standard library alone.  Both error and work grow with k: against
+    ``scipy.special.gammainc`` the error is under 3e-13 for k up to 2000 and
+    about 1e-10 at k = 1e6, where a value near the bulk sums over 5000 terms.
     """
     # written so that a NaN x or k fails
     if not x >= 0:
         raise DomainError("chi-square CDF argument must be nonnegative")
-    if not k >= 1:
-        raise DomainError("degrees of freedom must be >= 1")
-    from scipy import special
-    return float(special.gammainc(k / 2.0, np.asarray(x, dtype=float) / 2.0))
+    if not 1 <= k <= 1e6:
+        raise DomainError("degrees of freedom must lie in [1, 1e6]")
+    return _gamma_p(float(k) / 2.0, float(x) / 2.0)
+
+
+def _gamma_p(s, x):
+    """P(s, x) for s >= 0.5 and x >= 0, as Numerical Recipes' ``gammp``
+    computes it: the power series below x = s + 1, where it converges
+    fastest, and one minus Lentz's continued fraction for Q(s, x) above."""
+    if x == 0.0:
+        return 0.0
+    if x == math.inf:
+        return 1.0
+    front = math.exp(s * math.log(x) - x - math.lgamma(s))
+    if x < s + 1.0:
+        term = total = 1.0 / s
+        a = s
+        while term > _EPS * total:
+            a += 1.0
+            term *= x / a
+            total += term
+        return front * total
+    b = x + 1.0 - s
+    c = 1.0 / _TINY
+    d = 1.0 / b
+    h = d
+    i = 0
+    while True:
+        i += 1
+        an = -i * (i - s)
+        b += 2.0
+        d = an * d + b
+        d = 1.0 / (d if abs(d) >= _TINY else _TINY)
+        c = b + an / c
+        c = c if abs(c) >= _TINY else _TINY
+        delta = d * c
+        h *= delta
+        if abs(delta - 1.0) <= _EPS:
+            return 1.0 - front * h
 
 
 def ks_distance(samples, cdf) -> float:

@@ -105,6 +105,17 @@ class TestMultMix:
             gen_multmix_data(10, tables=MULTMIX_TABLES, weights=(0.9, 0.2),
                              seed=Seed(0))
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("K_true, weights", [(1, (0.0, 1.0)), (2, (1e308, 1e308)),
+                                                 (2, (np.inf, 1.0)), (2, (-1.0, 2.0)),
+                                                 (0, None), (3, None)])
+    def test_kept_classes_and_weights_are_checked_before_use(self, K_true, weights):
+        # a zero or overflowing sum of the kept weights would be divided
+        # into NaN or inf, and K_true = 0 into a ZeroDivisionError
+        with pytest.raises(ParameterError):
+            gen_multmix_data(10, K_true=K_true, tables=MULTMIX_TABLES, weights=weights,
+                             seed=Seed(0))
+
     @pytest.mark.parametrize("weights, cell", [((np.nan, 1.0), 0.1), ((0.5, np.nan), 0.1),
                                                ((0.5, 0.5), np.nan), ((0.5, 0.5), np.inf)])
     def test_non_finite_weights_and_cells(self, weights, cell):

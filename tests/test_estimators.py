@@ -190,6 +190,11 @@ class TestBayesFactor:
     def test_log_space(self):
         assert abs(bayes_factor(-1000.0, -1001.0) - np.e) < 1e-9
 
+    @pytest.mark.filterwarnings("error")
+    def test_ratio_beyond_the_float_range(self):
+        assert bayes_factor(0.0, -1000.0) == np.inf
+        assert bayes_factor(-1000.0, 0.0) == 0.0
+
     def test_non_finite(self):
         with pytest.raises(DataError):
             bayes_factor(np.nan, 0.0)

@@ -1,7 +1,6 @@
 """The package imports, fits, replicates and scores without SciPy.
 
-SciPy is used only by rng.chi_square_cdf, which imports it on its first
-call; study workers and every other short run skip loading it.
+SciPy is not a runtime dependency: the tests use it only as an oracle.
 """
 
 import os
@@ -15,7 +14,8 @@ SUBMODULES = ("checks", "cli", "core", "datagen", "diagnostics", "estimators",
               "linear", "mixtures", "models", "report", "rng")
 
 # tiny runs of every built-in adapter through the check and the pairwise
-# null, then the evidence estimator on a fit's log-likelihoods
+# null, then the evidence estimator on a fit's log-likelihoods, then the
+# chi-square CDF
 PROBE = textwrap.dedent("""
     import importlib
     import sys
@@ -44,9 +44,9 @@ PROBE = textwrap.dedent("""
     loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
     assert not loaded, f"fitting and scoring loaded {{loaded[:5]}}"
 
-    # the one SciPy user loads it on its first call
     assert abs(ppn.chi_square_cdf(2.0, 2) - 0.6321205588285577) < 1e-12
-    assert "scipy.special" in sys.modules
+    loaded = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+    assert not loaded, f"the chi-square CDF loaded {{loaded[:5]}}"
 """)
 
 

@@ -141,13 +141,41 @@ class TestChiSquareCdf:
             for x in np.linspace(0.01, 4.0 * k, 10):
                 assert abs(chi_square_cdf(x, k) - _series_gamma_p(k / 2, x / 2)) < 1e-10
 
+    @pytest.mark.filterwarnings("error")
+    def test_scipy_oracle_grid(self):
+        # integer and half-odd degrees of freedom; x evenly spaced over the
+        # bulk and tail, log-spaced near 0, and at the series/continued
+        # fraction switch x/2 = k/2 + 1 with its neighbours at +-1e-9
+        ks = [*range(1, 201), *np.arange(1.5, 59.0), 500, 1000, 2000]
+        points = [(k, x) for k in ks
+                  for x in (*np.linspace(0.0, 8.0 * k + 50.0, 60), *np.logspace(-8, 4, 40),
+                            *(2.0 * (k / 2.0 + 1.0 + d) for d in (-1e-9, 0.0, 1e-9)))]
+        k, x = np.array(points).T
+        ref = scipy.special.gammainc(k / 2.0, x / 2.0)
+        got = np.array([chi_square_cdf(xi, ki) for ki, xi in points])
+        assert np.max(np.abs(got - ref)) < 1e-12
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("k", [1, 1.5, 2.7, 50, 1e6])
+    def test_boundaries_are_exact(self, k):
+        assert chi_square_cdf(0.0, k) == 0.0
+        assert chi_square_cdf(np.inf, k) == 1.0
+        assert chi_square_cdf(1e300, k) == 1.0
+
+    @pytest.mark.parametrize("x, k", [(1.0, 1.5), (4.0, 1.5), (1.0, 2.7), (6.0, 2.7)])
+    def test_non_integer_degrees_of_freedom(self, x, k):
+        assert abs(chi_square_cdf(x, k) - _series_gamma_p(k / 2, x / 2)) < 1e-13
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             chi_square_cdf(-0.1, 2)
         with pytest.raises(DomainError):
             chi_square_cdf(1.0, 0.5)
+        with pytest.raises(DomainError):
+            chi_square_cdf(1.0, 1e6 * (1 + 1e-15))
 
-    @pytest.mark.parametrize("x, k", [(np.nan, 2), (1.0, np.nan), (np.nan, np.nan)])
+    @pytest.mark.parametrize("x, k", [(np.nan, 2), (1.0, np.nan), (np.nan, np.nan),
+                                      (1.0, np.inf)])
     def test_nan_arguments_are_domain_errors(self, x, k):
         with pytest.raises(DomainError):
             chi_square_cdf(x, k)
