@@ -17,7 +17,7 @@ import inspect
 import numpy as np
 
 from .core import Dataset, PosteriorDraws, ReplicateBlock
-from .errors import DataError, DimensionError, ParameterError, finite, integer
+from .errors import DataError, DimensionError, ParameterError, integer
 from . import linear, mixtures
 
 REDUCTION_AVERAGE = "average"
@@ -160,17 +160,16 @@ class RegressionModelB(_OneStateModel):
 
 
 class PpcaModel(_OneStateModel):
-    """Probabilistic PCA with a K-dimensional latent space, fitted by EM."""
+    """Probabilistic PCA with a K-dimensional latent space, at its closed-form
+    maximum-likelihood state."""
 
-    def __init__(self, K, tol=1e-8, max_iters=1000, reduction=REDUCTION_MAP):
+    def __init__(self, K, reduction=REDUCTION_MAP):
         self.K = integer(K, "K", 1)
-        self.tol = finite(tol, "tol")
-        self.max_iters = integer(max_iters, "max_iters", 1)
         self.reduction = _reduction(reduction)
         self.id = f"ppca-K{self.K}"
 
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
-        params = linear.ppca_em_fit(x, self.K, self.tol, self.max_iters)
+        params = linear.ppca_ml_fit(x, self.K)
         return PosteriorDraws((params,), self.id)
 
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
@@ -192,8 +191,8 @@ def make_model(family: str, K: int = None, **settings):
 
     The mixture and PPCA families need K and the regression families take
     none.  ``settings`` are the family's own keywords (the reduction of
-    every family, the chain schedule of gmm and multmix, tol and max_iters
-    of ppca); any other is refused.
+    every family and the chain schedule of gmm and multmix); any other is
+    refused.
     """
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:

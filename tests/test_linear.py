@@ -1,7 +1,5 @@
 """Regression pair and probabilistic PCA tests against closed-form oracles."""
 
-import warnings
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +10,7 @@ from ppn.datagen import gen_linear_factor_data, gen_nonlinear_factor_data
 from ppn.errors import (DataError, DimensionError, ParameterError,
                         SingularityError, StateError)
 from ppn.linear import (PpcaParams, RegressionPosteriorA, RegressionPosteriorB,
-                        ppca_em_fit, ppca_predictive,
+                        ppca_ml_fit, ppca_predictive,
                         ppca_reconstruction_diagnostic, regression_diagnostic,
                         regression_fit_A, regression_fit_B,
                         regression_predictive)
@@ -158,14 +156,14 @@ class TestRegressionDiagnostic:
 
 
 class TestPpcaFit:
-    # on noiseless data sigma2 reaches its floor, where the fit stops, with
-    # no warning, at a W whose WW' is the sample covariance
+    # on noiseless data sigma2 sits at its floor, with no numpy warning, and
+    # WW' + sigma2 I is the sample covariance
     @pytest.mark.filterwarnings("error")
     def test_noiseless_subspace(self):
         g = Seed(8).stream("sub").generator
         W = g.standard_normal((6, 2))
         z = g.standard_normal((500, 2))
-        params = ppca_em_fit(Dataset(z @ W.T), 2, tol=1e-14, max_iters=20000)
+        params = ppca_ml_fit(Dataset(z @ W.T), 2)
         assert params.sigma2 <= 1e-8
         # principal angles between span(W) and span(W_hat)
         qa, _ = np.linalg.qr(W)
@@ -179,56 +177,39 @@ class TestPpcaFit:
 
     def test_sigma2_eigenvalue_oracle(self):
         data = gen_linear_factor_data(800, Seed(9))
-        K = 2
-        params = ppca_em_fit(data, K, tol=1e-13, max_iters=20000)
         centered = data.values - data.values.mean(axis=0)
         S = centered.T @ centered / data.n
         eig = np.sort(np.linalg.eigvalsh(S))[::-1]
-        assert abs(params.sigma2 - eig[K:].mean()) < 1e-6
-
-    @pytest.mark.filterwarnings("ignore:PPCA EM did not converge")
-    def test_em_loglik_monotone(self):
-        # successively longer runs cannot decrease the final log-likelihood
-        data = gen_nonlinear_factor_data(300, Seed(10))
-
-        def loglik(params):
-            centered = data.values - params.mean
-            S = centered.T @ centered / data.n
-            C = params.W @ params.W.T + params.sigma2 * np.eye(params.G)
-            _, logdet = np.linalg.slogdet(C)
-            return -0.5 * data.n * (params.G * np.log(2 * np.pi) + logdet
-                                    + np.trace(np.linalg.solve(C, S)))
-
-        values = [loglik(ppca_em_fit(data, 2, tol=0.0, max_iters=i))
-                  for i in (1, 2, 4, 8, 16, 32)]
-        assert all(b >= a - 1e-7 for a, b in zip(values, values[1:]))
-
-    def test_warns_when_max_iters_stops_it(self):
-        data = gen_linear_factor_data(300, Seed(11))
-        with pytest.warns(RuntimeWarning, match=r"max_iters=2: the last relative "
-                                                r"log-likelihood change was [0-9.e+-]+, above"):
-            ppca_em_fit(data, 2, max_iters=2)
-
-    def test_default_fit_converges_without_warning(self):
-        data = gen_linear_factor_data(3000, Seed(11))
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            ppca_em_fit(data, 2)
+        for K in (1, 2, 5):
+            params = ppca_ml_fit(data, K)
+            assert abs(params.sigma2 - eig[K:].mean()) < 1e-12
+            # the ML state is stationary: S C^-1 W = W (Tipping & Bishop eq. 8)
+            W = params.W
+            C = W @ W.T + params.sigma2 * np.eye(params.G)
+            assert np.linalg.norm(S @ np.linalg.solve(C, W) - W) <= 1e-8 * np.linalg.norm(W)
 
     def test_preconditions(self):
         data = gen_linear_factor_data(50, Seed(11))
         with pytest.raises(DimensionError):
-            ppca_em_fit(data, 10)
+            ppca_ml_fit(data, 10)
         with pytest.raises(DimensionError):
-            ppca_em_fit(data, 0)
+            ppca_ml_fit(data, 0)
         with pytest.raises(DataError):
-            ppca_em_fit(Dataset([[0]], level_sizes=(2,)), 1)
+            ppca_ml_fit(Dataset([[0]], level_sizes=(2,)), 1)
 
     def test_state_validation(self):
         with pytest.raises(StateError):
             PpcaParams(np.ones((3, 1)), -1.0, np.zeros(3))
         with pytest.raises(StateError):
             PpcaParams(np.full((3, 1), np.nan), 1.0, np.zeros(3))
+        for sigma2 in (np.nan, np.inf):
+            with pytest.raises(StateError):
+                PpcaParams(np.ones((3, 1)), sigma2, np.zeros(3))
+        with pytest.raises(StateError):
+            PpcaParams(np.ones(3), 1.0, np.zeros(3))
+        for mean in (np.zeros(2), np.zeros((1, 3)), np.array([0.0, np.nan, 0.0])):
+            with pytest.raises(StateError):
+                PpcaParams(np.ones((3, 1)), 1.0, mean)
 
 
 class TestPpcaPredictive:
@@ -271,8 +252,8 @@ class TestPpcaDiagnostic:
 
     def test_richer_subspace_reconstructs_better(self):
         data = gen_nonlinear_factor_data(500, Seed(15))
-        p2 = ppca_em_fit(data, 2)
-        p5 = ppca_em_fit(data, 5)
+        p2 = ppca_ml_fit(data, 2)
+        p5 = ppca_ml_fit(data, 5)
         x = gen_nonlinear_factor_data(200, Seed(16))
         assert (ppca_reconstruction_diagnostic(x, p2)
                 > ppca_reconstruction_diagnostic(x, p5))

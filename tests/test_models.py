@@ -97,16 +97,20 @@ class TestReplicateBlock:
         codes = ReplicateBlock(np.ones((2, 3, 2)), level_sizes=(2, 3))
         assert codes.level_sizes == (2, 3)
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
     @pytest.mark.parametrize("name", ["reg-A", "reg-B", "ppca-2", "gmm-2"])
     def test_non_finite_replicates_fail_at_the_replicate_stage(self, name):
         make_model, make_split = CASES[name]
-        field = {"reg-A": "y_bar", "reg-B": "intercept", "ppca-2": "mean", "gmm-2": "means"}[name]
+        # a PPCA state refuses non-finite values, so its replicates overflow
+        # from a finite loading instead
+        field, value = {"reg-A": ("y_bar", np.nan), "reg-B": ("intercept", np.nan),
+                        "ppca-2": ("W", 1e308), "gmm-2": ("means", np.nan)}[name]
         model = make_model()
         fit = model.fit
 
         def non_finite_fit(x, stream):
             state = fit(x, stream).states[0]
-            bad = np.full(np.shape(getattr(state, field)), np.nan)
+            bad = np.full(np.shape(getattr(state, field)), value)
             return PosteriorDraws((dataclasses.replace(state, **{field: bad}),), model.id)
 
         model.fit = non_finite_fit

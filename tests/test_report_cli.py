@@ -140,10 +140,8 @@ CLI_PROBES = {
     "fractions-not-numbers": {"config": {"fractions": "abc"}},
     "chain-not-object": {"config": {"chain": [60, 20, 2]}},
     "chain-not-integer": {"config": {"chain": {"iters": "abc"}, "models": ["gmm:1"]}},
-    "ppca-tol-not-number": {"config": {
-        "models": [{"family": "ppca", "K": 1, "tol": "abc"}, "gmm:1"]}},
-    "ppca-max-iters-not-integer": {"config": {
-        "models": [{"family": "ppca", "K": 1, "max_iters": "x"}, "gmm:1"]}},
+    "ppca-takes-no-max-iters": {"config": {
+        "models": [{"family": "ppca", "K": 1, "max_iters": 5}, "gmm:1"]}},
     "data-path-is-a-descriptor": {"config": {"data": {"path": 5}}},
     "data-path-is-stdin": {"config": {"data": {"path": 0}}},
     "models-not-a-list": {"config": {"models": 5}},

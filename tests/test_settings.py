@@ -43,7 +43,6 @@ INTEGER_SETTINGS = {
     "GmmModel.K": GmmModel,
     "MultMixModel.K": MultMixModel,
     "PpcaModel.K": PpcaModel,
-    "PpcaModel.max_iters": lambda v: PpcaModel(1, max_iters=v),
     "gen_gmm_data.n": lambda v: datagen.gen_gmm_data(v, Seed(0)),
     "gen_regression_data.n": lambda v: datagen.gen_regression_data(v, seed=Seed(0)),
     "gen_linear_factor_data.n": lambda v: datagen.gen_linear_factor_data(v, Seed(0)),
@@ -55,7 +54,6 @@ INTEGER_SETTINGS = {
     "ppn_check.R": lambda v: _pair(R=v),
 }
 FINITE_SETTINGS = {
-    "PpcaModel.tol": lambda v: PpcaModel(1, tol=v),
     "StudyConfig.alpha": lambda v: StudyConfig(alpha=v),
     "StudyConfig.tau": lambda v: StudyConfig(tau=v),
     "heldout_predictive_check.alpha": lambda v: _heldout(alpha=v),
