@@ -18,11 +18,8 @@ unavailable, the same tasks run in the calling process.
 from __future__ import annotations
 
 import itertools
-import multiprocessing
 import os
-import threading
 import warnings
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 
 from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
@@ -186,6 +183,10 @@ def _worker_count(tasks):
     task.  One (the caller itself) where forking is unavailable or unsafe:
     in a daemonic process, which may not have children, or beside other
     threads, whose held locks a forked child would copy."""
+    # the pool's modules load here and in _run_tasks, so that a run that
+    # forks nothing, such as a single check, never imports them
+    import multiprocessing
+    import threading
     if not hasattr(os, "sched_getaffinity") \
             or "fork" not in multiprocessing.get_all_start_methods() \
             or multiprocessing.current_process().daemon \
@@ -229,6 +230,8 @@ def _run_tasks(task, engine, models, args):
     workers = _worker_count(len(args))
     if workers <= 1:
         return _reissued(_recorded(task, engine, models, arg) for arg in args)
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
                                initializer=_attach, initargs=(engine, models))
     try:

@@ -41,11 +41,15 @@ def _checked_levels(values, level_sizes):
     sizes = tuple(integer(s, "a level size", 1) for s in level_sizes)
     if len(sizes) != values.shape[1]:
         raise DimensionError("one level size per code column required")
-    # NaN and inf fail the first test; a code such as 1e300 passes it
-    # and is out of range, compared as a float, never cast
-    if not np.all(np.isfinite(values) & (np.floor(values) == values)):
+    # one contiguous row per variable, whose min and max give its range; a
+    # NaN or inf shows in them, and a code such as 1e300 is whole and out of
+    # range, compared as a float, never cast
+    columns = values.T.copy()
+    low, high = columns.min(axis=1), columns.max(axis=1)
+    if not np.all(np.isfinite(low) & np.isfinite(high)) \
+            or (np.floor(columns) != columns).any():
         raise DataError("level codes must be whole numbers")
-    outside = ((values < 0) | (values >= sizes)).any(axis=0)
+    outside = (low < 0) | (high >= sizes)
     if outside.any():
         raise DataError(f"level codes for variable {int(np.argmax(outside))} out of range")
     return sizes

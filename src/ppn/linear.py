@@ -97,10 +97,13 @@ def regression_predictive(posterior, R: int, stream) -> ReplicateBlock:
     R = integer(R, "R", 1)
     mean = posterior.predictive_mean(posterior.X_in)
     sd = np.sqrt(posterior.predictive_var(posterior.X_in))
-    block = np.empty((R, posterior.n_in, 1))
-    for rep, g in zip(block[:, :, 0], stream.substream_generators(R)):
-        rep[:] = mean + sd * g.standard_normal(posterior.n_in)
-    return ReplicateBlock(block, posterior.X_in)
+    values = np.empty((R, posterior.n_in))
+    for rep, g in zip(values, stream.substream_generators(R)):
+        g.standard_normal(out=rep)
+    # mean + sd * z for every replicate at once, with the same roundings
+    values *= sd
+    values += mean
+    return ReplicateBlock(values[:, :, None], posterior.X_in)
 
 
 def regression_diagnostic(y, covariates, fitted_on_val):
@@ -179,10 +182,16 @@ def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> Replicate
     one block; replicate r draws from stream.substream(r)."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     block = np.empty((R, n_rep, params.G))
+    z, shift = np.empty((n_rep, params.K)), np.empty((n_rep, params.G))
+    noise_sd = np.sqrt(params.sigma2)
     for rep, g in zip(block, stream.substream_generators(R)):
-        z = g.standard_normal((n_rep, params.K))
-        eps = np.sqrt(params.sigma2) * g.standard_normal((n_rep, params.G))
-        rep[:] = params.mean + z @ params.W.T + eps
+        g.standard_normal(out=z)
+        g.standard_normal(out=rep)
+        # mean + z W' + sd * eps, with the same roundings, in place
+        np.matmul(z, params.W.T, out=shift)
+        shift += params.mean
+        rep *= noise_sd
+        rep += shift
     return ReplicateBlock(block)
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import struct
 from dataclasses import dataclass
 
 import numpy as np
@@ -79,14 +80,19 @@ class VariateStream:
         it is handed out again: a generator is valid only until the next one
         is handed out.  This skips building a stream and a bit generator
         (whose constructor gathers OS entropy even when given its key) per
-        replicate.
+        replicate.  A re-key hashes only r onto a copy of the hashed label
+        prefix, and hands the state setter Python ints, not fresh arrays.
         """
+        prefix = hashlib.sha256(f"{self.seed.root}\x1f{self.label}/".encode())
         bits = np.random.Philox(key=_philox_key(self.seed, self.label))
         generator = np.random.Generator(bits)
         state = bits.state
+        state["buffer"] = [0, 0, 0, 0]
+        words = state["state"] = {"counter": [0, 0, 0, 0]}
         for r in range(R):
-            state["state"] = {"counter": np.zeros(4, dtype=np.uint64),
-                              "key": _philox_key(self.seed, f"{self.label}/{r}")}
+            digest = prefix.copy()
+            digest.update(str(r).encode())
+            words["key"] = _KEY_WORDS.unpack_from(digest.digest())
             bits.state = state
             yield generator
 
@@ -94,6 +100,10 @@ class VariateStream:
 def _philox_key(seed, label):
     digest = hashlib.sha256(f"{seed.root}\x1f{label}".encode()).digest()
     return np.frombuffer(digest, dtype=np.uint64)[:2]
+
+
+# _philox_key's two words as Python ints: native byte order, standard sizes
+_KEY_WORDS = struct.Struct("=2Q")
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:

@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppn.core import (CheckOutcome, DataSplit, Dataset, PpnOutcome, StudyReport,
-                      pass_fail, split_data)
+from ppn.core import (CheckOutcome, DataSplit, Dataset, PpnOutcome, ReplicateBlock,
+                      StudyReport, pass_fail, split_data)
 from ppn.errors import DataError, DimensionError, ParameterError
 from ppn.rng import Seed
 
@@ -73,6 +73,24 @@ class TestDataset:
             for codes in ([[1e300, 0.0]], [[-1e300, 0.0]], [[3.0, 0.0]]):
                 with pytest.raises(DataError, match="out of range"):
                     Dataset(codes, level_sizes=(3, 2))
+
+    @pytest.mark.parametrize("where", ["dataset", "block"])
+    @pytest.mark.parametrize("code, message", [
+        (np.nan, "whole numbers"), (np.inf, "whole numbers"), (-np.inf, "whole numbers"),
+        (0.5, "whole numbers"), (1e300, "variable 1 out of range"),
+        (-1.0, "variable 1 out of range"), (2.0, "variable 1 out of range")])
+    def test_each_bad_code_is_refused(self, where, code, message):
+        # variable 1 has 2 levels; the bad code sits in a later row (and
+        # replicate) than the first
+        values = np.zeros((3, 4, 3))
+        values[2, 3, 1] = code
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError, match=message):
+                if where == "dataset":
+                    Dataset(values[2], level_sizes=(3, 2, 4))
+                else:
+                    ReplicateBlock(values, level_sizes=(3, 2, 4))
 
     def test_level_sizes_must_be_integers(self):
         for sizes in ((2.9, 2), (2.0, 2), (True, 2), ("3", 2), (0, 2)):

@@ -1,4 +1,5 @@
-"""The package imports, fits, replicates and scores without SciPy.
+"""The package imports, fits, replicates and scores without SciPy, and
+runs a single check without loading the study's fork pool.
 
 SciPy is not a runtime dependency: the tests use it only as an oracle.
 """
@@ -50,10 +51,36 @@ PROBE = textwrap.dedent("""
 """)
 
 
-def test_package_runs_without_loading_scipy():
+# one heldout check and one pairwise null, neither of which forks
+POOL_PROBE = textwrap.dedent("""
+    import sys
+    import warnings
+
+    import ppn
+    from ppn import datagen
+    seed = ppn.Seed(3)
+    reg = ppn.split_data(datagen.gen_regression_data(90, 3, 2.5, seed),
+                         (1 / 3, 1 / 3, 1 / 3), seed)
+    ppn.heldout_predictive_check(reg, ppn.RegressionModelB(), R=8, seed=seed)
+    warnings.simplefilter("ignore")
+    ppn.ppn_check(reg, ppn.RegressionModelB(), ppn.RegressionModelA(), R=8, seed=seed)
+    loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
+    assert not loaded, f"a single check loaded {loaded}"
+""")
+
+
+def _run_fresh(code):
     src = os.path.dirname(os.path.dirname(ppn.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
-    done = subprocess.run([sys.executable, "-c", PROBE.format(submodules=SUBMODULES)],
+    done = subprocess.run([sys.executable, "-c", code],
                           env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+
+
+def test_package_runs_without_loading_scipy():
+    _run_fresh(PROBE.format(submodules=SUBMODULES))
+
+
+def test_single_checks_do_not_load_the_fork_pool():
+    _run_fresh(POOL_PROBE)

@@ -108,21 +108,23 @@ class TestRegressionPredictive:
         with pytest.raises(ParameterError):
             regression_predictive(post, 0, Seed(6).stream("r"))
 
-    @pytest.mark.parametrize("name, with_covariates",
-                             [("A", False), ("A", True), ("B", True)])
-    def test_rows_are_the_substream_draws_at_the_fitted_rows(self, name, with_covariates):
+    # A's sd is one scalar, B's one per row; R=600 spans many re-keys
+    @pytest.mark.parametrize("name, with_covariates, R", [
+        pytest.param(name, cov, R, id=f"{name}-{cov}" + ("" if R == 7 else f"-R{R}"))
+        for name, cov in [("A", False), ("A", True), ("B", True)] for R in (1, 7, 600)])
+    def test_rows_are_the_substream_draws_at_the_fitted_rows(self, name, with_covariates, R):
         g = Seed(8).stream("rows").generator
         X, y = g.standard_normal((12, 2)), g.standard_normal(12)
         X_in = X if with_covariates else None
         post = regression_fit_A(y, X_in) if name == "A" else regression_fit_B(y, X)
         stream = Seed(8).stream("reps")
-        reps = regression_predictive(post, 5, stream)
-        assert isinstance(reps, ReplicateBlock) and reps.values.shape == (5, 12, 1)
+        reps = regression_predictive(post, R, stream)
+        assert isinstance(reps, ReplicateBlock) and reps.values.shape == (R, 12, 1)
         if name == "A":
             mean, sd = post.y_bar, np.sqrt(2.0)
         else:
             mean, sd = post.predictive_mean(X), np.sqrt(post.predictive_var(X))
-        for r in range(5):
+        for r in range(R):
             want = mean + sd * stream.substream(r).generator.standard_normal(12)
             assert reps.values[r, :, 0].tobytes() == want.tobytes()
         if X_in is None:
@@ -230,6 +232,21 @@ class TestPpcaPredictive:
         Q = np.array([[np.cos(theta), -np.sin(theta)],
                       [np.sin(theta), np.cos(theta)]])
         assert np.allclose(W @ W.T, (W @ Q) @ (W @ Q).T, atol=1e-12)
+
+    @pytest.mark.parametrize("R", [1, 7, 600])
+    @pytest.mark.parametrize("K", [1, 9])      # 1 and G - 1
+    def test_replicates_are_the_substream_draws(self, K, R):
+        params = ppca_ml_fit(gen_linear_factor_data(200, Seed(15)), K)
+        assert params.G == 10
+        stream = Seed(15).stream("reps")
+        reps = ppca_predictive(params, 9, R, stream)
+        assert reps.values.shape == (R, 9, 10)
+        for r in range(R):
+            g = stream.substream(r).generator
+            z = g.standard_normal((9, K))
+            eps = np.sqrt(params.sigma2) * g.standard_normal((9, 10))
+            want = params.mean + z @ params.W.T + eps
+            assert reps.values[r].tobytes() == want.tobytes()
 
     def test_determinism(self):
         params = PpcaParams(np.ones((3, 1)), 1.0, np.zeros(3))

@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppn.errors import DegenerateSampleError, DomainError, ParameterError
-from ppn.rng import (Seed, VariateStream, categorical, chi_square_cdf, ks_distance,
-                     logsumexp)
+from ppn.rng import (Seed, VariateStream, _philox_key, categorical, chi_square_cdf,
+                     ks_distance, logsumexp)
 
 
 def _series_gamma_p(s, x):
@@ -56,17 +56,36 @@ class TestStreams:
         b = Seed(1).stream("x", "y").generator.random(5)
         assert np.array_equal(a, b)
 
-    @pytest.mark.parametrize("R", [1, 600])
-    def test_substream_generators_draw_as_substreams(self, R):
-        stream = Seed(9).stream("reps")
+    @pytest.mark.parametrize("root, label, R", [
+        pytest.param(9, "reps", 1, id="1"), pytest.param(9, "reps", 600, id="600"),
+        pytest.param(0, "reps", 7, id="root-0"),
+        pytest.param(2**64 - 1, "reps", 7, id="root-2**64-1"),
+        pytest.param(9, "répliques/ψ", 7, id="non-ascii-label")])
+    def test_substream_generators_draw_as_substreams(self, root, label, R):
+        stream = Seed(root).stream(label)
         seen = 0
         for r, g in enumerate(stream.substream_generators(R)):
             want = stream.substream(r).generator
+            # three 32-bit draws leave half of a 64-bit word for the next
+            # one, which the next re-key must not hand on
+            assert np.array_equal(g.random(3, dtype=np.float32),
+                                  want.random(3, dtype=np.float32))
+            assert g.bit_generator.state["has_uint32"] == 1
             assert np.array_equal(g.standard_normal((2, 3)), want.standard_normal((2, 3)))
             assert np.array_equal(g.integers(7, size=4), want.integers(7, size=4))
             assert np.array_equal(g.random(5), want.random(5))
             seen += 1
         assert seen == R
+
+    def test_no_substream_generators_for_r_0(self):
+        assert list(Seed(9).stream("reps").substream_generators(0)) == []
+
+    def test_substream_keys_are_the_hashed_labels(self):
+        stream = Seed(12345).stream("keys")
+        for r, g in enumerate(stream.substream_generators(10**4 + 1)):
+            key = g.bit_generator.state["state"]["key"]
+            assert np.array_equal(key, _philox_key(stream.seed, f"keys/{r}"))
+        assert r == 10**4
 
     def test_seed_range_check(self):
         with pytest.raises(ParameterError):
