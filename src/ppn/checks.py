@@ -17,7 +17,6 @@ unavailable, the same tasks run in the calling process.
 
 from __future__ import annotations
 
-import itertools
 import os
 import warnings
 from dataclasses import dataclass
@@ -195,47 +194,47 @@ def _worker_count(tasks):
     return min(tasks, len(os.sched_getaffinity(0)))
 
 
-_shared = None      # (engine, models) of the study a forked worker serves
+_task = None        # the function that a forked worker of a pool maps
 
 
-def _attach(engine, models):
-    global _shared
-    _shared = engine, models
+def _attach(fn):
+    global _task
+    _task = fn
 
 
-def _in_worker(task, arg):
-    return _recorded(task, *_shared, arg)
+def _in_worker(arg):
+    return _recorded(_task, arg)
 
 
-def _recorded(task, engine, models, arg):
-    """task's result or PpnError, with the warnings it raised kept for the
-    caller to re-issue."""
+def _recorded(fn, arg):
+    """fn(arg) or the PpnError it raised, with the warnings it raised kept
+    for the caller to re-issue."""
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         try:
-            result, error = task(engine, models, arg), None
+            result, error = fn(arg), None
         except PpnError as exc:
             result, error = None, exc
     return result, [(w.message, w.category, w.filename, w.lineno) for w in caught], error
 
 
-def _run_tasks(task, engine, models, args):
-    """task(engine, models, arg) for each arg, results in order.
+def _run_tasks(fn, args):
+    """fn(arg) for each arg, results in order.
 
-    With more than one worker the tasks run on a fork pool: each worker
-    inherits the engine with all it has kept, so only args and results are
-    pickled, and models are named by index.  Each task's warnings are
-    re-issued, and the first failing task's error raised, in task order.
+    With more than one worker the calls run on a fork pool: each worker
+    inherits fn with all it closes over, so only args and results are
+    pickled.  Each call's warnings are re-issued, and the first failing
+    call's error raised, in arg order.
     """
     workers = _worker_count(len(args))
     if workers <= 1:
-        return _reissued(_recorded(task, engine, models, arg) for arg in args)
+        return _reissued(_recorded(fn, arg) for arg in args)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(workers, multiprocessing.get_context("fork"),
-                               initializer=_attach, initargs=(engine, models))
+                               initializer=_attach, initargs=(fn,))
     try:
-        return _reissued(pool.map(_in_worker, itertools.repeat(task), args))
+        return _reissued(pool.map(_in_worker, args))
     finally:
         pool.shutdown(cancel_futures=True)
 
@@ -249,19 +248,6 @@ def _reissued(outputs):
             raise error
         results.append(result)
     return results
-
-
-def _check_task(engine, models, i):
-    """Model i's fits, replicates and own diagnostic set, as kept products."""
-    model = models[i]
-    engine.samples(model, model)
-    return engine.products(model)
-
-
-def _pair_task(engine, models, pair):
-    """The owner's finished null against the source's replicates."""
-    owner, source = pair
-    return engine.pair(models[owner], models[source])
 
 
 def _verdict(fooled_by_b: bool, fooled_by_a: bool) -> str:
@@ -295,8 +281,13 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
     elif not isinstance(config, StudyConfig):
         raise ParameterError(f"config must be a StudyConfig, not a {type(config).__name__}")
     engine = _Engine.of_split(split, seed, config)
-    for model, products in zip(models, _run_tasks(_check_task, engine, models,
-                                                  range(len(models)))):
+
+    def own_products(i):
+        """Model i's fits, replicates and own diagnostic set, as kept products."""
+        engine.samples(models[i], models[i])
+        return engine.products(models[i])
+
+    for model, products in zip(models, _run_tasks(own_products, range(len(models)))):
         engine.adopt(model, products)
     diagonal = [engine.check(model) for model in models]
     passers = [i for i, c in enumerate(diagonal) if c.passed]
@@ -304,7 +295,8 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
         pairs_to_run = list(zip(passers[1:], passers[:-1]))
     else:
         pairs_to_run = [(a, b) for a in passers for b in passers if a != b]
-    off_diagonal = _run_tasks(_pair_task, engine, models, pairs_to_run)
+    off_diagonal = _run_tasks(lambda pair: engine.pair(models[pair[0]], models[pair[1]]),
+                              pairs_to_run)
     survivors = [models[i] for i in passers]
     outcome = {(p.diagnostic_owner, p.data_source): p for p in off_diagonal}
     verdicts = []

@@ -253,10 +253,10 @@ def split_data(data: Dataset, fractions, seed) -> DataSplit:
     Sizes are floor-allocated from the fractions with any remainder rows
     assigned to x_in.  The permutation is a pure function of the seed.
     """
-    try:
-        fractions = np.array([finite(f, "a fraction") for f in fractions])
-    except TypeError:
-        raise ParameterError(f"fractions must be three positive reals, not {fractions!r}") from None
+    # a string is iterable too, but of characters
+    if isinstance(fractions, str) or not np.iterable(fractions):
+        raise ParameterError(f"fractions must be three positive reals, not {fractions!r}")
+    fractions = np.array([finite(f, "a fraction") for f in fractions])
     if fractions.shape != (3,) or np.any(fractions <= 0):
         raise ParameterError("fractions must be three positive reals")
     if abs(fractions.sum() - 1.0) > 1e-9:

@@ -188,6 +188,18 @@ def _dirichlet_from_gammas(gammas) -> np.ndarray:
     return gammas * (1.0 / total)
 
 
+def _draw_labels(logits, g) -> np.ndarray:
+    """A label for each column of the K x n logits, drawn by inverse CDF on
+    the unnormalized responsibilities with one uniform per column from the
+    generator g; the logits are overwritten."""
+    logits -= logits.max(axis=0)
+    cum = np.exp(logits, out=logits)
+    for k in range(1, len(cum)):
+        cum[k] += cum[k - 1]
+    u = g.random(cum.shape[1])
+    return (cum[:-1] < u * cum[-1]).sum(0)
+
+
 def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
     """Gibbs chain over assignments, mixing weights, means, and variances.
 
@@ -200,7 +212,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
     ChainConfig(iters, burnin, thin)
     g = stream.generator
     data = x.values
-    n, D = data.shape
+    D = data.shape[1]
     columns = np.ascontiguousarray(data.T)[:, None, :]    # D x 1 x n
     dims = np.arange(D)
     means, variances = _kmeans_init(data, K)
@@ -211,13 +223,7 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
         comp = _component_sums(columns, means, variances, np.log(variances))
         comp *= 0.5
         np.subtract(np.log(weights)[:, None], comp, out=comp)
-        comp -= comp.max(axis=0)
-        # inverse-CDF label draw on the unnormalized responsibilities
-        cum = np.exp(comp, out=comp)
-        for k in range(1, K):
-            cum[k] += cum[k - 1]
-        u = g.random(n)
-        z = (cum[:-1] < u * cum[-1]).sum(0)
+        z = _draw_labels(comp, g)
         counts = np.bincount(z, minlength=K)
         # conjugate Dirichlet update for the mixing weights
         weights = _dirichlet_from_gammas(g.standard_gamma(GMM_ALPHA_PI + counts))
@@ -396,17 +402,18 @@ def _require_categorical(x):
 
 
 def multmix_full_loglik(x: Dataset, states) -> np.ndarray:
-    """Mixture log-likelihood of x at each state, a block of states at a
-    time, as gmm_full_loglik."""
+    """Mixture log-likelihood of x at each state, through the diagnostic's
+    class logits, a block of states at a time, as gmm_full_loglik."""
     codes = x.codes()
     loglik = []
     for block in _state_blocks(states, x.n * states[0].K):
-        logp = np.log(np.stack([s.weights for s in block]))[:, None, :]    # B x 1 x K
-        with np.errstate(divide="ignore"):
-            for j in range(codes.shape[1]):
-                table = np.stack([s.tables[j] for s in block])             # B x K x L
-                logp = logp + np.log(table[:, :, codes[:, j]]).transpose(0, 2, 1)
-        loglik += _loglik_rows(logp)
+        logits = _MultMixStack.of(block).logits(codes).transpose(2, 0, 1)    # B x n x K
+        if logits.shape[2] >= 8:
+            # the classes are summed as numpy sums a contiguous last axis:
+            # one value after another, as this view sums them, below eight
+            # values, and pairwise from eight on
+            logits = np.ascontiguousarray(logits)
+        loglik += _loglik_rows(logits)
     return np.array(loglik)
 
 
@@ -475,13 +482,7 @@ def multmix_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, strea
         logp = np.empty((K, n))
         for a in range(0, n, rows):
             logs.take(cols[:, a:a + rows], axis=1).sum(axis=1, out=logp[:, a:a + rows])
-        # inverse-CDF label draw on the unnormalized responsibilities
-        logp -= logp.max(axis=0)
-        cum = np.exp(logp, out=logp)
-        for k in range(1, K):
-            cum[k] += cum[k - 1]
-        u = g.random(n)
-        z = (cum[:-1] < u * cum[-1]).sum(0)
+        z = _draw_labels(logp, g)
         # Gamma shapes: the class counts, then every table's K x L cell
         # counts, on their priors
         shapes = prior + np.bincount((strides * z + offsets).ravel(), minlength=len(params))
@@ -559,6 +560,14 @@ class _MultMixStack:
         with np.errstate(divide="ignore"):
             return cls(np.log(weights), tables, tuple(np.log(t) for t in tables))
 
+    def logits(self, codes) -> np.ndarray:
+        """log w_k + sum_j log table_j[k, code] at each row of the n x d
+        codes, added in that order, n x K x B; log 0 = -inf."""
+        logits = self.log_weights + self.log_tables[0][codes[:, 0]]
+        for j in range(1, codes.shape[1]):
+            logits += self.log_tables[j][codes[:, j]]
+        return logits
+
 
 def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     """Deviance-style discrepancy of x at each state: B values for a
@@ -628,10 +637,7 @@ def _deviance(log_obs):
 def _multmix_log_obs(codes, stack) -> np.ndarray:
     """Log predicted probability of each observed cell of the n x d codes at
     each stacked state, d x n x B; log 0 = -inf."""
-    # log w_k + sum_j log table_j[k, code], gathered as n x K x B
-    logits = stack.log_weights + stack.log_tables[0][codes[:, 0]]
-    for j in range(1, codes.shape[1]):
-        logits += stack.log_tables[j][codes[:, j]]
+    logits = stack.logits(codes)
     top = logits.max(axis=1, keepdims=True)
     dead = np.isneginf(top)
     if dead.any():

@@ -40,17 +40,18 @@ def _fd_edges(samples):
     return np.linspace(lo, hi, max(min(bins, 80), 3) + 1)
 
 
-def _hist_rects(samples, edges, x0, y0, w, h, peak, color, opacity):
-    counts, _ = np.histogram(samples, bins=edges)
+def _hist_rects(counts, edges, x0, y0, peak, color, opacity):
+    """The bars of one histogram's counts in the cell at (x0, y0), scaled
+    so that peak fills the cell."""
     span = edges[-1] - edges[0]
     parts = []
     for c, lo, hi in zip(counts, edges[:-1], edges[1:]):
         if c == 0:
             continue
-        bx = x0 + (lo - edges[0]) / span * w
-        bw = (hi - lo) / span * w
-        bh = c / peak * (h - 18)
-        parts.append(f'<rect x="{bx:.2f}" y="{y0 + h - bh:.2f}" width="{bw:.2f}" '
+        bx = x0 + (lo - edges[0]) / span * CELL_W
+        bw = (hi - lo) / span * CELL_W
+        bh = c / peak * (CELL_H - 18)
+        parts.append(f'<rect x="{bx:.2f}" y="{y0 + CELL_H - bh:.2f}" width="{bw:.2f}" '
                      f'height="{bh:.2f}" fill="{color}" fill-opacity="{opacity}"/>')
     return parts
 
@@ -90,8 +91,7 @@ def render_grid_svg(report: StudyReport) -> str:
         observed = _finite([check.diagnostic_observed])
         edges = _fd_edges(np.append(replicates, observed))
         counts, _ = np.histogram(replicates, bins=edges)
-        peak = max(counts.max(), 1)
-        out += _hist_rects(replicates, edges, x0, y0, CELL_W, CELL_H, peak, "#4878a8", 0.9)
+        out += _hist_rects(counts, edges, x0, y0, max(counts.max(), 1), "#4878a8", 0.9)
         span = edges[-1] - edges[0]
         for value in observed:
             ox = x0 + (value - edges[0]) / span * CELL_W
@@ -106,12 +106,10 @@ def render_grid_svg(report: StudyReport) -> str:
                    f'fill="none" stroke="gray"/>')
         samples_a, samples_b = _finite(pair.samples_a), _finite(pair.samples_b)
         edges = _fd_edges(np.concatenate([samples_a, samples_b]))
-        peak = max(max(np.histogram(s, bins=edges)[0].max() for s in
-                       (samples_a, samples_b)), 1)
-        out += _hist_rects(samples_a, edges, x0, y0, CELL_W, CELL_H,
-                           peak, "#4878a8", 0.55)
-        out += _hist_rects(samples_b, edges, x0, y0, CELL_W, CELL_H,
-                           peak, "#d08030", 0.55)
+        counts = [np.histogram(s, bins=edges)[0] for s in (samples_a, samples_b)]
+        peak = max(max(c.max() for c in counts), 1)
+        for c, color in zip(counts, ("#4878a8", "#d08030")):
+            out += _hist_rects(c, edges, x0, y0, peak, color, 0.55)
         out.append(f'<text x="{x0 + 4}" y="{y0 + 13}">KL={pair.sym_kl:.2f}'
                    f'{" fools" if pair.fools else ""}</text>')
     y = MARGIN + K * CELL_H + (K - 1) * PAD + FOOTER_LINE * 2

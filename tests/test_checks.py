@@ -2,6 +2,7 @@
 
 import multiprocessing
 import pickle
+import time
 import warnings
 from collections import Counter
 
@@ -132,6 +133,13 @@ class ListModel(NormalModel):
 
     def replicate(self, fit, like, R, stream):
         return [Dataset(rep) for rep in super().replicate(fit, like, R, stream).values]
+
+
+class ShortModel(NormalModel):
+    """Returns one replicate fewer than asked for."""
+
+    def replicate(self, fit, like, R, stream):
+        return ReplicateBlock(super().replicate(fit, like, R, stream).values[1:])
 
 
 class FlatModel(NormalModel):
@@ -425,15 +433,19 @@ class TestEngine:
             run()
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
 
-    @pytest.mark.parametrize("model, stage", [
-        (ListModel("bad-model"), "replicate"),
-        (FlatModel("bad-model"), "replicate diagnostics")], ids=["list", "flat"])
-    def test_malformed_adapter_output_fails_its_stage(self, model, stage):
-        # a list of replicates, and B values for a block of R replicates
+    @pytest.mark.parametrize("model, stage, message", [
+        (ListModel("bad-model"), "replicate", "replicate gave a list, not a ReplicateBlock"),
+        (FlatModel("bad-model"), "replicate diagnostics",
+         "the diagnostic_batch of 'bad-model' gave (1,), not (5, 1) values"),
+        (ShortModel("bad-model"), "replicate", "replicate gave 4 replicates, not 5")],
+        ids=["list", "flat", "short"])
+    def test_malformed_adapter_output_fails_its_stage(self, model, stage, message):
+        # a list of replicates, B values for a block of R replicates, and a
+        # block of R - 1 replicates
         with pytest.raises(CheckError) as exc:
             heldout_predictive_check(_split(), model, R=5, seed=Seed(4))
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
-        assert isinstance(exc.value.cause, WiringError)
+        assert type(exc.value.cause) is WiringError and str(exc.value.cause) == message
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_diagnostics_name_owner_and_source(self, bad):
@@ -540,3 +552,32 @@ class TestWorkers:
         assert [m for _, m, _, _ in seen[0]] == [
             f"m{i} fits {n} rows" for i in range(3) for n in (split.x_in.n, split.x_val.n)]
         assert seen[1] == seen[0]
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_run_tasks_maps_any_function_in_arg_order(self, monkeypatch, workers):
+        # fn closes over a lambda, which no pickle can carry to a worker
+        scale = lambda i: 10 * i        # noqa: E731
+        with pytest.raises((pickle.PicklingError, AttributeError)):
+            pickle.dumps(scale)
+
+        def fn(i):
+            # later args finish first on two workers
+            time.sleep(0.01 * (5 - i))
+            warnings.warn(f"task {i}")
+            if i in (1, 3):
+                raise StateError(f"task {i} fails")
+            return scale(i)
+
+        _with_workers(monkeypatch, workers)
+        for args, expected in (([0, 4, 2], [0, 40, 20]), ([0, 1, 2, 3], "task 1 fails")):
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                if isinstance(expected, list):
+                    assert checks._run_tasks(fn, args) == expected
+                else:
+                    with pytest.raises(StateError, match=expected):
+                        checks._run_tasks(fn, args)
+            # the failing arg's warnings are re-issued before its error, and
+            # no later arg's
+            shown = args[:args.index(1) + 1] if 1 in args else args
+            assert [str(w.message) for w in caught] == [f"task {i}" for i in shown]

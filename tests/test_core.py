@@ -169,6 +169,11 @@ class TestSplit:
             split_data(_simple(9), (0.5, 0.5, 0.5), Seed(0))
         with pytest.raises(ParameterError):
             split_data(_simple(9), (1.0, -0.5, 0.5), Seed(0))
+        # a string is refused whole, not character by character
+        for fractions in ("abc", "0.5", 0.5, None):
+            with pytest.raises(ParameterError) as err:
+                split_data(_simple(9), fractions, Seed(0))
+            assert str(err.value) == f"fractions must be three positive reals, not {fractions!r}"
 
     @given(st.integers(4, 200), st.integers(0, 2**32 - 1))
     @settings(max_examples=50, deadline=None)

@@ -198,6 +198,9 @@ class TestPpcaFit:
             ppca_ml_fit(data, 0)
         with pytest.raises(DataError):
             ppca_ml_fit(Dataset([[0]], level_sizes=(2,)), 1)
+        for n in (1, 2):
+            with pytest.raises(ParameterError, match="^need more rows than latent dimensions$"):
+                ppca_ml_fit(Dataset(np.arange(5.0 * n).reshape(n, 5)), 2)
 
     def test_state_validation(self):
         with pytest.raises(StateError):

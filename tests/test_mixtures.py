@@ -1,5 +1,6 @@
 """Gibbs samplers, predictives, and realized diagnostics for the mixtures."""
 
+import dataclasses
 import math
 import warnings
 
@@ -522,14 +523,30 @@ class TestMultMixFit:
     def test_loglik_matches_per_state_reference(self):
         data = gen_multmix_data(90, seed=Seed(26))
         codes = data.codes()
-        fit = multmix_gibbs_fit(data, 3, 60, 20, 4, Seed(26).stream("f"))
-        ref = []
-        for s in fit.states:
-            logp = np.log(s.weights)[None, :]
-            for j, t in enumerate(s.tables):
-                logp = logp + np.log(t[:, codes[:, j]]).T
-            ref.append(float(logsumexp(logp, axis=1).sum()))
-        assert np.array_equal(fit.loglik, ref)
+        # from eight classes on, numpy sums a contiguous class axis pairwise
+        for K in (3, 8, 11):
+            fit = multmix_gibbs_fit(data, K, 60, 20, 4, Seed(26).stream("f"))
+            ref = []
+            for s in fit.states:
+                logp = np.log(s.weights)[None, :]
+                for j, t in enumerate(s.tables):
+                    logp = logp + np.log(t[:, codes[:, j]]).T
+                ref.append(float(logsumexp(logp, axis=1).sum()))
+            assert np.array_equal(fit.loglik, ref)
+
+    def test_loglik_refuses_the_states_the_diagnostic_refuses(self):
+        data = gen_multmix_data(30, seed=Seed(26))
+        state = multmix_gibbs_fit(data, 2, 6, 2, 2, Seed(26).stream("f")).states[0]
+        negative = dataclasses.replace(state, weights=np.array([1.5, -0.5]))
+        ragged = dataclasses.replace(state, tables=state.tables[:-1])
+        for bad, message in ((negative, "class weights and table cells must be finite "
+                                        "and non-negative"),
+                             (ragged, "every state needs K class weights and one K-row "
+                                      "table per variable, all of one shape")):
+            for score in (multmix_full_loglik, multmix_chi2_diagnostic_batch):
+                with pytest.raises(StateError) as err:
+                    score(data, [state, bad])
+                assert str(err.value) == message
 
     def test_logpost_matches_per_row_prior_loop(self):
         def dirichlet_logpdf(p, alpha):

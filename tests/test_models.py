@@ -12,7 +12,7 @@ from ppn.core import BLOCK_CELLS, Dataset, PosteriorDraws, ReplicateBlock, split
 from ppn.datagen import (gen_gmm_data, gen_linear_factor_data, gen_multmix_data,
                          gen_regression_data)
 from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
-from ppn.errors import CheckError, DataError, DimensionError
+from ppn.errors import CheckError, DataError, DimensionError, ParameterError
 from ppn.models import GmmModel, MultMixModel, PpcaModel, RegressionModelA, RegressionModelB
 from ppn.rng import Seed
 
@@ -197,6 +197,22 @@ class TestRegressionRefusals:
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(split, model, R=10, seed=SEED)
         assert isinstance(info.value.cause, DimensionError)
+
+    def test_model_b_needs_covariates(self):
+        data = gen_regression_data(60, 2, 2.5, SEED)
+        split = split_data(Dataset(data.values), (1 / 3, 1 / 3, 1 / 3), SEED)
+        with pytest.raises(CheckError) as info:
+            heldout_predictive_check(split, RegressionModelB(), R=10, seed=SEED)
+        assert (info.value.model_id, info.value.stage) == ("reg-B", "fit x_in")
+        assert type(info.value.cause) is ParameterError
+        assert str(info.value.cause) == "regression with covariates needs a covariate matrix"
+
+    def test_model_b_scores_only_its_own_covariate_count(self):
+        data = gen_regression_data(60, 2, 2.5, SEED)
+        state = RegressionModelB().fit(data, SEED.stream("f")).states[0]
+        wider = Dataset(data.values, np.hstack([data.covariates, data.covariates[:, :1]]))
+        with pytest.raises(DimensionError, match="^3 covariate columns for 2 coefficients$"):
+            RegressionModelB().diagnostic_batch(wider, [state], None)
 
     @pytest.mark.parametrize("model", [RegressionModelA(), RegressionModelB()])
     def test_level_codes(self, model):

@@ -98,6 +98,16 @@ class TestEmitReport:
         report = StudyReport(("m0", "m1"), 0.1, 1.0, off_diagonal=(pair,))
         assert "nan" not in render_grid_svg(report)
 
+    def test_cell_of_equal_samples_renders(self):
+        # one value has no spread to bin: it gets the unit-wide bins around it
+        svg = render_grid_svg(self._one_cell_report(np.full(40, 2.5), 2.5))
+        cell = svg.split('stroke="black"/>')[2].split("<text")[0]
+        # the values sit on the middle edge, so fill the right-hand bin
+        # to its full height, and the observed line runs through that edge
+        assert cell.count("<rect ") == 1
+        assert 'x="339.00" y="222.00" width="85.00" height="102.00"' in cell
+        assert '<line x1="339.00" y1="204" x2="339.00" y2="324"' in cell
+
     def test_emission_deterministic(self, small_report, tmp_path):
         emit_report(small_report, tmp_path / "a")
         emit_report(small_report, tmp_path / "b")
@@ -295,6 +305,22 @@ class TestCli:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
         assert done.stdout.startswith("usage: ppn")
+
+    def test_model_entry_without_family_exits_2(self, tmp_path, capsys):
+        cfg = _study_config(tmp_path, models=[{"K": 2}, "gmm:1"])
+        capsys.readouterr()
+        assert main(["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == "error: model entry {'K': 2} names no family\n"
+
+    def test_missing_data_file_exits_2(self, tmp_path, capsys):
+        missing = tmp_path / "absent.csv"
+        argv = ["check", "--data", str(missing), "--model", "gmm:1",
+                "--config", _study_config(tmp_path), "--out", str(tmp_path / "check.json")]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("i/o error: "), err
+        assert str(missing) in err[0] and not (tmp_path / "check.json").exists()
 
     @pytest.mark.parametrize("bad", [ListModel, FlatModel], ids=["list", "flat"])
     def test_malformed_adapter_output_exits_2(self, bad, tmp_path, monkeypatch, capsys):

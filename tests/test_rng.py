@@ -11,8 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ppn.errors import DegenerateSampleError, DomainError, ParameterError
-from ppn.rng import (Seed, VariateStream, _philox_key, categorical, chi_square_cdf,
-                     ks_distance, logsumexp)
+from ppn.rng import (Seed, VariateStream, _philox_key, categorical, category_bounds,
+                     chi_square_cdf, ks_distance, logsumexp)
 
 
 def _series_gamma_p(s, x):
@@ -109,6 +109,12 @@ class TestSample:
         with pytest.raises(ParameterError) as err:
             categorical(Seed(0).stream("bad").generator, (0.5, 0.4), 10)
         assert "sum to 1" in str(err.value)
+
+    @pytest.mark.parametrize("p", [[], [[0.5, 0.5]], [[0.5], [0.5]]],
+                             ids=["empty", "row", "column"])
+    def test_category_bounds_need_a_nonempty_vector(self, p):
+        with pytest.raises(ParameterError, match="^p must be a nonempty vector$"):
+            category_bounds(p)
 
     @pytest.mark.parametrize("p", [(np.nan, 1.0), (np.nan, np.nan), (0.5, 0.5, np.nan),
                                    (np.inf, 0.0)])
