@@ -162,33 +162,30 @@ def posterior_predictive_pvalue(x_obs, model, R=200, alpha=0.1,
     return _Engine(seed, StudyConfig(R=R, alpha=alpha), x_obs, obs, obs).check(model)
 
 
-def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None,
-              verified_passed=False) -> PpnOutcome:
+def ppn_check(split: DataSplit, model_a, model_b, R=200, tau=1.0, seed=None) -> PpnOutcome:
     """Can replicates from model_b pass for model_a's own replicates?
 
     Both replicate sets are conditioned on x_in and scored by model_a's
     validation diagnostic; closeness is the symmetrized KL between the two
-    diagnostic sample sets.
+    diagnostic sample sets.  No heldout check is run: ``ppn_study`` pairs
+    only the models that pass theirs.
     """
-    config = StudyConfig(R=R, tau=tau)
-    if not verified_passed:
-        warnings.warn("pairwise null run without verified heldout passes; "
-                      "interpret with care", stacklevel=2)
-    return _Engine.of_split(split, seed, config).pair(model_a, model_b)
+    return _Engine.of_split(split, seed, StudyConfig(R=R, tau=tau)).pair(model_a, model_b)
 
 
 def _worker_count(tasks):
     """Processes for this many tasks: one per usable core, at most one per
     task.  One (the caller itself) where forking is unavailable or unsafe:
-    in a daemonic process, which may not have children, or beside other
-    threads, whose held locks a forked child would copy."""
+    in a child process, such as a pool worker, whose tasks would otherwise
+    fork a pool of their own, or beside other threads, whose held locks a
+    forked child would copy."""
     # the pool's modules load here and in _run_tasks, so that a run that
     # forks nothing, such as a single check, never imports them
     import multiprocessing
     import threading
     if not hasattr(os, "sched_getaffinity") \
             or "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.current_process().daemon \
+            or multiprocessing.parent_process() is not None \
             or threading.active_count() > 1:
         return 1
     return min(tasks, len(os.sched_getaffinity(0)))

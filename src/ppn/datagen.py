@@ -29,7 +29,6 @@ MULTMIX_TABLES = (
     ([0.05, 0.10, 0.15, 0.70], [0.10, 0.20, 0.70], [0.10, 0.20, 0.70]),
     ([0.70, 0.15, 0.10, 0.05], [0.70, 0.20, 0.10], [0.70, 0.20, 0.10]),
 )
-MULTMIX_WEIGHTS = (0.5, 0.5)
 
 
 def gen_gmm_data(n: int, seed: Seed) -> Dataset:
@@ -79,47 +78,22 @@ def gen_nonlinear_factor_data(n: int, seed: Seed) -> Dataset:
     return Dataset(mean + eps)
 
 
-def gen_multmix_data(n: int, K_true: int = None, tables=None, weights=None, seed: Seed = None) -> Dataset:
-    """Categorical mixture draw over three scored variables, as level codes."""
+def gen_multmix_data(n: int, K_true: int = None, seed: Seed = None) -> Dataset:
+    """Equal-weight draw from the preset's first K_true classes (all of
+    them by default) over three scored variables, as level codes."""
     n = integer(n, "n", 1)
-    if tables is None:
-        tables = MULTMIX_TABLES
-        weights = MULTMIX_WEIGHTS
     if K_true is not None:
         K_true = integer(K_true, "K_true", 1)
-        if K_true > len(tables):
-            raise ParameterError(f"K_true = {K_true} exceeds the {len(tables)} tables")
-        tables = tables[:K_true]
-        if weights is not None:
-            # renormalize the surviving class weights, once their sum is
-            # known to be positive and finite, so that no NaN or inf is made
-            kept = np.asarray(weights[:K_true], dtype=float)
-            with np.errstate(over="ignore", invalid="ignore"):
-                total = kept.sum()
-            if not (np.all(kept >= 0) and 0 < total < np.inf):
-                raise ParameterError("the kept class weights must be nonnegative "
-                                     "with a positive, finite sum")
-            weights = kept / total
-    if weights is None:
-        weights = np.full(len(tables), 1.0 / len(tables))
-    weights = np.asarray(weights, dtype=float)
-    if len(tables) != len(weights):
-        raise ParameterError("one weight per class required")
-    # written, as the table check below, so that a NaN entry fails
-    if not (abs(weights.sum() - 1.0) <= 1e-9 and np.all(weights >= 0)):
-        raise ParameterError("weights must lie on the simplex")
-    level_sizes = tuple(len(t) for t in tables[0])
-    for k, cls in enumerate(tables):
-        for j, t in enumerate(cls):
-            t = np.asarray(t, dtype=float)
-            if len(t) != level_sizes[j] or not (np.all(t >= 0) and abs(t.sum() - 1.0) <= 1e-9):
-                raise ParameterError(f"tables[{k}][{j}] is not a valid probability vector")
+        if K_true > len(MULTMIX_TABLES):
+            raise ParameterError(f"K_true = {K_true} exceeds the {len(MULTMIX_TABLES)} tables")
+    tables = MULTMIX_TABLES[:K_true]
     stream = need_seed(seed, "the multmix generator").stream("gen", "multmix")
-    z = categorical(stream.generator, weights, n)
-    codes = np.empty((n, len(level_sizes)), dtype=int)
-    for j in range(len(level_sizes)):
+    z = categorical(stream.generator, np.full(len(tables), 1 / len(tables)), n)
+    codes = np.empty((n, len(MULTMIX_LEVEL_SIZES)), dtype=int)
+    for j in range(len(MULTMIX_LEVEL_SIZES)):
         for k in range(len(tables)):
             mask = z == k
             if mask.any():
-                codes[mask, j] = categorical(stream.substream("v", j, "k", k).generator, np.asarray(tables[k][j], dtype=float), int(mask.sum()))
-    return Dataset(codes, level_sizes=level_sizes)
+                codes[mask, j] = categorical(stream.substream("v", j, "k", k).generator,
+                                             np.asarray(tables[k][j], dtype=float), int(mask.sum()))
+    return Dataset(codes, level_sizes=MULTMIX_LEVEL_SIZES)

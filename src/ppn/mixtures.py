@@ -136,8 +136,7 @@ def _gmm_log_prior(means, variances, weights) -> float:
     lp = -0.5 * (means**2 / GMM_MEAN_VAR + np.log(2 * np.pi * GMM_MEAN_VAR)).sum()
     a, b = GMM_IG_SHAPE, GMM_IG_SCALE
     lp += (a * np.log(b) - math.lgamma(a) - (a + 1) * np.log(variances) - b / variances).sum()
-    K, a = len(weights), GMM_ALPHA_PI
-    lp += (a - 1) * np.log(weights).sum() + math.lgamma(K * a) - K * math.lgamma(a)
+    lp += _dirichlet_log_density(weights, GMM_ALPHA_PI)
     return float(lp)
 
 

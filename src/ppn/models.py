@@ -7,7 +7,8 @@ part as one ReplicateBlock, and ``diagnostic_batch`` at B parameter
 states: B values for a Dataset, R x B for a ReplicateBlock.  Each adapter
 also owns its predictive check, so its ``reduction`` says how that
 diagnostic is reduced over the x_val posterior: averaged over the draws,
-or taken at the MAP state.
+or taken at the MAP state.  The mixtures take either; the regression and
+PPCA adapters fit one state and score at it.
 """
 
 from __future__ import annotations
@@ -77,8 +78,11 @@ class _OneStateModel:
     Its ``_score(x, state)`` gives the diagnostic of a Dataset, and
     one value per replicate of a ReplicateBlock.  Each adapter class calls
     ``_at_states`` from its own diagnostic_batch, so that every adapter
-    class still defines the whole adapter surface itself.
+    class still defines the whole adapter surface itself.  Its diagnostic
+    is taken at its one state, so its reduction is fixed at ``map``.
     """
+
+    reduction = REDUCTION_MAP
 
     def _at_states(self, x, states) -> np.ndarray:
         """B values for a Dataset; R x B for a ReplicateBlock, scored a
@@ -116,9 +120,6 @@ class RegressionModelA(_OneStateModel):
 
     id = "reg-A"
 
-    def __init__(self, reduction=REDUCTION_MAP):
-        self.reduction = _reduction(reduction)
-
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
         post = linear.regression_fit_A(_responses(x), x.covariates)
         return PosteriorDraws((post,), self.id)
@@ -137,9 +138,6 @@ class RegressionModelB(_OneStateModel):
     """Ordinary-least-squares regression with row-dependent predictive variance."""
 
     id = "reg-B"
-
-    def __init__(self, reduction=REDUCTION_MAP):
-        self.reduction = _reduction(reduction)
 
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
         post = linear.regression_fit_B(_responses(x), _covariates(x))
@@ -163,9 +161,8 @@ class PpcaModel(_OneStateModel):
     """Probabilistic PCA with a K-dimensional latent space, at its closed-form
     maximum-likelihood state."""
 
-    def __init__(self, K, reduction=REDUCTION_MAP):
+    def __init__(self, K):
         self.K = integer(K, "K", 1)
-        self.reduction = _reduction(reduction)
         self.id = f"ppca-K{self.K}"
 
     def fit(self, x: Dataset, stream) -> PosteriorDraws:
@@ -190,9 +187,8 @@ def make_model(family: str, K: int = None, **settings):
     """Build a model adapter from a config-style description.
 
     The mixture and PPCA families need K and the regression families take
-    none.  ``settings`` are the family's own keywords (the reduction of
-    every family and the chain schedule of gmm and multmix); any other is
-    refused.
+    none.  ``settings`` are the family's own keywords, the reduction and
+    chain schedule of gmm and multmix; any other is refused.
     """
     cls = _FAMILIES.get(family) if isinstance(family, str) else None
     if cls is None:

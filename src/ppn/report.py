@@ -56,6 +56,12 @@ def _hist_rects(counts, edges, x0, y0, peak, color, opacity):
     return parts
 
 
+def _escaped(text):
+    """str(text) with the characters XML gives a meaning to written as
+    entities."""
+    return str(text).replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def _cell_box(i, j):
     x0 = MARGIN + j * (CELL_W + PAD)
     y0 = MARGIN + i * (CELL_H + PAD)
@@ -67,8 +73,8 @@ def render_grid_svg(report: StudyReport) -> str:
     models = list(report.models)
     idx = {m: k for k, m in enumerate(models)}
     K = len(models)
-    pair_lines = [f"{p.diagnostic_owner} | data {p.data_source}: "
-                  f"sym KL = {p.sym_kl:.3f} ({'fools' if p.fools else 'does not fool'})"
+    pair_lines = [_escaped(f"{p.diagnostic_owner} | data {p.data_source}: "
+                           f"sym KL = {p.sym_kl:.3f} ({'fools' if p.fools else 'does not fool'})")
                   for p in report.off_diagonal]
     width = MARGIN * 2 + K * CELL_W + (K - 1) * PAD
     height = MARGIN * 2 + K * CELL_H + (K - 1) * PAD + FOOTER_LINE * (len(pair_lines) + 2)
@@ -78,10 +84,10 @@ def render_grid_svg(report: StudyReport) -> str:
                f'and pairwise nulls (off-diagonal, tau={report.tau})</text>')
     for m, k in idx.items():
         x0, _ = _cell_box(0, k)
-        out.append(f'<text x="{x0}" y="{MARGIN - 8}">data: {m}</text>')
+        out.append(f'<text x="{x0}" y="{MARGIN - 8}">data: {_escaped(m)}</text>')
         _, y0 = _cell_box(k, 0)
         out.append(f'<text x="6" y="{y0 + 12}">diag:</text>')
-        out.append(f'<text x="6" y="{y0 + 24}">{m}</text>')
+        out.append(f'<text x="6" y="{y0 + 24}">{_escaped(m)}</text>')
     for check in report.diagonal:
         i = idx[check.model_id]
         x0, y0 = _cell_box(i, i)

@@ -6,7 +6,6 @@ criteria demand the stated pattern on at least 4 of 5 fixed seeds.
 
 import json
 import time
-import warnings
 
 import numpy as np
 import pytest
@@ -102,9 +101,7 @@ def test_criterion_3_regression_sym_kl():
         A, B = ppn.RegressionModelA(), ppn.RegressionModelB()
         ca = ppn.heldout_predictive_check(split, A, R=2000, seed=seed)
         cb = ppn.heldout_predictive_check(split, B, R=2000, seed=seed)
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            pair = ppn.ppn_check(split, B, A, R=2000, seed=seed)
+        pair = ppn.ppn_check(split, B, A, R=2000, seed=seed)
         kls.append(round(pair.sym_kl, 3))
         if ca.passed and cb.passed and pair.sym_kl <= 0.6:
             good += 1
@@ -167,11 +164,9 @@ def test_criterion_5_multinomial_study_pattern():
         split = ppn.split_data(gen_multmix_data(510, seed=seed),
                                (1 / 3, 1 / 3, 1 / 3), seed)
         m = {K: ppn.MultMixModel(K) for K in (1, 2, 3, 4)}
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            k21 = ppn.ppn_check(split, m[2], m[1], R=200, seed=seed)
-            k32 = ppn.ppn_check(split, m[3], m[2], R=200, seed=seed)
-            k42 = ppn.ppn_check(split, m[4], m[2], R=200, seed=seed)
+        k21 = ppn.ppn_check(split, m[2], m[1], R=200, seed=seed)
+        k32 = ppn.ppn_check(split, m[3], m[2], R=200, seed=seed)
+        k42 = ppn.ppn_check(split, m[4], m[2], R=200, seed=seed)
         rows.append((round(k21.sym_kl, 2), round(k32.sym_kl, 2),
                      round(k42.sym_kl, 2)))
         if k21.sym_kl > 1.0 and k32.sym_kl <= 1.0 and k42.sym_kl <= 1.0:

@@ -229,22 +229,14 @@ class TestPpnCheck:
     def test_same_model_both_sides_fools(self):
         split = _split()
         model = NormalModel()
-        out = ppn_check(split, model, model, R=100, seed=Seed(6),
-                        verified_passed=True)
+        out = ppn_check(split, model, model, R=100, seed=Seed(6))
         assert out.sym_kl <= 0.01 and out.fools
-
-    def test_warns_without_verified_passes(self):
-        split = _split()
-        model = NormalModel()
-        with pytest.warns(UserWarning):
-            ppn_check(split, model, model, R=20, seed=Seed(7))
 
     def test_distinguishable_source_does_not_fool(self):
         split = _split(d=1)
         owner = NormalModel("narrow", rep_sd=(1.0,))
         source = NormalModel("wide", rep_sd=(30.0,))
-        out = ppn_check(split, owner, source, R=200, seed=Seed(8),
-                        verified_passed=True)
+        out = ppn_check(split, owner, source, R=200, seed=Seed(8))
         assert out.sym_kl > 1.0 and not out.fools
 
 
@@ -346,7 +338,7 @@ class TestStudy:
             StudyConfig(mode="grid")
         models = [NormalModel("m0"), NormalModel("m1")]
         with pytest.raises(ParameterError, match="tau must be nonnegative"):
-            ppn_check(_split(), *models, tau=-0.5, seed=Seed(15), verified_passed=True)
+            ppn_check(_split(), *models, tau=-0.5, seed=Seed(15))
         with pytest.raises(ParameterError, match="must be a StudyConfig"):
             ppn_study(_split(), models, config={"R": 10}, seed=Seed(15))
 
@@ -374,7 +366,7 @@ class TestEngine:
         by_id = {m.id: m for m in models}
         for pair in report.off_diagonal:
             alone = ppn_check(split, by_id[pair.diagnostic_owner], by_id[pair.data_source],
-                              R=80, seed=Seed(7), verified_passed=True)
+                              R=80, seed=Seed(7))
             assert pair.sym_kl == alone.sym_kl and pair.fools == alone.fools
             assert np.array_equal(pair.samples_a, alone.samples_a)
             assert np.array_equal(pair.samples_b, alone.samples_b)
@@ -396,7 +388,7 @@ class TestEngine:
     @pytest.mark.parametrize("entry", [
         lambda split, models: heldout_predictive_check(split, models[0], R=5),
         lambda split, models: posterior_predictive_pvalue(split.x_in, models[0], R=5),
-        lambda split, models: ppn_check(split, *models, R=5, verified_passed=True),
+        lambda split, models: ppn_check(split, *models, R=5),
         lambda split, models: ppn_study(split, models),
         lambda split, models: heldout_predictive_check(split, models[0], R=5, seed=4),
     ], ids=["heldout", "classical", "ppn-check", "study", "int-seed"])
@@ -423,7 +415,7 @@ class TestEngine:
         model = FaultyModel("bad-model", **faults[stage])
         calls = {
             "cross diagnostics": lambda: ppn_check(split, model, SevensModel("sevens"),
-                                                   R=5, seed=Seed(4), verified_passed=True),
+                                                   R=5, seed=Seed(4)),
             "fit x_obs": lambda: posterior_predictive_pvalue(split.x_in, model, R=5,
                                                              seed=Seed(4)),
         }
@@ -455,8 +447,7 @@ class TestEngine:
                 return np.full_like(d, bad) if np.all(x.values == 7.0) else d
 
         with pytest.raises(CheckError, match="finite") as exc:
-            ppn_check(_split(), Owner("owner"), SevensModel("sevens"), R=5, seed=Seed(4),
-                      verified_passed=True)
+            ppn_check(_split(), Owner("owner"), SevensModel("sevens"), R=5, seed=Seed(4))
         assert (exc.value.model_id, exc.value.stage) == ("owner", "sym-KL against sevens")
         assert isinstance(exc.value.cause, DegenerateSampleError)
 
@@ -552,6 +543,11 @@ class TestWorkers:
         assert [m for _, m, _, _ in seen[0]] == [
             f"m{i} fits {n} rows" for i in range(3) for n in (split.x_in.n, split.x_val.n)]
         assert seen[1] == seen[0]
+
+    def test_a_task_in_a_worker_forks_no_pool_of_its_own(self, monkeypatch):
+        worker_count = checks._worker_count
+        _with_workers(monkeypatch, 2)
+        assert checks._run_tasks(lambda _: worker_count(4), range(2)) == [1, 1]
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_tasks_maps_any_function_in_arg_order(self, monkeypatch, workers):

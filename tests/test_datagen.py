@@ -97,31 +97,18 @@ class TestMultMix:
         b = gen_multmix_data(200, seed=Seed(2))
         assert np.array_equal(a.values, b.values)
 
-    def test_invalid_tables(self):
-        with pytest.raises(ParameterError):
-            gen_multmix_data(10, tables=(([0.5, 0.6], [1.0], [1.0]),),
-                             weights=(1.0,), seed=Seed(0))
-        with pytest.raises(ParameterError):
-            gen_multmix_data(10, tables=MULTMIX_TABLES, weights=(0.9, 0.2),
-                             seed=Seed(0))
+    def test_all_classes_by_default(self):
+        a = gen_multmix_data(300, seed=Seed(4))
+        b = gen_multmix_data(300, K_true=len(MULTMIX_TABLES), seed=Seed(4))
+        assert np.array_equal(a.values, b.values)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("K_true, weights", [(1, (0.0, 1.0)), (2, (1e308, 1e308)),
-                                                 (2, (np.inf, 1.0)), (2, (-1.0, 2.0)),
-                                                 (0, None), (3, None)])
-    def test_kept_classes_and_weights_are_checked_before_use(self, K_true, weights):
-        # a zero or overflowing sum of the kept weights would be divided
-        # into NaN or inf, and K_true = 0 into a ZeroDivisionError
+    @pytest.mark.parametrize("K_true", [0, 3], ids=["0-None", "3-None"])
+    def test_kept_classes_and_weights_are_checked_before_use(self, K_true):
+        # K_true = 0 would divide by zero in the equal class weights, and the
+        # preset has 2 classes
         with pytest.raises(ParameterError):
-            gen_multmix_data(10, K_true=K_true, tables=MULTMIX_TABLES, weights=weights,
-                             seed=Seed(0))
-
-    @pytest.mark.parametrize("weights, cell", [((np.nan, 1.0), 0.1), ((0.5, np.nan), 0.1),
-                                               ((0.5, 0.5), np.nan), ((0.5, 0.5), np.inf)])
-    def test_non_finite_weights_and_cells(self, weights, cell):
-        tables = (([cell, 0.9], [1.0]), ([0.5, 0.5], [1.0]))
-        with pytest.raises(ParameterError):
-            gen_multmix_data(10, tables=tables, weights=weights, seed=Seed(0))
+            gen_multmix_data(10, K_true=K_true, seed=Seed(0))
 
 
 @pytest.mark.parametrize("generate", [

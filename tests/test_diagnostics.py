@@ -10,7 +10,7 @@ from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
 from ppn.errors import ParameterError, WiringError
 from ppn.mixtures import gmm_loglik_diagnostic_batch
 from ppn.models import (GmmModel, MultMixModel, PpcaModel, RegressionModelA,
-                        RegressionModelB)
+                        RegressionModelB, make_model)
 from ppn.rng import Seed
 
 
@@ -95,11 +95,19 @@ class TestValidationDiagnostic:
 
     def test_bad_spec(self):
         # the reduction is checked where the adapter is built
-        for cls, args in ((GmmModel, (2,)), (MultMixModel, (2,)), (PpcaModel, (2,)),
-                          (RegressionModelA, ()), (RegressionModelB, ())):
+        for cls in (GmmModel, MultMixModel):
             for reduction in ("median", None, "MAP", 1, ["map"]):
                 with pytest.raises(ParameterError, match="unknown reduction"):
-                    cls(*args, reduction=reduction)
+                    cls(2, reduction=reduction)
+
+    @pytest.mark.parametrize("family, K", [("regression-A", None), ("regression-B", None),
+                                           ("ppca", 2)])
+    def test_single_state_families_take_no_reduction(self, family, K):
+        for reduction in ("map", "average"):
+            with pytest.raises(ParameterError,
+                               match=f"model family '{family}' takes no setting 'reduction'"):
+                make_model(family, K, reduction=reduction)
+        assert make_model(family, K).reduction == "map"
 
     def test_family_default_reductions(self):
         assert [m.reduction for m in (GmmModel(2), MultMixModel(2), PpcaModel(2),

@@ -54,7 +54,6 @@ PROBE = textwrap.dedent("""
 # one heldout check and one pairwise null, neither of which forks
 POOL_PROBE = textwrap.dedent("""
     import sys
-    import warnings
 
     import ppn
     from ppn import datagen
@@ -62,7 +61,6 @@ POOL_PROBE = textwrap.dedent("""
     reg = ppn.split_data(datagen.gen_regression_data(90, 3, 2.5, seed),
                          (1 / 3, 1 / 3, 1 / 3), seed)
     ppn.heldout_predictive_check(reg, ppn.RegressionModelB(), R=8, seed=seed)
-    warnings.simplefilter("ignore")
     ppn.ppn_check(reg, ppn.RegressionModelB(), ppn.RegressionModelA(), R=8, seed=seed)
     loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
     assert not loaded, f"a single check loaded {loaded}"

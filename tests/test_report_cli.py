@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import warnings
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -108,6 +109,18 @@ class TestEmitReport:
         assert 'x="339.00" y="222.00" width="85.00" height="102.00"' in cell
         assert '<line x1="339.00" y1="204" x2="339.00" y2="324"' in cell
 
+    def test_grid_of_ids_with_markup_characters_parses(self, tmp_path):
+        g = np.random.default_rng(9)
+        checks = tuple(CheckOutcome(0.5, True, g.normal(size=40), 0.1, m)
+                       for m in ("a&b", "c<d"))
+        pairs = (PpnOutcome(0.2, True, g.normal(size=40), g.normal(size=40), "a&b", "c<d"),
+                 PpnOutcome(3.0, False, g.normal(size=40), g.normal(size=40), "c<d", "a&b"))
+        emit_report(StudyReport(("a&b", "c<d"), 0.1, 1.0, checks, pairs), tmp_path)
+        root = ElementTree.parse(tmp_path / "grid.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert {"data: a&b", "data: c<d", "a&b", "c<d"} <= set(texts)
+        assert "a&b | data c<d: sym KL = 0.200 (fools)" in texts
+
     def test_emission_deterministic(self, small_report, tmp_path):
         emit_report(small_report, tmp_path / "a")
         emit_report(small_report, tmp_path / "b")
@@ -182,6 +195,18 @@ CLI_PROBES = {
     "reduction-null": {"config": {"data": {"preset": "regression", "n": 90},
                                   "models": [{"family": "regression-A", "reduction": None},
                                              "regression-B"]}},
+    # the single-state families score at their one state and take no reduction
+    "reduction-regression-A": {"config": {"data": {"preset": "regression", "n": 90},
+                                          "models": [{"family": "regression-A",
+                                                      "reduction": "average"},
+                                                     "regression-B"]}},
+    "reduction-regression-B": {"config": {"data": {"preset": "regression", "n": 90},
+                                          "models": [{"family": "regression-B",
+                                                      "reduction": "map"},
+                                                     "regression-A"]}},
+    "reduction-ppca": {"config": {"data": {"preset": "linear-factor", "n": 90},
+                                  "models": [{"family": "ppca", "K": 2, "reduction": "map"},
+                                             "ppca:1"]}},
 }
 
 
@@ -290,11 +315,11 @@ class TestCli:
 
         monkeypatch.setattr(cli, "ppn_study", fake_study)
         cfg = _study_config(tmp_path, models=[
-            {"family": "regression-A", "reduction": "average"},
-            {"family": "regression-B"}, "gmm:2",
+            {"family": "multmix", "K": 2, "reduction": "map"},
+            {"family": "multmix", "K": 3}, "gmm:2",
             {"family": "gmm", "K": 3, "reduction": "map"}])
         assert main(["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
-        assert seen == {"reg-A": "average", "reg-B": "map", "gmm-K2": "average",
+        assert seen == {"multmix-K2": "map", "multmix-K3": "average", "gmm-K2": "average",
                         "gmm-K3": "map"}
 
     def test_python_dash_m_runs_the_cli(self):
