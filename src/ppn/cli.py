@@ -106,6 +106,13 @@ def _load_config(path):
         raise ParameterError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(config, dict):
         raise ParameterError(f"config {path} must hold a JSON object")
+    # one config may serve every subcommand, so each accepts every key
+    known = {"config": ("seed", "R", "alpha", "tau", "mode", "fractions", "data", "chain",
+                        "models"), "config data": ("preset", "n", "path")}
+    for what, settings in (("config", config), ("config data", config.get("data"))):
+        unknown = sorted(set(settings) - set(known[what])) if isinstance(settings, dict) else ()
+        if unknown:
+            raise ParameterError(f"{what} takes no key " + ", ".join(map(repr, unknown)))
     return config
 
 

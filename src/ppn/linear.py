@@ -110,8 +110,6 @@ def regression_diagnostic(y, covariates, fitted_on_val):
     """Sum of squared deviations from the validation predictive mean: of a
     response vector, or of each row of an R x n array of them."""
     y = np.asarray(y, dtype=float)
-    if y.ndim != 2:
-        y = y.ravel()
     mean = fitted_on_val.predictive_mean(covariates)
     if np.ndim(mean) and mean.shape != y.shape[-1:]:
         raise DimensionError("response and predictive mean lengths differ")
@@ -196,8 +194,8 @@ def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> Replicate
 
 
 def ppca_reconstruction_diagnostic(x, params: PpcaParams):
-    """Summed squared error of the posterior-mean latent reconstruction: of a
-    Dataset, or of each replicate of a ReplicateBlock."""
+    """Summed squared error of the posterior-mean latent reconstruction, one
+    value per n x G replicate of x.values."""
     if x.d != params.G:
         raise DimensionError("data dimension does not match the fitted loading")
     centered = x.values - params.mean

@@ -343,11 +343,10 @@ def _gmm_logits(values, stack: _GmmStack) -> np.ndarray:
     return np.matmul(stack.coef, terms)
 
 
-def gmm_loglik_diagnostic_batch(x, states, stream) -> np.ndarray:
-    """Log-likelihood diagnostic of x at each state, one fresh label draw
-    each: B values for a Dataset, drawn from stream.generator, and R x B for
-    a ReplicateBlock of R replicates, replicate r drawing from
-    stream.substream(r).
+def gmm_loglik_diagnostic_batch(x: ReplicateBlock, states, generators) -> np.ndarray:
+    """Log-likelihood diagnostic of each of the R replicates of x at each
+    state, one fresh label draw each, R x B; replicate r draws from the
+    r-th of the R generators, and any other number of them raises.
 
     For every state a class label is drawn per row from its responsibility,
     which includes the state's mixing weights, and the diagnostic is the
@@ -359,39 +358,31 @@ def gmm_loglik_diagnostic_batch(x, states, stream) -> np.ndarray:
     stack = _GmmStack.of(states)
     if stack.centres.shape[1] != x.d:
         raise DimensionError("state dimension does not match data")
-    if not isinstance(x, ReplicateBlock):
-        return _gmm_diagnostic(x.values, stack, stream.generator)
-    out = np.empty((len(x), len(states)))
-    for row, values, g in zip(out, x.values, stream.substream_generators(len(x))):
-        row[:] = _gmm_diagnostic(values, stack, g)
-    return out
-
-
-def _gmm_diagnostic(values, stack, g) -> np.ndarray:
-    """The diagnostic of the n x D values at each stacked state, with the
-    labels drawn from the generator g."""
     K = len(stack.centres)
-    logits = _gmm_logits(values, stack)
-    if K > 1:
-        cum = logits - logits.max(axis=0)
-        np.exp(cum, out=cum)
-        # cumulative unnormalized responsibilities, added in the order of a
-        # sum over axis 0, so that cum[-1] is their total
+    out = np.empty((len(x), len(states)))
+    for row, values, g in zip(out, x.values, generators, strict=True):
+        logits = _gmm_logits(values, stack)
+        if K > 1:
+            cum = logits - logits.max(axis=0)
+            np.exp(cum, out=cum)
+            # cumulative unnormalized responsibilities, added in the order
+            # of a sum over axis 0, so that cum[-1] is their total
+            for k in range(1, K):
+                cum[k] += cum[k - 1]
+            # one uniform per row and state, drawn rows first, times the total
+            threshold = cum[-1]
+            threshold *= g.random((len(values), len(threshold))).T
+        # the diagnostic is the logit at the drawn label less its log
+        # weight; with one component the label is 0 and nothing is drawn
+        logits -= stack.log_weights
+        picked = logits[0]
+        # inverse-CDF label draw: cum only grows along k, so the last k with
+        # cum[k - 1] < threshold is the drawn label
         for k in range(1, K):
-            cum[k] += cum[k - 1]
-        # one uniform per row and state, drawn rows first, times the total
-        threshold = cum[-1]
-        threshold *= g.random((len(values), len(threshold))).T
-    # the diagnostic is the logit at the drawn label less its log weight;
-    # with one component the label is 0 and nothing needs drawing
-    logits -= stack.log_weights
-    picked = logits[0]
-    # inverse-CDF label draw: cum only grows along k, so the last k with
-    # cum[k - 1] < threshold is the drawn label
-    for k in range(1, K):
-        np.putmask(picked, cum[k - 1] < threshold, logits[k])
-    # each state's rows added one after another
-    return np.ascontiguousarray(picked.T).sum(axis=0)
+            np.putmask(picked, cum[k - 1] < threshold, logits[k])
+        # each state's rows added one after another
+        row[:] = np.ascontiguousarray(picked.T).sum(axis=0)
+    return out
 
 
 def _require_categorical(x):
@@ -568,9 +559,9 @@ class _MultMixStack:
         return logits
 
 
-def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
-    """Deviance-style discrepancy of x at each state: B values for a
-    Dataset, R x B for a ReplicateBlock of R replicates.
+def multmix_chi2_diagnostic_batch(x: ReplicateBlock, states) -> np.ndarray:
+    """Deviance-style discrepancy of each of the R replicates of x at each
+    state, R x B.
 
     Predicted cell probabilities mix the class tables by each row's posterior
     class responsibility; the statistic is twice the summed log shortfall at
@@ -590,9 +581,7 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
     stack = _MultMixStack.of(states)
     if tuple(len(t) for t in stack.tables) != x.level_sizes:
         raise DimensionError("state level sizes do not match data")
-    block = isinstance(x, ReplicateBlock)
-    values = x.values if block else x.values[None]
-    R, n, d = values.shape
+    R, n, d = x.values.shape
     K, B = stack.log_weights.shape
     # a run's rows, and the possible rows when looked up, score within a
     # block: rows x K x B and d x rows x B cells
@@ -604,7 +593,7 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
         table = _multmix_log_obs(np.indices(x.level_sizes).reshape(d, -1).T, stack)
     out = np.empty((R, B))
     for start in range(0, R, run):
-        reps = values[start:start + run]
+        reps = x.values[start:start + run]
         codes = reps.reshape(-1, d).astype(np.intp)
         if table is None:
             log_obs = _multmix_log_obs(codes, stack).reshape(d, len(reps), n, B)
@@ -613,10 +602,10 @@ def multmix_chi2_diagnostic_batch(x, states) -> np.ndarray:
         ids = np.ravel_multi_index(codes.T, x.level_sizes).reshape(len(reps), n)
         for at in range(start, start + len(reps), part):
             # take keeps the gathered rows in C order, so that a replicate's
-            # row sum runs as it does over a Dataset of its own
+            # row sum runs as it does over a block of its own
             chunk = np.take(table, ids[at - start:at - start + part], axis=1)
             out[at:at + chunk.shape[1]] = _deviance(chunk)
-    return out if block else out[0]
+    return out
 
 
 # The log cells the multmix kernel gathers at a time for the replicates

@@ -3,9 +3,10 @@
 Every adapter exposes the same surface: ``fit`` a dataset to
 PosteriorDraws (even when the "posterior" is a single closed-form or
 maximum-likelihood state), ``replicate`` R datasets shaped like a target
-part as one ReplicateBlock, and ``diagnostic_batch`` at B parameter
-states: B values for a Dataset, R x B for a ReplicateBlock.  Each adapter
-also owns its predictive check, so its ``reduction`` says how that
+part as one ReplicateBlock, and ``diagnostic_batch`` of a ReplicateBlock
+of R replicates at B parameter states, R x B values; a diagnostic that
+draws takes replicate r's generator from the r-th of ``generators``.  Each
+adapter also owns its predictive check, so its ``reduction`` says how that
 diagnostic is reduced over the x_val posterior: averaged over the draws,
 or taken at the MAP state.  The mixtures take either; the regression and
 PPCA adapters fit one state and score at it.
@@ -48,8 +49,8 @@ class GmmModel:
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.gmm_predictive(fit, like.n, R, stream)
 
-    def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
-        return mixtures.gmm_loglik_diagnostic_batch(x, states, stream)
+    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
+        return mixtures.gmm_loglik_diagnostic_batch(x, states, generators)
 
 
 class MultMixModel:
@@ -68,27 +69,25 @@ class MultMixModel:
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.multmix_predictive(fit, like.n, R, stream)
 
-    def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
         return mixtures.multmix_chi2_diagnostic_batch(x, states)
 
 
 class _OneStateModel:
     """An adapter whose fit is one state and whose diagnostic draws nothing.
 
-    Its ``_score(x, state)`` gives the diagnostic of a Dataset, and
-    one value per replicate of a ReplicateBlock.  Each adapter class calls
-    ``_at_states`` from its own diagnostic_batch, so that every adapter
-    class still defines the whole adapter surface itself.  Its diagnostic
-    is taken at its one state, so its reduction is fixed at ``map``.
+    Its ``_score(block, state)`` gives one value per replicate of a
+    ReplicateBlock.  Each adapter class calls ``_at_states`` from its own
+    diagnostic_batch, so that every adapter class still defines the whole
+    adapter surface itself.  Its diagnostic is taken at its one state, so
+    its reduction is fixed at ``map``.
     """
 
     reduction = REDUCTION_MAP
 
     def _at_states(self, x, states) -> np.ndarray:
-        """B values for a Dataset; R x B for a ReplicateBlock, scored a
-        block of replicates at a time."""
-        if not isinstance(x, ReplicateBlock):
-            return np.array([self._score(x, s) for s in states])
+        """R x B values for the R replicates of x, scored a block of
+        replicates at a time."""
         vals = np.empty((len(x), len(states)))
         for start, block in x.blocks():
             for b, state in enumerate(states):
@@ -127,7 +126,7 @@ class RegressionModelA(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.regression_predictive(fit.states[0], R, stream)
 
-    def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):
@@ -146,7 +145,7 @@ class RegressionModelB(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.regression_predictive(fit.states[0], R, stream)
 
-    def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):
@@ -172,7 +171,7 @@ class PpcaModel(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.ppca_predictive(fit.states[0], like.n, R, stream)
 
-    def diagnostic_batch(self, x: Dataset, states, stream) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):

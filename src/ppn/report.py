@@ -15,6 +15,7 @@ import os
 import numpy as np
 
 from .core import StudyReport
+from .errors import ParameterError
 
 CELL_W = 170
 CELL_H = 120
@@ -132,7 +133,22 @@ def _cell_csv(rows):
 
 
 def emit_report(report: StudyReport, out_dir) -> list:
-    """Write report.json, per-cell CSVs, and grid.svg; returns the paths."""
+    """Write report.json, per-cell CSVs, and grid.svg; returns the paths.
+    Before any file is made, a model id that is not a plain file-name
+    component, and cells that would write one file, raise ParameterError."""
+    cells = [((c.model_id, c.model_id), [(c.model_id, float(v)) for v in c.diagnostic_replicates]
+              + [("observed", float(c.diagnostic_observed))]) for c in report.diagonal]
+    cells += [((p.diagnostic_owner, p.data_source),
+               [(p.diagnostic_owner, float(v)) for v in p.samples_a]
+               + [(p.data_source, float(v)) for v in p.samples_b]) for p in report.off_diagonal]
+    unsafe = sorted({i for ids, _ in cells for i in map(str, ids)
+                     if i in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(i)})
+    if unsafe:
+        raise ParameterError(f"model ids {', '.join(map(repr, unsafe))} cannot name a file")
+    names = [f"cell_{owner}_{source}.csv" for (owner, source), _ in cells]
+    shared = [ids for (ids, _), name in zip(cells, names) if names.count(name) > 1]
+    if shared:
+        raise ParameterError(f"cells {shared} would share a file name")
     os.makedirs(out_dir, exist_ok=True)
     paths = []
 
@@ -143,13 +159,7 @@ def emit_report(report: StudyReport, out_dir) -> list:
         paths.append(path)
 
     emit("report.json", report.to_json())
-    for check in report.diagonal:
-        rows = [(check.model_id, float(v)) for v in check.diagnostic_replicates]
-        rows.append(("observed", float(check.diagnostic_observed)))
-        emit(f"cell_{check.model_id}_{check.model_id}.csv", _cell_csv(rows))
-    for pair in report.off_diagonal:
-        rows = [(pair.diagnostic_owner, float(v)) for v in pair.samples_a]
-        rows += [(pair.data_source, float(v)) for v in pair.samples_b]
-        emit(f"cell_{pair.diagnostic_owner}_{pair.data_source}.csv", _cell_csv(rows))
+    for name, (_, rows) in zip(names, cells):
+        emit(name, _cell_csv(rows))
     emit("grid.svg", render_grid_svg(report))
     return paths

@@ -21,6 +21,8 @@ from ppn.errors import (CheckError, DegenerateSampleError, ParameterError, State
 from ppn.models import GmmModel, MultMixModel
 from ppn.rng import Seed, ks_distance
 
+from test_diagnostics import block_of_one
+
 
 class NormalModel:
     """Location model: fit stores the mean, replicates are unit normals."""
@@ -43,9 +45,9 @@ class NormalModel:
             rep[:] = mean + sd * g.standard_normal((like.n, mean.size))
         return ReplicateBlock(block)
 
-    def diagnostic_batch(self, x, states, stream):
+    def diagnostic_batch(self, x, states, generators):
         # mean of one designated column, ignoring the anchoring state: one
-        # value for a Dataset, one per replicate for a ReplicateBlock
+        # value per replicate of the block
         means = np.ascontiguousarray(x.values[..., self.column]).mean(axis=-1)
         return np.stack([means] * len(states), axis=-1)
 
@@ -53,7 +55,7 @@ class NormalModel:
 class SquaredErrorModel(NormalModel):
     """Well-specified unit normal with a chi-square-like realized diagnostic."""
 
-    def diagnostic_batch(self, x, states, stream):
+    def diagnostic_batch(self, x, states, generators):
         sums = []
         for s in states:
             sq = (x.values - s) ** 2
@@ -115,10 +117,10 @@ class FaultyModel(SquaredErrorModel):
             raise StateError("synthetic replicate failure")
         return super().replicate(fit, like, R, stream)
 
-    def diagnostic_batch(self, x, states, stream):
+    def diagnostic_batch(self, x, states, generators):
         if self.score_fails(x):
             raise StateError("synthetic diagnostic failure")
-        return super().diagnostic_batch(x, states, stream)
+        return super().diagnostic_batch(x, states, generators)
 
 
 class SevensModel(NormalModel):
@@ -145,8 +147,18 @@ class ShortModel(NormalModel):
 class FlatModel(NormalModel):
     """Scores a replicate block as if it were one dataset: B values."""
 
-    def diagnostic_batch(self, x, states, stream):
+    def diagnostic_batch(self, x, states, generators):
         return np.zeros(len(states))
+
+
+class ObservedFlatModel(NormalModel):
+    """Scores the observed part's block of one as B values, and every other
+    block as R x B."""
+
+    def diagnostic_batch(self, x, states, generators):
+        if len(x) == 1:
+            return np.zeros(len(states))
+        return super().diagnostic_batch(x, states, generators)
 
 
 class WarningModel(NormalModel):
@@ -161,6 +173,12 @@ def _split(n=60, d=1, seed=0):
     g = Seed(seed).stream("split-data").generator
     return split_data(Dataset(g.standard_normal((3 * n, d))),
                       (1 / 3, 1 / 3, 1 / 3), Seed(seed))
+
+
+def _is_x_out(x, split):
+    """Whether the block x is split's observed part, scored as its block of
+    one replicate."""
+    return np.array_equal(x.values, block_of_one(split.x_out).values)
 
 
 class TestHeldoutCheck:
@@ -187,7 +205,7 @@ class TestHeldoutCheck:
         # the strict comparison then yields p = 0
         split = _split()
         model = NormalModel()
-        model.diagnostic_batch = lambda x, states, stream: np.zeros(
+        model.diagnostic_batch = lambda x, states, generators: np.zeros(
             x.values.shape[:-2] + (len(states),))
         out = heldout_predictive_check(split, model, R=20, seed=Seed(3))
         assert out.p_value == 0.0
@@ -297,7 +315,7 @@ class TestStudy:
         bad = SquaredErrorModel("bad")
         # the variance diagnostic cannot see the shift, so good passes while
         # bad's squared-error diagnostic fails on the shifted holdout
-        good.diagnostic_batch = lambda x, states, stream: np.stack(
+        good.diagnostic_batch = lambda x, states, generators: np.stack(
             [x.values.reshape(x.values.shape[:-2] + (-1,)).var(axis=-1)] * len(states), -1)
         report = ppn_study(split, [good, bad], seed=Seed(13))
         assert sum(c.passed for c in report.diagonal) == 1
@@ -407,8 +425,8 @@ class TestEngine:
             "fit x_in": dict(fit_fails=lambda x: x is split.x_in),
             "fit x_val": dict(fit_fails=lambda x: x is split.x_val),
             "replicate": dict(replicate_fails=True),
-            "observed diagnostic": dict(score_fails=lambda x: x is split.x_out),
-            "replicate diagnostics": dict(score_fails=lambda x: x is not split.x_out),
+            "observed diagnostic": dict(score_fails=lambda x: _is_x_out(x, split)),
+            "replicate diagnostics": dict(score_fails=lambda x: not _is_x_out(x, split)),
             "cross diagnostics": dict(score_fails=lambda x: np.all(x.values == 7.0)),
             "fit x_obs": dict(fit_fails=lambda x: True),
         }
@@ -429,11 +447,14 @@ class TestEngine:
         (ListModel("bad-model"), "replicate", "replicate gave a list, not a ReplicateBlock"),
         (FlatModel("bad-model"), "replicate diagnostics",
          "the diagnostic_batch of 'bad-model' gave (1,), not (5, 1) values"),
-        (ShortModel("bad-model"), "replicate", "replicate gave 4 replicates, not 5")],
-        ids=["list", "flat", "short"])
+        (ShortModel("bad-model"), "replicate", "replicate gave 4 replicates, not 5"),
+        (ObservedFlatModel("bad-model"), "observed diagnostic",
+         "the diagnostic_batch of 'bad-model' gave (1,), not (1, 1) values")],
+        ids=["list", "flat", "short", "observed-flat"])
     def test_malformed_adapter_output_fails_its_stage(self, model, stage, message):
-        # a list of replicates, B values for a block of R replicates, and a
-        # block of R - 1 replicates
+        # a list of replicates, B values for a block of R replicates, a
+        # block of R - 1 replicates, and B values for the observed block of
+        # one
         with pytest.raises(CheckError) as exc:
             heldout_predictive_check(_split(), model, R=5, seed=Seed(4))
         assert (exc.value.model_id, exc.value.stage) == ("bad-model", stage)
@@ -442,8 +463,8 @@ class TestEngine:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_diagnostics_name_owner_and_source(self, bad):
         class Owner(SquaredErrorModel):
-            def diagnostic_batch(self, x, states, stream):
-                d = super().diagnostic_batch(x, states, stream)
+            def diagnostic_batch(self, x, states, generators):
+                d = super().diagnostic_batch(x, states, generators)
                 return np.full_like(d, bad) if np.all(x.values == 7.0) else d
 
         with pytest.raises(CheckError, match="finite") as exc:
@@ -503,8 +524,8 @@ class TestWorkers:
         faults = {
             "fit x_val": dict(fit_fails=lambda x: x is split.x_val),
             "replicate": dict(replicate_fails=True),
-            "replicate diagnostics": dict(score_fails=lambda x: x is not split.x_out),
-            "observed diagnostic": dict(score_fails=lambda x: x is split.x_out),
+            "replicate diagnostics": dict(score_fails=lambda x: not _is_x_out(x, split)),
+            "observed diagnostic": dict(score_fails=lambda x: _is_x_out(x, split)),
             # only the wide model's replicates spread this far
             "cross diagnostics": dict(score_fails=lambda x: x.values.std() > 5.0),
             # the replicate diagnostics fail first, in a study and alone

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ppn.checks import heldout_predictive_check
-from ppn.core import Dataset, PosteriorDraws, split_data
+from ppn.core import Dataset, PosteriorDraws, ReplicateBlock, split_data
 from ppn.datagen import gen_gmm_data
 from ppn.diagnostics import replicate_diagnostics, validation_diagnostic
 from ppn.errors import ParameterError, WiringError
@@ -14,16 +14,23 @@ from ppn.models import (GmmModel, MultMixModel, PpcaModel, RegressionModelA,
 from ppn.rng import Seed
 
 
+def block_of_one(x):
+    """The Dataset x as a block of one replicate, as validation_diagnostic
+    scores it."""
+    return ReplicateBlock(x.values[None], x.covariates, x.level_sizes)
+
+
 class FakeModel:
-    """Adapter whose realized diagnostic is a supplied function of (x, state)."""
+    """Adapter whose realized diagnostic is a supplied function of (x, state),
+    scoring a block of one replicate."""
 
     def __init__(self, fn, model_id="fake", reduction="average"):
         self.fn = fn
         self.id = model_id
         self.reduction = reduction
 
-    def diagnostic_batch(self, x, states, stream):
-        return np.array([self.fn(x, s) for s in states])
+    def diagnostic_batch(self, x, states, generators):
+        return np.array([[self.fn(x, s) for s in states]])
 
 
 def _draws(states, model_id="fake", logpost=None):
@@ -122,8 +129,9 @@ class TestMapReductionOnAMixture:
         model = GmmModel(2, 60, 20, 2, reduction="map")
         out = heldout_predictive_check(split, model, R=10, seed=seed)
         fit_val = model.fit(split.x_val, seed.stream(model.id, "fit-val"))
-        want = gmm_loglik_diagnostic_batch(split.x_out, [fit_val.map_state()],
-                                           seed.stream(model.id, "diag", "observed"))[0]
+        observed = seed.stream(model.id, "diag", "observed")
+        want = gmm_loglik_diagnostic_batch(block_of_one(split.x_out), [fit_val.map_state()],
+                                           [observed.generator])[0, 0]
         assert fit_val.B > 1 and out.diagnostic_observed == want
         # the average reduction of the same fit scores something else
         average = heldout_predictive_check(split, GmmModel(2, 60, 20, 2), R=10, seed=seed)

@@ -21,6 +21,8 @@ from ppn.mixtures import (GMM_ALPHA_PI, GMM_IG_SCALE, GMM_IG_SHAPE, GMM_MEAN_VAR
 from ppn.rng import Seed, categorical, logsumexp
 from scipy.special import gammaln
 
+from test_diagnostics import block_of_one
+
 
 def _gmm_state(means, variances, n=1):
     means = np.atleast_2d(np.asarray(means, dtype=float))
@@ -149,6 +151,18 @@ def _gmm_diagnostic_reference(logits, states, stream):
 def _datasets(block):
     """The replicates of a block, each as a Dataset of its own."""
     return [Dataset(rep, block.covariates, block.level_sizes) for rep in block.values]
+
+
+def _gmm_scores(x, states, stream):
+    """The GMM kernel's B values for the Dataset x: its block of one
+    replicate, drawing from stream.generator, as validation_diagnostic
+    scores it."""
+    return gmm_loglik_diagnostic_batch(block_of_one(x), states, [stream.generator])[0]
+
+
+def _multmix_scores(x, states):
+    """The multmix kernel's B values for the Dataset x, as its block of one."""
+    return multmix_chi2_diagnostic_batch(block_of_one(x), states)[0]
 
 
 def _kernel_logits(x, states):
@@ -339,12 +353,12 @@ class TestGmmDiagnostic:
     def test_zero_residual_unit_variance(self):
         state = _gmm_state([[1.0, 2.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 2.0]]))
-        assert gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))[0] == 0.0
+        assert _gmm_scores(x, [state], Seed(0).stream("d"))[0] == 0.0
 
     def test_unit_residual(self):
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 0.0]]))
-        assert abs(gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))[0] + 0.5) < 1e-12
+        assert abs(_gmm_scores(x, [state], Seed(0).stream("d"))[0] + 0.5) < 1e-12
 
     def test_symmetric_components_deterministic(self):
         # identical components: the label draw cannot change the value
@@ -352,7 +366,7 @@ class TestGmmDiagnostic:
                          np.array([[1.0, 1.0], [1.0, 1.0]]),
                          np.zeros(1, dtype=int), np.array([0.5, 0.5]))
         x = Dataset(np.array([[1.0, 0.0]]))
-        vals = [gmm_loglik_diagnostic_batch(x, [state], Seed(i).stream("d"))[0] for i in range(5)]
+        vals = [_gmm_scores(x, [state], Seed(i).stream("d"))[0] for i in range(5)]
         assert np.allclose(vals, -0.5)
 
     def test_label_permutation_invariance_in_expectation(self):
@@ -362,25 +376,36 @@ class TestGmmDiagnostic:
         flipped = GmmState(state.means[::-1].copy(), state.variances[::-1].copy(),
                            state.assignments, state.weights[::-1].copy())
         x = gen_gmm_data(40, Seed(12))
-        a = np.mean([gmm_loglik_diagnostic_batch(x, [state], Seed(i).stream("p"))[0]
+        a = np.mean([_gmm_scores(x, [state], Seed(i).stream("p"))[0]
                      for i in range(400)])
-        b = np.mean([gmm_loglik_diagnostic_batch(x, [flipped], Seed(i).stream("q"))[0]
+        b = np.mean([_gmm_scores(x, [flipped], Seed(i).stream("q"))[0]
                      for i in range(400)])
         assert abs(a - b) < 3.0
 
     def test_batch_shape_and_errors(self):
         states = [_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]) for _ in range(7)]
         x = gen_gmm_data(10, Seed(1))
-        vals = gmm_loglik_diagnostic_batch(x, states, Seed(1).stream("b"))
+        vals = _gmm_scores(x, states, Seed(1).stream("b"))
         assert vals.shape == (7,)
         block = ReplicateBlock(np.stack([x.values] * 3))
-        assert gmm_loglik_diagnostic_batch(block, states, Seed(1).stream("b")).shape == (3, 7)
+        assert gmm_loglik_diagnostic_batch(
+            block, states, Seed(1).stream("b").substream_generators(3)).shape == (3, 7)
         with pytest.raises(DimensionError):
             gmm_loglik_diagnostic_batch(ReplicateBlock(np.zeros((3, 4, 3))), states,
-                                        Seed(1).stream("b"))
+                                        Seed(1).stream("b").substream_generators(3))
         bad = _gmm_state([[0.0, 0.0]], [[1.0, -1.0]])
         with pytest.raises(StateError):
-            gmm_loglik_diagnostic_batch(x, [bad], Seed(1).stream("b"))
+            _gmm_scores(x, [bad], Seed(1).stream("b"))
+
+    @pytest.mark.parametrize("count", [2, 4])
+    def test_one_generator_per_replicate(self, count):
+        # never a row left unwritten, nor a generator left over
+        x = gen_gmm_data(10, Seed(1))
+        block = ReplicateBlock(np.stack([x.values] * 3))
+        generators = Seed(1).stream("b").substream_generators(count)
+        with pytest.raises(ValueError, match="zip"):
+            gmm_loglik_diagnostic_batch(block, [_gmm_state([[0.0, 0.0]], [[1.0, 1.0]])],
+                                        generators)
 
     def test_label_draw_follows_weights(self):
         # at the shared mean, component 0 scores 0 and component 1 scores -1,
@@ -390,7 +415,7 @@ class TestGmmDiagnostic:
         for w1 in (0.5, 0.9):
             state = GmmState(np.zeros((2, 1)), np.array([[1.0], [np.e ** 2]]),
                              np.zeros(1, dtype=int), np.array([1.0 - w1, w1]))
-            share = -gmm_loglik_diagnostic_batch(x, [state], Seed(3).stream("w", w1))[0] / x.n
+            share = -_gmm_scores(x, [state], Seed(3).stream("w", w1))[0] / x.n
             expected = w1 / np.e / (1.0 - w1 + w1 / np.e)
             assert abs(share - expected) < 0.03
 
@@ -398,9 +423,9 @@ class TestGmmDiagnostic:
         data = gen_gmm_data(200, Seed(9))
         fit = gmm_gibbs_fit(data, 3, 300, 100, 4, Seed(9).stream("f"))
         x = gen_gmm_data(80, Seed(10))
-        fresh = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(9).stream("s"))
+        fresh = _gmm_scores(x, list(fit.states), Seed(9).stream("s"))
         for _ in range(2):  # every call stacks the draws' states afresh
-            got = gmm_loglik_diagnostic_batch(x, fit.states, Seed(9).stream("s"))
+            got = _gmm_scores(x, fit.states, Seed(9).stream("s"))
             assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
 
     def test_bad_states_raise_on_every_call_without_warning(self):
@@ -415,12 +440,11 @@ class TestGmmDiagnostic:
                 batch = PosteriorDraws((bad,), "gmm").states
                 for _ in range(2):
                     with pytest.raises(StateError):
-                        gmm_loglik_diagnostic_batch(x, batch, Seed(1).stream("b"))
+                        _gmm_scores(x, batch, Seed(1).stream("b"))
             good = PosteriorDraws((_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]),), "gmm").states
-            gmm_loglik_diagnostic_batch(x, good, Seed(1).stream("b"))
+            _gmm_scores(x, good, Seed(1).stream("b"))
             with pytest.raises(DimensionError):
-                gmm_loglik_diagnostic_batch(Dataset(np.zeros((4, 3))), good,
-                                            Seed(1).stream("b"))
+                _gmm_scores(Dataset(np.zeros((4, 3))), good, Seed(1).stream("b"))
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_kernel_matches_label_array_reference(self, K):
@@ -428,14 +452,14 @@ class TestGmmDiagnostic:
         x, other = gen_gmm_data(70, Seed(50 + K)), gen_gmm_data(30, Seed(60 + K))
         ref = _gmm_diagnostic_reference(_kernel_logits(x, fit.states), fit.states,
                                         Seed(K).stream("d"))
-        got = gmm_loglik_diagnostic_batch(x, list(fit.states), Seed(K).stream("d"))
+        got = _gmm_scores(x, list(fit.states), Seed(K).stream("d"))
         assert np.array_equal(got, ref)
         batch = fit.states
         # later calls, also after another size
         for data in (x, x, other, x):
             want = _gmm_diagnostic_reference(_kernel_logits(data, fit.states), fit.states,
                                              Seed(K).stream("d", data.n))
-            got = gmm_loglik_diagnostic_batch(data, batch, Seed(K).stream("d", data.n))
+            got = _gmm_scores(data, batch, Seed(K).stream("d", data.n))
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", ["origin", "offset", "permuted"])
@@ -462,11 +486,11 @@ class TestGmmDiagnostic:
         two = _gmm_state([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
         three = _gmm_state([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], np.ones((3, 2)))
         with pytest.raises(StateError):
-            gmm_loglik_diagnostic_batch(x, [two, three], Seed(1).stream("b"))
+            _gmm_scores(x, [two, three], Seed(1).stream("b"))
 
     def test_empty_batch_raises(self):
         with pytest.raises(StateError):
-            gmm_loglik_diagnostic_batch(gen_gmm_data(10, Seed(1)), [], Seed(1).stream("b"))
+            _gmm_scores(gen_gmm_data(10, Seed(1)), [], Seed(1).stream("b"))
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_variances_of_another_width_raise(self, columns):
@@ -475,16 +499,16 @@ class TestGmmDiagnostic:
         state = GmmState(np.zeros((2, 2)), np.ones((2, columns)), np.zeros(1, dtype=int),
                          np.array([0.5, 0.5]))
         with pytest.raises(StateError):
-            gmm_loglik_diagnostic_batch(x, [state], Seed(1).stream("b"))
+            _gmm_scores(x, [state], Seed(1).stream("b"))
 
     def test_continuous_required(self):
         x = gen_multmix_data(5, seed=Seed(0))
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DataError):
-            gmm_loglik_diagnostic_batch(x, [state], Seed(0).stream("d"))
+            _gmm_scores(x, [state], Seed(0).stream("d"))
         block = ReplicateBlock(x.values[None], level_sizes=x.level_sizes)
         with pytest.raises(DataError):
-            gmm_loglik_diagnostic_batch(block, [state], Seed(0).stream("d"))
+            gmm_loglik_diagnostic_batch(block, [state], [Seed(0).stream("d").generator])
 
 
 class TestMultMixFit:
@@ -543,7 +567,7 @@ class TestMultMixFit:
                                         "and non-negative"),
                              (ragged, "every state needs K class weights and one K-row "
                                       "table per variable, all of one shape")):
-            for score in (multmix_full_loglik, multmix_chi2_diagnostic_batch):
+            for score in (multmix_full_loglik, _multmix_scores):
                 with pytest.raises(StateError) as err:
                     score(data, [state, bad])
                 assert str(err.value) == message
@@ -683,21 +707,21 @@ class TestMultMixDiagnostic:
                              (np.array([[1.0, 0.0]]), np.array([[1.0, 0.0, 0.0]])),
                              np.zeros(1, dtype=int))
         x = Dataset([[0, 0]], level_sizes=(2, 3))
-        assert multmix_chi2_diagnostic_batch(x, [state])[0] == 0.0
+        assert _multmix_scores(x, [state])[0] == 0.0
 
     def test_half_probability_single_variable(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.5, 0.5]]),),
                              np.zeros(1, dtype=int))
         x = Dataset([[0]], level_sizes=(2,))
-        assert abs(multmix_chi2_diagnostic_batch(x, [state])[0] - 2 * np.log(2)) < 1e-12
+        assert abs(_multmix_scores(x, [state])[0] - 2 * np.log(2)) < 1e-12
 
     def test_doubling_additivity(self):
         data = gen_multmix_data(40, seed=Seed(17))
         fit = multmix_gibbs_fit(data, 2, 200, 100, 10, Seed(17).stream("f"))
         state = fit.states[0]
         doubled = Dataset(np.vstack([data.values, data.values]), level_sizes=data.level_sizes)
-        single = multmix_chi2_diagnostic_batch(data, [state])[0]
-        assert abs(multmix_chi2_diagnostic_batch(doubled, [state])[0] - 2 * single) < 1e-9
+        single = _multmix_scores(data, [state])[0]
+        assert abs(_multmix_scores(doubled, [state])[0] - 2 * single) < 1e-9
 
     def test_label_permutation_invariance(self):
         data = gen_multmix_data(40, seed=Seed(18))
@@ -706,19 +730,19 @@ class TestMultMixDiagnostic:
         flipped = MultMixState(s.weights[::-1].copy(),
                                tuple(t[::-1].copy() for t in s.tables),
                                s.assignments)
-        assert abs(multmix_chi2_diagnostic_batch(data, [s])[0]
-                   - multmix_chi2_diagnostic_batch(data, [flipped])[0]) < 1e-9
+        assert abs(_multmix_scores(data, [s])[0]
+                   - _multmix_scores(data, [flipped])[0]) < 1e-9
 
     def test_zero_cell_sentinel(self):
         state = MultMixState(np.array([1.0]), (np.array([[0.0, 1.0]]),),
                              np.zeros(1, dtype=int))
         x = Dataset([[0]], level_sizes=(2,))
-        assert multmix_chi2_diagnostic_batch(x, [state])[0] == np.inf
+        assert _multmix_scores(x, [state])[0] == np.inf
 
     def test_batch_shape(self):
         data = gen_multmix_data(20, seed=Seed(19))
         fit = multmix_gibbs_fit(data, 2, 200, 100, 20, Seed(19).stream("f"))
-        vals = multmix_chi2_diagnostic_batch(data, fit.states)
+        vals = _multmix_scores(data, fit.states)
         assert vals.shape == (len(fit.states),)
         assert np.all(vals > 0)
 
@@ -739,7 +763,7 @@ class TestMultMixDiagnostic:
             fit = multmix_gibbs_fit(data, K, 200, 100, 4, Seed(24).stream("f", K))
             ref = np.array([self._reference(x, s) for s in fit.states])
             for _ in range(2):  # every call stacks the draws' states afresh
-                got = multmix_chi2_diagnostic_batch(x, fit.states)
+                got = _multmix_scores(x, fit.states)
                 assert np.all(np.abs(got - ref) <= 1e-12 * np.abs(ref))
 
     def test_zero_likelihood_row_gets_uniform_responsibilities(self):
@@ -752,7 +776,7 @@ class TestMultMixDiagnostic:
         x = Dataset([[0, 0]], level_sizes=(2, 2))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = multmix_chi2_diagnostic_batch(x, [state])[0]
+            got = _multmix_scores(x, [state])[0]
         assert abs(got + 2.0 * np.log(0.2 * 0.4)) < 1e-12
 
     def test_bad_states_raise_on_every_call_without_warning(self):
@@ -774,22 +798,22 @@ class TestMultMixDiagnostic:
                 batch = PosteriorDraws((s,), "multmix").states
                 for _ in range(2):
                     with pytest.raises(StateError):
-                        multmix_chi2_diagnostic_batch(x, batch)
+                        _multmix_scores(x, batch)
             mixed = PosteriorDraws((state([0.5, 0.5]), state([1.0, 0.0, 0.0])), "multmix")
             with pytest.raises(StateError):
-                multmix_chi2_diagnostic_batch(x, mixed.states)
+                _multmix_scores(x, mixed.states)
             # a zero weight or cell is probability 0, not an error
             zeros = state([1.0, 0.0], t0=np.array([[1.0, 0.0], [1.0, 0.0]]))
             good = PosteriorDraws((zeros,), "multmix").states
-            assert multmix_chi2_diagnostic_batch(x, good)[0] == np.inf
-            assert np.isfinite(multmix_chi2_diagnostic_batch(
+            assert _multmix_scores(x, good)[0] == np.inf
+            assert np.isfinite(_multmix_scores(
                 Dataset([[0, 1]], level_sizes=(2, 2)), good)[0])
             with pytest.raises(DimensionError):
-                multmix_chi2_diagnostic_batch(Dataset([[0, 1]], level_sizes=(2, 3)), good)
+                _multmix_scores(Dataset([[0, 1]], level_sizes=(2, 3)), good)
 
     @staticmethod
     def _each_alone(block, states):
-        return np.array([multmix_chi2_diagnostic_batch(rep, states) for rep in _datasets(block)])
+        return np.array([_multmix_scores(rep, states) for rep in _datasets(block)])
 
     def _assert_block_matches(self, block, states):
         got = multmix_chi2_diagnostic_batch(block, states)
@@ -881,7 +905,7 @@ class TestMultMixDiagnostic:
         for n in (1, 7, 170, 1000):
             x = gen_multmix_data(n, seed=Seed(29 + n))
             for states in (fit.states, [fit.map_state()]):
-                got = multmix_chi2_diagnostic_batch(x, states)
+                got = _multmix_scores(x, states)
                 assert got.tobytes() == self._every_row(x, states).tobytes()
 
     def test_many_variables_at_one_state(self):
@@ -958,7 +982,7 @@ class TestMultMixDiagnostic:
             x = (Dataset(codes[0], level_sizes=(4, 5)) if R is None
                  else ReplicateBlock(codes, level_sizes=(4, 5)))
             scored.clear()
-            got = multmix_chi2_diagnostic_batch(x, states)
+            got = (_multmix_scores if R is None else multmix_chi2_diagnostic_batch)(x, states)
             assert scored == want
             ref = self._every_row(x, states) if R is None else self._each_alone(x, states)
             assert got.tobytes() == ref.tobytes()

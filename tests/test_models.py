@@ -16,6 +16,8 @@ from ppn.errors import CheckError, DataError, DimensionError, ParameterError
 from ppn.models import GmmModel, MultMixModel, PpcaModel, RegressionModelA, RegressionModelB
 from ppn.rng import Seed
 
+from test_diagnostics import block_of_one
+
 SEED = Seed(50)
 
 
@@ -54,9 +56,9 @@ def _recorded_calls(monkeypatch, model):
     calls = []
     batch = model.diagnostic_batch
 
-    def recorded(x, states, stream):
+    def recorded(x, states, generators):
         calls.append((x.values.shape, len(states)))
-        return batch(x, states, stream)
+        return batch(x, states, generators)
 
     monkeypatch.setattr(model, "diagnostic_batch", recorded)
     return calls
@@ -170,6 +172,23 @@ class TestReplicateScoring:
         # the whole block in one call, at the states the reduction needs
         assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_observed_part_scores_as_a_block_of_one(self, name):
+        # the observed part is one more replicate: its block of one, drawing
+        # from the stream's own generator, reduced by the model's rule
+        model, split, _ = _replicates(name, 1)
+        anchor = model.fit(split.x_val, SEED.stream("val"))
+        for reduction in ("average", "map") if anchor.B > 1 else ("map",):
+            model.reduction = reduction
+            got = validation_diagnostic(split.x_out, model, anchor, SEED.stream("observed"))
+            one = anchor.states[:1] if anchor.B == 1 else [anchor.map_state()]
+            states = one if reduction == "map" else anchor.states
+            vals = model.diagnostic_batch(block_of_one(split.x_out), states,
+                                          [SEED.stream("observed").generator])
+            want = vals[0, 0] if reduction == "map" else vals[0].mean()
+            assert vals.shape == (1, len(states))
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
     def test_cross_family_scores_match(self):
         _, split, reps = _replicates("reg-A", 600)
         owner = RegressionModelB()
@@ -192,7 +211,7 @@ class TestRegressionRefusals:
             model.fit(two, SEED.stream("f"))
         state = model.fit(data, SEED.stream("f")).states[0]
         with pytest.raises(DimensionError, match="one response column"):
-            model.diagnostic_batch(two, [state], None)
+            model.diagnostic_batch(block_of_one(two), [state], None)
         split = split_data(two, (1 / 3, 1 / 3, 1 / 3), SEED)
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(split, model, R=10, seed=SEED)
@@ -212,7 +231,7 @@ class TestRegressionRefusals:
         state = RegressionModelB().fit(data, SEED.stream("f")).states[0]
         wider = Dataset(data.values, np.hstack([data.covariates, data.covariates[:, :1]]))
         with pytest.raises(DimensionError, match="^3 covariate columns for 2 coefficients$"):
-            RegressionModelB().diagnostic_batch(wider, [state], None)
+            RegressionModelB().diagnostic_batch(block_of_one(wider), [state], None)
 
     @pytest.mark.parametrize("model", [RegressionModelA(), RegressionModelB()])
     def test_level_codes(self, model):
@@ -223,7 +242,7 @@ class TestRegressionRefusals:
                 model.fit(data, SEED.stream("f"))
         state = model.fit(gen_regression_data(60, 2, 2.5, SEED), SEED.stream("f")).states[0]
         with pytest.raises(DataError, match="level codes"):
-            model.diagnostic_batch(one_code, [state], None)
+            model.diagnostic_batch(block_of_one(one_code), [state], None)
         split = split_data(codes, (1 / 3, 1 / 3, 1 / 3), SEED)
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(split, model, R=10, seed=SEED)

@@ -14,7 +14,7 @@ from ppn import cli
 from ppn.checks import StudyConfig, ppn_check, ppn_study
 from ppn.cli import main
 from ppn.core import CheckOutcome, Dataset, PpnOutcome, StudyReport, split_data
-from ppn.errors import PpnError
+from ppn.errors import ParameterError, PpnError
 from ppn.report import emit_report, render_grid_svg
 from ppn.rng import Seed
 
@@ -120,6 +120,32 @@ class TestEmitReport:
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
         assert {"data: a&b", "data: c<d", "a&b", "c<d"} <= set(texts)
         assert "a&b | data c<d: sym KL = 0.200 (fools)" in texts
+
+    @pytest.mark.parametrize("bad", ["a/b", "", ".", "..", "a\0b"],
+                             ids=["slash", "empty", "dot", "dot-dot", "nul"])
+    def test_ids_that_cannot_name_a_file_write_nothing(self, bad, tmp_path):
+        g = np.random.default_rng(10)
+        checks = tuple(CheckOutcome(0.5, True, g.normal(size=40), 0.1, m) for m in ("c", bad))
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ParameterError) as err:
+            emit_report(StudyReport(("c", bad), 0.1, 1.0, checks), out)
+        assert str(err.value) == f"model ids {bad!r} cannot name a file"
+        assert list(out.iterdir()) == []
+
+    def test_cells_that_would_share_a_file_write_nothing(self, tmp_path):
+        # cell_a_b_c.csv would be both pair cells' file
+        g = np.random.default_rng(11)
+        ids = ("a", "a_b", "b_c", "c")
+        checks = tuple(CheckOutcome(0.5, True, g.normal(size=40), 0.1, m) for m in ids)
+        pairs = tuple(PpnOutcome(0.2, True, g.normal(size=40), g.normal(size=40), *cell)
+                      for cell in (("a_b", "c"), ("a", "b_c")))
+        out = tmp_path / "out"
+        out.mkdir()
+        with pytest.raises(ParameterError) as err:
+            emit_report(StudyReport(ids, 0.1, 1.0, checks, pairs), out)
+        assert str(err.value) == "cells [('a_b', 'c'), ('a', 'b_c')] would share a file name"
+        assert list(out.iterdir()) == []
 
     def test_emission_deterministic(self, small_report, tmp_path):
         emit_report(small_report, tmp_path / "a")
@@ -336,6 +362,23 @@ class TestCli:
         capsys.readouterr()
         assert main(["study", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
         assert capsys.readouterr().err == "error: model entry {'K': 2} names no family\n"
+
+    @pytest.mark.parametrize("overrides, message", [
+        ({"alhpa": 0.5}, "config takes no key 'alhpa'"),
+        ({"data": {"preset": "gmm", "N": 90}}, "config data takes no key 'N'")],
+        ids=["top-level", "data"])
+    def test_config_key_the_cli_never_reads_exits_2(self, overrides, message, tmp_path,
+                                                    capsys):
+        cfg = _study_config(tmp_path, **overrides)
+        data = tmp_path / "data.csv"
+        main(["generate", "gmm", "--n", "30", "--out", str(data)])
+        capsys.readouterr()
+        for argv in (["study", "--config", cfg, "--out-dir", str(tmp_path / "o")],
+                     ["check", "--data", str(data), "--model", "gmm:1", "--config", cfg,
+                      "--out", str(tmp_path / "check.json")]):
+            assert main(argv) == 2
+            assert capsys.readouterr().err == f"error: {message}\n"
+        assert not (tmp_path / "o").exists() and not (tmp_path / "check.json").exists()
 
     def test_missing_data_file_exits_2(self, tmp_path, capsys):
         missing = tmp_path / "absent.csv"
