@@ -121,6 +121,8 @@ def _load_data(config, path, seed):
         data_cfg = config.get("data")
         if not isinstance(data_cfg, dict) or not ("path" in data_cfg or "preset" in data_cfg):
             raise ParameterError("config data must be an object with a preset or a path")
+        if "path" in data_cfg and data_cfg.keys() & {"n", "preset"}:
+            raise ParameterError("config data takes a path or a preset with an n, not both")
         if "path" not in data_cfg:
             preset = data_cfg["preset"]
             if not (isinstance(preset, str) and preset in GENERATORS):

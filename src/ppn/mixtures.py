@@ -202,9 +202,9 @@ def _draw_labels(logits, g) -> np.ndarray:
 def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=None) -> PosteriorDraws:
     """Gibbs chain over assignments, mixing weights, means, and variances.
 
-    Full conditionals are conjugate throughout; components that lose all
-    their points are refreshed from the prior, which keeps the chain on the
-    correct stationary distribution.
+    Full conditionals are conjugate throughout; a component with no points
+    has its prior as its full conditional, so its conjugate updates draw its
+    mean and variances from the prior.
     """
     _require_continuous(x)
     K = integer(K, "K", 1)
@@ -240,11 +240,6 @@ def gmm_gibbs_fit(x: Dataset, K: int, iters=2000, burnin=1000, thin=5, stream=No
         scale = GMM_IG_SCALE + sq / 2.0
         # Generator.gamma(shape, theta) draws theta * standard_gamma(shape)
         variances = 1.0 / (g.standard_gamma(shape, scale.shape) * (1.0 / scale))
-        empty = counts == 0
-        if empty.any():
-            k_empty = int(empty.sum())
-            means[empty] = np.sqrt(GMM_MEAN_VAR) * g.standard_normal((k_empty, D))
-            variances[empty] = 1.0 / g.gamma(GMM_IG_SHAPE, 1.0 / GMM_IG_SCALE, size=(k_empty, D))
         if it >= burnin and (it - burnin) % thin == 0:
             # every array here is rebuilt, not updated, by the next sweep
             states.append(GmmState(means, variances, z, weights))

@@ -59,11 +59,6 @@ def _gmm_gibbs_reference(x, K, iters, burnin, thin, stream):
         shape = GMM_IG_SHAPE + counts[:, None] / 2.0
         scale = GMM_IG_SCALE + sq / 2.0
         variances = 1.0 / g.gamma(shape, 1.0 / scale)
-        empty = counts == 0
-        if empty.any():
-            k_empty = int(empty.sum())
-            means[empty] = np.sqrt(GMM_MEAN_VAR) * g.standard_normal((k_empty, D))
-            variances[empty] = 1.0 / g.gamma(GMM_IG_SHAPE, 1.0 / GMM_IG_SCALE, size=(k_empty, D))
         if it >= burnin and (it - burnin) % thin == 0:
             states.append(GmmState(means.copy(), variances.copy(), z.copy(), weights.copy()))
             comp = -0.5 * (((data[:, None, :] - means) ** 2) / variances
@@ -201,8 +196,9 @@ class TestGmmFit:
         assert abs((1.0 / var).mean() - (1 + n / 2) / (1 + ss / 2)) < 0.05 * (1.0 / var).mean()
 
     def test_empty_components_refresh_from_prior(self):
-        # two points cannot occupy three components; empty ones must carry
-        # prior-distributed parameters: E[1/sigma^2] = 1, E[mu] = 0, var 25
+        # two points cannot occupy three components; the conjugate update
+        # alone must draw the empty ones from the prior: E[1/sigma^2] = 1,
+        # E[mu] = 0, var 25
         data = Dataset(np.array([[0.0, 0.0], [0.1, 0.1]]))
         fit = gmm_gibbs_fit(data, 3, 4000, 1000, 1, Seed(5).stream("empty"))
         inv_var, mus = [], []
@@ -275,7 +271,7 @@ class TestGmmFit:
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_fit_matches_per_dimension_reference(self, K):
         # the sweep on the chain's own stream, on two seeds and on three
-        # points, where components go empty and are refreshed from the prior
+        # points, where components go empty
         tiny = Dataset(np.array([[0.0, 0.0], [0.1, 0.1], [3.0, 2.0]]))
         for data, label in ((gen_gmm_data(120, Seed(1)), 1), (gen_gmm_data(120, Seed(2)), 2),
                             (tiny, "tiny")):
@@ -288,8 +284,31 @@ class TestGmmFit:
                     assert getattr(got, name).dtype == getattr(want, name).dtype
             assert np.array_equal(fit.loglik, ref[1])
             assert np.array_equal(fit.logpost, ref[2])
-        if K > 3:  # the three-point chain did refresh an empty component
+        if K > 3:  # a component of the three-point chain did go empty
             assert any(np.bincount(s.assignments, minlength=K).min() == 0 for s in fit.states)
+
+    def test_each_sweep_draws_each_component_once(self):
+        # three points leave at least one of four components empty, and its
+        # conjugate updates draw it from the prior: every sweep reads the
+        # generator for the labels, the weights' gammas, the means and the
+        # variances' gammas, and for nothing else
+        class Recording:
+            def __init__(self, g):
+                self.g, self.calls = g, []
+
+            def __getattr__(self, name):
+                draw = getattr(self.g, name)
+
+                def recorded(*args, **kwargs):
+                    self.calls.append(name)
+                    return draw(*args, **kwargs)
+                return recorded
+
+        tiny = Dataset(np.array([[0.0, 0.0], [0.1, 0.1], [3.0, 2.0]]))
+        rec = Recording(Seed(4).stream("f", "tiny").generator)
+        fit = gmm_gibbs_fit(tiny, 4, 60, 0, 1, type("S", (), {"generator": rec}))
+        assert len(fit.states) == 60
+        assert rec.calls == ["random", "standard_gamma", "standard_normal", "standard_gamma"] * 60
 
     def test_component_sums_keep_numpys_row_order(self):
         # below eight values numpy adds a row one value after another, from

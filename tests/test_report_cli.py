@@ -193,6 +193,9 @@ CLI_PROBES = {
         "models": [{"family": "ppca", "K": 1, "max_iters": 5}, "gmm:1"]}},
     "data-path-is-a-descriptor": {"config": {"data": {"path": 5}}},
     "data-path-is-stdin": {"config": {"data": {"path": 0}}},
+    # a data file is read whole: a size or a preset beside its path is refused
+    "data-path-with-n": {"data": {"n": 30}},
+    "data-path-with-preset": {"data": {"preset": "multmix"}},
     "models-not-a-list": {"config": {"models": 5}},
     "models-a-string": {"config": {"models": "gmm:1"}},
     "preset-not-a-string": {"config": {"data": {"preset": ["gmm"]}}},
@@ -303,6 +306,15 @@ class TestCli:
         assert payload["model"] == "gmm-K1"
         assert 0.0 <= payload["p"] <= 1.0
 
+    def test_data_option_replaces_the_config_data_block(self, tmp_path):
+        data = tmp_path / "data.csv"
+        main(["generate", "gmm", "--n", "90", "--seed", "2", "--out", str(data)])
+        cfg = _study_config(tmp_path, data={"path": str(tmp_path / "absent.csv"), "n": 30})
+        out = tmp_path / "check.json"
+        rc = main(["check", "--data", str(data), "--model", "gmm:1",
+                   "--config", cfg, "--out", str(out)])
+        assert rc == 0 and out.exists()
+
     def test_ppn_subcommand(self, tmp_path):
         data = tmp_path / "data.csv"
         main(["generate", "gmm", "--n", "90", "--seed", "2", "--out", str(data)])
@@ -409,6 +421,10 @@ class TestCli:
             csv = spec["csv"]
             bad.write_bytes(csv if isinstance(csv, bytes) else csv.encode())
             overrides["data"] = {"path": str(bad)}
+        if "data" in spec:
+            data = tmp_path / "data.csv"
+            main(["generate", "gmm", "--n", "90", "--out", str(data)])
+            overrides["data"] = {"path": str(data), **spec["data"]}
         cfg = _study_config(tmp_path, **overrides)
         if "json" in spec:
             with open(cfg, "w") as fh:
