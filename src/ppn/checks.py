@@ -27,7 +27,9 @@ from .core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
 from .diagnostics import replicate_diagnostics, validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, WiringError, finite, integer
 from .estimators import sym_kl_estimate
+from .models import MultMixModel
 from .rng import need_seed
+from . import mixtures
 
 MODE_FULL = "full"
 MODE_CHAIN = "chain"
@@ -74,6 +76,16 @@ class _Engine:
     replicates, the owner's anchor fit, the replicate diagnostics, then a
     check's observed one, so every entry point reports the same failing
     stage.  config gives R, the check's alpha and the pair's tau.
+
+    Before that order starts, ``fits`` fits together the categorical
+    mixture chains that a call needs: a check's two (the model on the
+    source and anchor parts), a pair's three (the owner on both, the source
+    on the source part) and a study's two per model, each chain once.
+    ``MultMixModel`` chains that share a schedule run as one
+    ``mixtures.multmix_gibbs_fits`` loop, whose draws are bit for bit those
+    of the chains run alone.  Every other fit, a custom adapter's included,
+    is made by the adapter's ``fit`` where the order reaches it, so an
+    adapter needs only ``fit``.
     """
 
     def __init__(self, seed, config: StudyConfig, x_out, source, anchor):
@@ -102,6 +114,28 @@ class _Engine:
         for label, value in products.items():
             self._kept.setdefault((model, label), value)
 
+    def fits(self, jobs):
+        """Fit the (model, part) jobs that run as one loop and are not kept
+        yet, and keep their draws as fit keeps them.  A job whose group has
+        no other, or whose group fails, is left to fit, which fits it alone
+        and raises any failure where the order reaches it."""
+        groups = {}
+        for model, (name, data) in jobs:
+            if type(model) is MultMixModel and (model, f"fit-{name}") not in self._kept:
+                groups.setdefault(model.chain, {})[model, name] = data
+        for chain, group in groups.items():
+            if len(group) < 2:
+                continue
+            try:
+                fitted = mixtures.multmix_gibbs_fits(
+                    group.values(), [model.K for model, _ in group],
+                    chain.iters, chain.burnin, chain.thin,
+                    [self.seed.stream(model.id, f"fit-{name}") for model, name in group])
+            except PpnError:
+                continue
+            for (model, name), draws in zip(group, fitted):
+                self._kept[model, f"fit-{name}"] = draws
+
     def fit(self, model, part):
         name, data = part
         return self._once(model, f"fit-{name}", f"fit x_{name}", model.fit, data)
@@ -118,6 +152,7 @@ class _Engine:
                           reps, owner, anchor)
 
     def check(self, model) -> CheckOutcome:
+        self.fits([(model, self.source), (model, self.anchor)])
         d_rep = self.samples(model, model)
         d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
                        self.x_out, model, self.fit(model, self.anchor),
@@ -126,6 +161,7 @@ class _Engine:
         return CheckOutcome(p, pass_fail(p, self.config.alpha), d_rep, d_obs, model.id)
 
     def pair(self, owner, source) -> PpnOutcome:
+        self.fits([(owner, self.source), (owner, self.anchor), (source, self.source)])
         samples_a = self.samples(owner, owner)
         samples_b = self.samples(owner, source)
         sym_kl = _stage(owner.id, f"sym-KL against {source.id}", sym_kl_estimate,
@@ -281,6 +317,7 @@ def ppn_study(split: DataSplit, models, config: StudyConfig = None,
 
     def own_products(i):
         """Model i's fits, replicates and own diagnostic set, as kept products."""
+        engine.fits([(models[i], engine.source), (models[i], engine.anchor)])
         engine.samples(models[i], models[i])
         return engine.products(models[i])
 

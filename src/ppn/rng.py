@@ -52,6 +52,15 @@ def need_seed(seed, who):
     return seed
 
 
+def need_stream(stream, who):
+    """stream's generator, if stream has one; else a ParameterError saying
+    who needs a stream."""
+    generator = getattr(stream, "generator", None)
+    if generator is None:
+        raise ParameterError(f"{who} needs a VariateStream, not {stream!r}")
+    return generator
+
+
 class VariateStream:
     """A deterministic variate stream keyed by (seed root, label).
 

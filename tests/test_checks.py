@@ -9,7 +9,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from ppn import checks
+from ppn import checks, mixtures
 from ppn.checks import (StudyConfig, _verdict, heldout_predictive_check,
                         posterior_predictive_pvalue, ppn_check, ppn_study)
 from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
@@ -471,6 +471,108 @@ class TestEngine:
             ppn_check(_split(), Owner("owner"), SevensModel("sevens"), R=5, seed=Seed(4))
         assert (exc.value.model_id, exc.value.stage) == ("owner", "sym-KL against sevens")
         assert isinstance(exc.value.cause, DegenerateSampleError)
+
+
+def _multmix_split(seed=5):
+    return split_data(gen_multmix_data(90, seed=Seed(seed)), (1 / 3, 1 / 3, 1 / 3), Seed(seed))
+
+
+def _recorded_groups(monkeypatch, fails=()):
+    """The number of chains of every multmix_gibbs_fits call, lone fits
+    included; a call with a K in fails raises StateError instead."""
+    calls = []
+    fits = mixtures.multmix_gibbs_fits
+
+    def recorded(xs, Ks, *args):
+        calls.append(len(Ks))
+        if set(Ks) & set(fails):
+            raise StateError("synthetic fit failure")
+        return fits(xs, Ks, *args)
+
+    monkeypatch.setattr(mixtures, "multmix_gibbs_fits", recorded)
+    return calls
+
+
+def _fit_alone(monkeypatch):
+    """Leave every fit to the engine's fit, one chain at a time."""
+    monkeypatch.setattr(checks._Engine, "fits", lambda self, jobs: None)
+
+
+class TestGroupedFits:
+    """Each entry point fits the multmix chains it needs in one loop."""
+
+    def test_each_entry_point_makes_one_grouped_call(self, monkeypatch):
+        split = _multmix_split()
+        a, b = MultMixModel(2, 40, 20, 2), MultMixModel(3, 40, 20, 2)
+        _with_workers(monkeypatch, 1)
+        runs = [
+            (lambda: heldout_predictive_check(split, a, R=8, seed=Seed(1)), [2]),
+            (lambda: ppn_check(split, a, b, R=8, seed=Seed(1)), [3]),
+            # the owner's chain on x_in is the source's: each chain is fitted once
+            (lambda: ppn_check(split, a, a, R=8, seed=Seed(1)), [2]),
+            # one call per model's task; the checks and pairs reuse their fits
+            (lambda: ppn_study(split, [a, b], StudyConfig(R=8), Seed(1)), [2, 2]),
+            (lambda: posterior_predictive_pvalue(split.x_in, a, R=8, seed=Seed(1)), [1]),
+        ]
+        for run, chains in runs:
+            calls = _recorded_groups(monkeypatch)
+            run()
+            assert calls == chains
+
+    def test_other_schedules_run_in_separate_loops(self, monkeypatch):
+        calls = _recorded_groups(monkeypatch)
+        ppn_check(_multmix_split(), MultMixModel(2, 40, 20, 2), MultMixModel(3, 30, 10, 2),
+                  R=8, seed=Seed(1))
+        assert calls == [2, 1]
+
+    def test_outcomes_are_those_of_lone_fits(self, monkeypatch):
+        split = _multmix_split()
+        models = [MultMixModel(k, 40, 20, 2) for k in (1, 2, 3)]
+        _with_workers(monkeypatch, 1)
+
+        def outcomes():
+            checks_ = [heldout_predictive_check(split, m, R=8, seed=Seed(1)) for m in models]
+            pairs = [ppn_check(split, a, b, R=8, seed=Seed(1))
+                     for a, b in ((models[1], models[0]), (models[2], models[1]))]
+            study = ppn_study(split, models, StudyConfig(R=8), Seed(1))
+            return ([(c.diagnostic_replicates, c.diagnostic_observed) for c in checks_]
+                    + [(p.samples_a, p.samples_b) for p in pairs], study.to_json())
+
+        grouped = outcomes()
+        _fit_alone(monkeypatch)
+        alone = outcomes()
+        assert grouped[1] == alone[1]
+        for (a, b), (c, d) in zip(grouped[0], alone[0]):
+            assert np.array_equal(a, c) and np.array_equal(b, d)
+
+    def test_a_failing_fit_reports_the_stage_of_lone_fits(self, monkeypatch):
+        # every chain of three classes fails, in a group or alone; the
+        # owner's own fits then succeed alone, so a failing source is
+        # reached after the owner's diagnostics, as without groups
+        split = _multmix_split()
+        good, bad = MultMixModel(2, 40, 20, 2), MultMixModel(3, 40, 20, 2)
+        _with_workers(monkeypatch, 1)
+        runs = [
+            (lambda: heldout_predictive_check(split, bad, R=8, seed=Seed(1)), "multmix-K3"),
+            (lambda: ppn_check(split, good, bad, R=8, seed=Seed(1)), "multmix-K3"),
+            (lambda: ppn_check(split, bad, good, R=8, seed=Seed(1)), "multmix-K3"),
+            (lambda: ppn_study(split, [good, bad], StudyConfig(R=8), Seed(1)), "multmix-K3"),
+            # multmix on continuous data fails its first fit
+            (lambda: heldout_predictive_check(_split(), good, R=8, seed=Seed(1)), "multmix-K2"),
+        ]
+        calls = _recorded_groups(monkeypatch, fails=(3,))
+        with pytest.raises(CheckError):
+            runs[1][0]()
+        # the group of three fails, so each chain runs alone where it is needed
+        assert calls == [3, 1, 1, 1]
+        for fit_alone in (False, True):
+            if fit_alone:
+                _fit_alone(monkeypatch)
+            for run, model_id in runs:
+                _recorded_groups(monkeypatch, fails=(3,))
+                with pytest.raises(CheckError) as exc:
+                    run()
+                assert (exc.value.model_id, exc.value.stage) == (model_id, "fit x_in")
 
 
 needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),

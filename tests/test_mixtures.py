@@ -684,6 +684,130 @@ class TestMultMixFit:
         assert np.array_equal(fit.logpost, ref[2])
 
 
+def _categorical(n, level_sizes, label):
+    """n rows of uniform level codes, drawn from their own stream."""
+    g = Seed(44).stream("codes", label).generator
+    return Dataset(np.column_stack([g.integers(0, L, n) for L in level_sizes]).astype(float),
+                   level_sizes=level_sizes)
+
+
+def _assert_same_draws(got, want):
+    """got and want hold the same chain: every state array, with its dtype,
+    shape and bits, and the same loglik and logpost."""
+    assert got.model_id == want.model_id and len(got.states) == len(want.states)
+    for a, b in zip(got.states, want.states):
+        pairs = [(a.weights, b.weights), (a.assignments, b.assignments)]
+        assert len(a.tables) == len(b.tables)
+        for u, v in pairs + list(zip(a.tables, b.tables)):
+            assert u.dtype == v.dtype and u.shape == v.shape and np.array_equal(u, v)
+    for name in ("loglik", "logpost"):
+        u, v = getattr(got, name), getattr(want, name)
+        assert u.dtype == v.dtype and np.array_equal(u, v)
+
+
+class TestMultMixFits:
+    """Chains run in one loop give what each gives alone, bit for bit."""
+
+    # (datasets, Ks): K 1-4 at unequal n; K 8 and 11, whose classes numpy
+    # sums pairwise; level sizes of 1 and of 8 or more, whose rows numpy
+    # sums pairwise; three rows, where classes empty out; one row of nine
+    # variables, whose ten terms numpy would add pairwise in a part of one
+    # row
+    CASES = {
+        "K1-4": (lambda: [gen_multmix_data(n, seed=Seed(n)) for n in (60, 170, 90, 120)],
+                 (1, 2, 3, 4)),
+        "K8-11": (lambda: [gen_multmix_data(90, seed=Seed(26)),
+                           gen_multmix_data(61, seed=Seed(27)),
+                           gen_multmix_data(90, seed=Seed(26))], (8, 11, 2)),
+        "mixed-levels": (lambda: [_categorical(n, (10, 1, 3, 8, 3, 3), n) for n in (120, 50)],
+                         (4, 2)),
+        "three-rows": (lambda: [Dataset(np.array([[0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]),
+                                        level_sizes=(4, 2)), _categorical(3, (4, 2), 3),
+                                _categorical(40, (4, 2), 40)], (4, 3, 1)),
+        "one-row": (lambda: [_categorical(1, (3,) * 9, 1), _categorical(5, (3,) * 9, 5)],
+                    (2, 3)),
+    }
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_group_matches_lone_chains(self, case):
+        make, Ks = self.CASES[case]
+        xs = make()
+        streams = [Seed(45).stream("f", case, c) for c in range(len(xs))]
+        grouped = mixtures.multmix_gibbs_fits(xs, Ks, 60, 20, 2, streams)
+        assert len(grouped) == len(xs)
+        for c, (x, K, got) in enumerate(zip(xs, Ks, grouped)):
+            want = multmix_gibbs_fit(x, K, 60, 20, 2, Seed(45).stream("f", case, c))
+            _assert_same_draws(got, want)
+        if case == "three-rows":  # the three-row chain did empty a class
+            assert any(np.bincount(s.assignments, minlength=4).min() == 0
+                       for s in grouped[0].states)
+
+    @pytest.mark.parametrize("rows, part", [((1,), None), ((30, 20), 1), ((4, 1), None)],
+                             ids=["one-row", "parts", "group"])
+    def test_label_draw_sees_the_terms_added_in_order(self, monkeypatch, rows, part):
+        # numpy adds the ten terms of a part of one row pairwise, yet a
+        # one-row chain, and the rows before a last part of one, must add
+        # them in order: here BLOCK_CELLS holds one row's terms, and the 50
+        # rows, all distinct, and a spare column come in parts of two.  A
+        # last bit seldom moves a label, so the logits themselves are
+        # compared.
+        if part:
+            monkeypatch.setattr(mixtures, "BLOCK_CELLS", 3 * 28 * part)
+        seen = []
+
+        def recorded(logits, u):
+            seen.append(logits.copy())
+            return draw_labels(logits, u)
+
+        draw_labels = mixtures._draw_labels
+        monkeypatch.setattr(mixtures, "_draw_labels", recorded)
+        xs = [_categorical(n, (3,) * 9, n) for n in rows]
+        Ks = (3, 2)[:len(xs)]
+        fits = mixtures.multmix_gibbs_fits(xs, Ks, 8, 0, 1,
+                                           [Seed(48).stream("f", c) for c in range(len(xs))])
+        assert len(seen) == 8
+        for it in range(1, 8):
+            want = np.full((max(Ks), sum(rows)), -np.inf)
+            at = 0
+            for x, K, fit in zip(xs, Ks, fits):
+                s = fit.states[it - 1]
+                terms = np.log(s.weights)[:, None] + np.zeros(x.n)
+                for j, t in enumerate(s.tables):
+                    terms = terms + np.log(t[:, x.codes()[:, j]])
+                want[:K, at:at + x.n] = terms
+                at += x.n
+            assert np.array_equal(seen[it], want)
+
+    def test_logits_built_in_parts(self, monkeypatch):
+        # 3 classes x 28 terms at most, so parts of 5 rows
+        monkeypatch.setattr(mixtures, "BLOCK_CELLS", 3 * 28 * 5)
+        xs = [_categorical(n, (3,) * 9, n) for n in (30, 20)]
+        grouped = mixtures.multmix_gibbs_fits(
+            xs, (3, 2), 30, 10, 2, [Seed(47).stream("f", c) for c in range(2)])
+        for c, (x, K, got) in enumerate(zip(xs, (3, 2), grouped)):
+            _assert_same_draws(got, multmix_gibbs_fit(x, K, 30, 10, 2, Seed(47).stream("f", c)))
+            ref = _multmix_gibbs_reference(x, K, 30, 10, 2, Seed(47).stream("f", c))
+            assert np.array_equal(got.logpost, ref[2])
+
+    def test_refusals(self):
+        x, other = gen_multmix_data(30, seed=Seed(1)), _categorical(30, (4, 3), "other")
+        streams = [Seed(1).stream("f", c) for c in range(2)]
+        with pytest.raises(DimensionError, match="same level sizes"):
+            mixtures.multmix_gibbs_fits([x, other], (2, 2), 10, 5, 1, streams)
+        for xs, Ks, given in (([x, x], (2,), streams), ([x], (2,), streams), ([], (), ())):
+            with pytest.raises(ParameterError, match="one K and one stream"):
+                mixtures.multmix_gibbs_fits(xs, Ks, 10, 5, 1, given)
+        with pytest.raises(DataError):
+            mixtures.multmix_gibbs_fits([x, gen_gmm_data(30, Seed(1))], (2, 2), 10, 5, 1, streams)
+
+    @pytest.mark.parametrize("fit, data", [
+        (multmix_gibbs_fit, lambda: gen_multmix_data(30, seed=Seed(1))),
+        (gmm_gibbs_fit, lambda: gen_gmm_data(30, Seed(1)))], ids=["multmix", "gmm"])
+    def test_missing_stream_is_a_parameter_error(self, fit, data):
+        with pytest.raises(ParameterError, match="a Gibbs chain needs a VariateStream, not None"):
+            fit(data(), 2, 10, 5, 1)
+
+
 class TestMultMixPredictive:
     def test_frequencies_match_posterior(self):
         data = gen_multmix_data(800, K_true=1, seed=Seed(15))
