@@ -17,7 +17,6 @@ unavailable, the same tasks run in the calling process.
 
 from __future__ import annotations
 
-import os
 import warnings
 from dataclasses import dataclass
 
@@ -28,7 +27,7 @@ from .diagnostics import replicate_diagnostics, validation_diagnostic
 from .errors import CheckError, ParameterError, PpnError, WiringError, finite, integer
 from .estimators import sym_kl_estimate
 from .models import MultMixModel
-from .rng import need_seed
+from .rng import need_seed, usable_cores
 from . import mixtures
 
 MODE_FULL = "full"
@@ -213,18 +212,17 @@ def _worker_count(tasks):
     """Processes for this many tasks: one per usable core, at most one per
     task.  One (the caller itself) where forking is unavailable or unsafe:
     in a child process, such as a pool worker, whose tasks would otherwise
-    fork a pool of their own, or beside other threads, whose held locks a
-    forked child would copy."""
+    fork a pool of their own (``rng.usable_cores`` counts one core there,
+    the rule by which a worker's PPCA draws run on one thread), or beside
+    other threads, whose held locks a forked child would copy."""
     # the pool's modules load here and in _run_tasks, so that a run that
     # forks nothing, such as a single check, never imports them
     import multiprocessing
     import threading
-    if not hasattr(os, "sched_getaffinity") \
-            or "fork" not in multiprocessing.get_all_start_methods() \
-            or multiprocessing.parent_process() is not None \
+    if "fork" not in multiprocessing.get_all_start_methods() \
             or threading.active_count() > 1:
         return 1
-    return min(tasks, len(os.sched_getaffinity(0)))
+    return min(tasks, usable_cores())
 
 
 _task = None        # the function that a forked worker of a pool maps

@@ -3,7 +3,12 @@
 The regression pair contrasts a covariate-free location model (A) against an
 ordinary-least-squares regression (B); both have closed-form posterior
 predictives.  Probabilistic PCA is fitted to its maximum-likelihood state
-in closed form and replicates through its linear-Gaussian generative process.
+in closed form and replicates through its linear-Gaussian generative process,
+on one thread per usable core (``rng.on_cores``): its normal draws and matrix
+product release the interpreter lock.  The regression draws stay on one
+thread: at a few hundred values per replicate, the per-replicate re-key,
+which holds the lock, leaves a second thread nothing to overlap (two drew
+an R=2000, n=500 block at 0.9-1.0 times the speed of one, on 2 cores).
 """
 
 from __future__ import annotations
@@ -15,6 +20,7 @@ import numpy as np
 from .core import CONTINUOUS, Dataset, ReplicateBlock
 from .errors import (DataError, DimensionError, ParameterError,
                      SingularityError, StateError, integer)
+from .rng import on_cores
 
 REGRESSION_PRED_VAR = 2.0
 PPCA_SIGMA2_FLOOR = 1e-12
@@ -177,19 +183,25 @@ ppca_em_fit = ppca_ml_fit
 
 def ppca_predictive(params: PpcaParams, n_rep: int, R: int, stream) -> ReplicateBlock:
     """R replicate datasets from the linear-Gaussian generative process, as
-    one block; replicate r draws from stream.substream(r)."""
+    one block; replicate r draws from stream.substream(r).  The block is
+    filled in contiguous runs of replicates, one per usable core, each run
+    on its own thread with its own generator and scratch rows."""
     R, n_rep = integer(R, "R", 1), integer(n_rep, "n_rep", 1)
     block = np.empty((R, n_rep, params.G))
-    z, shift = np.empty((n_rep, params.K)), np.empty((n_rep, params.G))
     noise_sd = np.sqrt(params.sigma2)
-    for rep, g in zip(block, stream.substream_generators(R)):
-        g.standard_normal(out=z)
-        g.standard_normal(out=rep)
-        # mean + z W' + sd * eps, with the same roundings, in place
-        np.matmul(z, params.W.T, out=shift)
-        shift += params.mean
-        rep *= noise_sd
-        rep += shift
+
+    def draw(start, stop):
+        z, shift = np.empty((n_rep, params.K)), np.empty((n_rep, params.G))
+        for rep, g in zip(block[start:stop], stream.substream_generators(stop, start)):
+            g.standard_normal(out=z)
+            g.standard_normal(out=rep)
+            # mean + z W' + sd * eps, with the same roundings, in place
+            np.matmul(z, params.W.T, out=shift)
+            shift += params.mean
+            rep *= noise_sd
+            rep += shift
+
+    on_cores(draw, R)
     return ReplicateBlock(block)
 
 

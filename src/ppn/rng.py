@@ -4,7 +4,10 @@ Every stochastic task in the package draws from a ``VariateStream`` derived
 from a root :class:`Seed` and a string label.  Streams with distinct labels
 are statistically independent (counter-based Philox keys derived by hashing),
 so replicates and chains can run in any order, or concurrently, and still
-give bit-identical results.
+give bit-identical results.  ``on_cores`` splits a block's replicates into
+one contiguous run per usable core and draws each run on its own thread,
+from its own generator: since replicate r draws from substream(r) alone, no
+split changes a bit.
 
 The special functions (``logsumexp``, ``chi_square_cdf``) need numpy and the
 standard library alone.
@@ -15,7 +18,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import math
+import os
 import struct
+import sys
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,8 +87,8 @@ class VariateStream:
     def substream(self, *labels) -> "VariateStream":
         return VariateStream(self.seed, self.label + "/" + "/".join(str(x) for x in labels))
 
-    def substream_generators(self, R):
-        """The generators of substream(0), ..., substream(R - 1), in turn.
+    def substream_generators(self, R, start=0):
+        """The generators of substream(start), ..., substream(R - 1), in turn.
 
         Each draws exactly what ``substream(r).generator`` draws, but all of
         them are one Generator whose Philox bit generator is re-keyed before
@@ -91,6 +97,8 @@ class VariateStream:
         (whose constructor gathers OS entropy even when given its key) per
         replicate.  A re-key hashes only r onto a copy of the hashed label
         prefix, and hands the state setter Python ints, not fresh arrays.
+        Each call re-keys a Generator of its own, so threads that draw
+        disjoint ranges of replicates each call this once.
         """
         prefix = hashlib.sha256(f"{self.seed.root}\x1f{self.label}/".encode())
         bits = np.random.Philox(key=_philox_key(self.seed, self.label))
@@ -98,7 +106,7 @@ class VariateStream:
         state = bits.state
         state["buffer"] = [0, 0, 0, 0]
         words = state["state"] = {"counter": [0, 0, 0, 0]}
-        for r in range(R):
+        for r in range(start, R):
             digest = prefix.copy()
             digest.update(str(r).encode())
             words["key"] = _KEY_WORDS.unpack_from(digest.digest())
@@ -113,6 +121,61 @@ def _philox_key(seed, label):
 
 # _philox_key's two words as Python ints: native byte order, standard sizes
 _KEY_WORDS = struct.Struct("=2Q")
+
+
+def usable_cores():
+    """The cores this process may run on (``os.sched_getaffinity``), or one
+    where the OS does not say, or in a child process, such as a study's
+    pool worker, whose siblings run on the others.
+
+    Thread caps such as ``OMP_NUM_THREADS`` govern BLAS and are not read.
+    A child is recognised without importing ``multiprocessing``: a process
+    that never loaded it forked no pool, so cannot be one of its workers.
+    """
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    process = sys.modules.get("multiprocessing.process")
+    if process is not None and process.parent_process() is not None:
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def on_cores(fn, R):
+    """fn(start, stop) over contiguous runs that cover range(R) once: one
+    run per usable core, at most R runs, each on its own thread.
+
+    The first run is made in the calling thread, and every thread is
+    joined before this returns or raises; a failing run's error is then
+    raised, the first by run order.  fn must be safe to run concurrently
+    on disjoint runs, as it is when it draws replicate r from substream(r)
+    alone: then no split of range(R) changes a bit.
+    """
+    runs = min(R, usable_cores())
+    if runs <= 1:
+        fn(0, R)
+        return
+    bounds = [R * i // runs for i in range(runs + 1)]
+    errors = [None] * runs
+
+    def run(i):
+        try:
+            fn(bounds[i], bounds[i + 1])
+        except BaseException as exc:    # raised below, once every run is joined
+            errors[i] = exc
+
+    started = []
+    try:
+        for i in range(1, runs):
+            thread = threading.Thread(target=run, args=(i,))
+            thread.start()
+            started.append(thread)
+        run(0)
+    finally:
+        for thread in started:
+            thread.join()
+    for error in errors:
+        if error is not None:
+            raise error
 
 
 def _check_prob_vector(p, name: str) -> np.ndarray:

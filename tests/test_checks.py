@@ -2,6 +2,7 @@
 
 import multiprocessing
 import pickle
+import threading
 import time
 import warnings
 from collections import Counter
@@ -15,13 +16,14 @@ from ppn.checks import (StudyConfig, _verdict, heldout_predictive_check,
 from ppn.core import (VERDICT_A_DOMINATES, VERDICT_B_DOMINATES,
                       VERDICT_COMPLEMENTARY, VERDICT_EQUIVALENT, Dataset,
                       DataSplit, PosteriorDraws, ReplicateBlock, split_data)
-from ppn.datagen import gen_gmm_data, gen_multmix_data
+from ppn.datagen import gen_gmm_data, gen_linear_factor_data, gen_multmix_data
 from ppn.errors import (CheckError, DegenerateSampleError, ParameterError, StateError,
                         WiringError)
-from ppn.models import GmmModel, MultMixModel
-from ppn.rng import Seed, ks_distance
+from ppn.models import GmmModel, MultMixModel, PpcaModel
+from ppn.rng import Seed, ks_distance, on_cores
 
 from test_diagnostics import block_of_one
+from test_rng import with_cores
 
 
 class NormalModel:
@@ -587,12 +589,17 @@ def _with_workers(monkeypatch, workers):
 class TestWorkers:
     """A study gives the same report, errors and warnings on 1 or 2 workers."""
 
-    @pytest.mark.parametrize("family", ["gmm", "multmix"])
+    @pytest.mark.parametrize("family", ["gmm", "multmix", "ppca"])
     @pytest.mark.parametrize("mode", ["full", "chain"])
     def test_report_does_not_depend_on_the_worker_count(self, monkeypatch, family, mode):
         seed = Seed(3)
         if family == "gmm":
             data, models = gen_gmm_data(300, seed), [GmmModel(k, 60, 30, 3) for k in (1, 2, 3)]
+        elif family == "ppca":
+            # the calling process draws its PPCA replicates on two threads,
+            # a worker on one
+            with_cores(monkeypatch, 2)
+            data, models = gen_linear_factor_data(300, seed), [PpcaModel(k) for k in (2, 3, 4)]
         else:
             data = gen_multmix_data(150, seed=seed)
             models = [MultMixModel(k, 40, 20, 2) for k in (1, 2, 3)]
@@ -671,6 +678,27 @@ class TestWorkers:
         worker_count = checks._worker_count
         _with_workers(monkeypatch, 2)
         assert checks._run_tasks(lambda _: worker_count(4), range(2)) == [1, 1]
+
+    def test_a_task_in_a_worker_draws_on_one_thread(self, monkeypatch):
+        with_cores(monkeypatch, 2)
+
+        def runs(_):
+            seen = []
+            on_cores(lambda start, stop: seen.append((start, stop)), 8)
+            return sorted(seen)
+
+        assert runs(None) == [(0, 4), (4, 8)]
+        _with_workers(monkeypatch, 2)
+        assert checks._run_tasks(runs, range(2)) == [[(0, 8)], [(0, 8)]]
+
+    def test_a_study_still_forks_after_threaded_draws(self, monkeypatch):
+        with_cores(monkeypatch, 2)
+        threads = threading.active_count()
+        seed = Seed(3)
+        split = split_data(gen_linear_factor_data(300, seed), (1 / 3, 1 / 3, 1 / 3), seed)
+        heldout_predictive_check(split, PpcaModel(2), R=20, seed=seed)
+        assert threading.active_count() == threads
+        assert checks._worker_count(4) == 2
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_run_tasks_maps_any_function_in_arg_order(self, monkeypatch, workers):

@@ -51,19 +51,24 @@ PROBE = textwrap.dedent("""
 """)
 
 
-# one heldout check and one pairwise null, neither of which forks
+# two heldout checks and one pairwise null, none of which forks; the PPCA
+# check draws its replicates on one thread per usable core, and joins them
 POOL_PROBE = textwrap.dedent("""
     import sys
+    import threading
 
     import ppn
     from ppn import datagen
     seed = ppn.Seed(3)
-    reg = ppn.split_data(datagen.gen_regression_data(90, 3, 2.5, seed),
-                         (1 / 3, 1 / 3, 1 / 3), seed)
+    third = (1 / 3, 1 / 3, 1 / 3)
+    reg = ppn.split_data(datagen.gen_regression_data(90, 3, 2.5, seed), third, seed)
     ppn.heldout_predictive_check(reg, ppn.RegressionModelB(), R=8, seed=seed)
     ppn.ppn_check(reg, ppn.RegressionModelB(), ppn.RegressionModelA(), R=8, seed=seed)
+    lin = ppn.split_data(datagen.gen_linear_factor_data(90, seed), third, seed)
+    ppn.heldout_predictive_check(lin, ppn.PpcaModel(2), R=8, seed=seed)
     loaded = [m for m in ("multiprocessing", "concurrent.futures") if m in sys.modules]
     assert not loaded, f"a single check loaded {loaded}"
+    assert threading.active_count() == 1, threading.enumerate()
 """)
 
 

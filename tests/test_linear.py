@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppn.core import Dataset, ReplicateBlock
+from ppn.checks import heldout_predictive_check, ppn_check
+from ppn.core import Dataset, ReplicateBlock, split_data
 from ppn.datagen import gen_linear_factor_data, gen_nonlinear_factor_data
 from ppn.errors import (DataError, DimensionError, ParameterError,
                         SingularityError, StateError)
@@ -14,7 +15,10 @@ from ppn.linear import (PpcaParams, RegressionPosteriorA, RegressionPosteriorB,
                         ppca_reconstruction_diagnostic, regression_diagnostic,
                         regression_fit_A, regression_fit_B,
                         regression_predictive)
+from ppn.models import PpcaModel
 from ppn.rng import Seed, chi_square_cdf, ks_distance
+
+from test_rng import with_cores
 
 
 class TestFitA:
@@ -238,18 +242,35 @@ class TestPpcaPredictive:
 
     @pytest.mark.parametrize("R", [1, 7, 600])
     @pytest.mark.parametrize("K", [1, 9])      # 1 and G - 1
-    def test_replicates_are_the_substream_draws(self, K, R):
+    def test_replicates_are_the_substream_draws(self, monkeypatch, K, R):
         params = ppca_ml_fit(gen_linear_factor_data(200, Seed(15)), K)
         assert params.G == 10
         stream = Seed(15).stream("reps")
-        reps = ppca_predictive(params, 9, R, stream)
-        assert reps.values.shape == (R, 9, 10)
+        want = []
         for r in range(R):
             g = stream.substream(r).generator
             z = g.standard_normal((9, K))
             eps = np.sqrt(params.sigma2) * g.standard_normal((9, 10))
-            want = params.mean + z @ params.W.T + eps
-            assert reps.values[r].tobytes() == want.tobytes()
+            want.append((params.mean + z @ params.W.T + eps).tobytes())
+        # the block is drawn on one thread per core, in as many runs
+        for threads in (1, 2, 3):
+            with_cores(monkeypatch, threads)
+            reps = ppca_predictive(params, 9, R, stream)
+            assert reps.values.shape == (R, 9, 10)
+            assert [rep.tobytes() for rep in reps.values] == want
+
+    def test_checks_do_not_depend_on_the_thread_count(self, monkeypatch):
+        seed = Seed(15)
+        split = split_data(gen_linear_factor_data(300, seed), (1 / 3, 1 / 3, 1 / 3), seed)
+        outcomes = []
+        for threads in (1, 2):
+            with_cores(monkeypatch, threads)
+            check = heldout_predictive_check(split, PpcaModel(2), R=50, seed=seed)
+            pair = ppn_check(split, PpcaModel(2), PpcaModel(1), R=50, seed=seed)
+            outcomes.append((check.p_value, check.diagnostic_replicates.tobytes(),
+                             check.diagnostic_observed, pair.sym_kl,
+                             pair.samples_a.tobytes(), pair.samples_b.tobytes()))
+        assert outcomes[0] == outcomes[1]
 
     def test_determinism(self):
         params = PpcaParams(np.ones((3, 1)), 1.0, np.zeros(3))

@@ -2,6 +2,9 @@
 
 import hashlib
 import math
+import os
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -10,9 +13,16 @@ import scipy.special
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ppn.errors import DegenerateSampleError, DomainError, ParameterError
+from ppn.errors import DegenerateSampleError, DomainError, ParameterError, StateError
 from ppn.rng import (Seed, VariateStream, _philox_key, categorical, category_bounds,
-                     chi_square_cdf, ks_distance, logsumexp)
+                     chi_square_cdf, ks_distance, logsumexp, on_cores)
+
+
+def with_cores(monkeypatch, cores):
+    """Make rng.usable_cores count this many cores, here and in forked
+    children of this process."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cores)),
+                        raising=False)
 
 
 def _series_gamma_p(s, x):
@@ -80,6 +90,15 @@ class TestStreams:
     def test_no_substream_generators_for_r_0(self):
         assert list(Seed(9).stream("reps").substream_generators(0)) == []
 
+    @pytest.mark.parametrize("start, R", [(0, 5), (3, 5), (4, 5), (5, 5), (7, 5), (299, 600)])
+    def test_substream_generators_from_start_draw_as_substreams(self, start, R):
+        stream = Seed(9).stream("reps")
+        drawn = [g.standard_normal(4) for g in stream.substream_generators(R, start)]
+        assert len(drawn) == max(R - start, 0)
+        for i, values in enumerate(drawn):
+            want = stream.substream(start + i).generator.standard_normal(4)
+            assert values.tobytes() == want.tobytes()
+
     def test_substream_keys_are_the_hashed_labels(self):
         stream = Seed(12345).stream("keys")
         for r, g in enumerate(stream.substream_generators(10**4 + 1)):
@@ -92,6 +111,45 @@ class TestStreams:
             Seed(-1)
         with pytest.raises(ParameterError):
             Seed(2**64)
+
+
+class TestOnCores:
+    @pytest.mark.parametrize("cores", [1, 2, 3])
+    @pytest.mark.parametrize("R", [1, 2, 7, 600])
+    def test_runs_are_contiguous_and_cover_every_replicate_once(self, monkeypatch, cores, R):
+        with_cores(monkeypatch, cores)
+        threads = threading.active_count()
+        runs = []
+        on_cores(lambda start, stop: runs.append((start, stop, threading.current_thread())), R)
+        assert threading.active_count() == threads
+        runs.sort(key=lambda run: run[0])
+        assert len(runs) == min(cores, R)
+        assert [start for start, _, _ in runs] == [0] + [stop for _, stop, _ in runs[:-1]]
+        assert runs[-1][1] == R
+        assert all(start < stop for start, stop, _ in runs)
+        # the first run is the caller's; every other has a thread of its own
+        assert runs[0][2] is threading.current_thread()
+        assert len({id(thread) for _, _, thread in runs}) == len(runs)
+
+    @pytest.mark.parametrize("failing", [(0, 1), (1, 2), (2,)])
+    def test_the_first_failing_run_raises_after_every_thread_is_joined(
+            self, monkeypatch, failing):
+        with_cores(monkeypatch, 3)
+        threads = threading.active_count()
+        finished = []
+
+        def fn(start, stop):
+            # a later run takes longer, so an error of an earlier run would
+            # reach the caller before it finished, were it not joined
+            time.sleep(0.05 * start)
+            finished.append(start)
+            if start in failing:
+                raise StateError(f"run {start} fails")
+
+        with pytest.raises(StateError, match=f"run {failing[0]} fails"):
+            on_cores(fn, 3)
+        assert sorted(finished) == [0, 1, 2]
+        assert threading.active_count() == threads
 
 
 class TestSample:
