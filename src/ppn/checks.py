@@ -66,15 +66,16 @@ def _stage(model_id, stage, fn, *args):
 class _Engine:
     """The per-model products that the checks and pairs of one call share.
 
-    Each product is computed once and kept under the stream label it is
-    drawn from: ``fit-<part>`` for a fit, ``rep`` for the replicates, and
-    ``diag/<source>`` for the diagnostics of a source model's replicates
-    under an owner's diagnostic.  Replicates are drawn from the fit to the
-    source part and shaped like x_out; diagnostics are anchored on the fit
-    to the anchor part.  They are made in one order, the source's fit and
-    replicates, the owner's anchor fit, the replicate diagnostics, then a
-    check's observed one, so every entry point reports the same failing
-    stage.  config gives R, the check's alpha and the pair's tau.
+    Each product is computed once and kept under its label: ``fit-<part>``
+    for a fit and ``rep`` for the replicates, each drawn from the stream of
+    that label, and ``diag/<source>`` for the diagnostics of a source
+    model's replicates under an owner's diagnostic, which draw nothing.
+    Replicates are drawn from the fit to the source part and shaped like
+    x_out; diagnostics are anchored on the fit to the anchor part.  They
+    are made in one order, the source's fit and replicates, the owner's
+    anchor fit, the replicate diagnostics, then a check's observed one, so
+    every entry point reports the same failing stage.  config gives R, the
+    check's alpha and the pair's tau.
 
     Before that order starts, ``fits`` fits together the categorical
     mixture chains that a call needs: a check's two (the model on the
@@ -96,11 +97,11 @@ class _Engine:
     def of_split(cls, split: DataSplit, seed, config):
         return cls(seed, config, split.x_out, ("in", split.x_in), ("val", split.x_val))
 
-    def _once(self, model, label, stage, fn, *args):
+    def _once(self, model, label, stage, make):
+        """make(), called the first time model's label is asked for."""
         key = (model, label)
         if key not in self._kept:
-            self._kept[key] = _stage(model.id, stage, fn, *args,
-                                     self.seed.stream(model.id, label))
+            self._kept[key] = _stage(model.id, stage, make)
         return self._kept[key]
 
     def products(self, model):
@@ -137,25 +138,27 @@ class _Engine:
 
     def fit(self, model, part):
         name, data = part
-        return self._once(model, f"fit-{name}", f"fit x_{name}", model.fit, data)
+        label = f"fit-{name}"
+        return self._once(model, label, f"fit x_{name}",
+                          lambda: model.fit(data, self.seed.stream(model.id, label)))
 
     def reps(self, model):
-        return self._once(model, "rep", "replicate", _replicate_block, model,
-                          self.fit(model, self.source), self.x_out, self.config.R)
+        fit = self.fit(model, self.source)
+        return self._once(model, "rep", "replicate", lambda: _replicate_block(
+            model, fit, self.x_out, self.config.R, self.seed.stream(model.id, "rep")))
 
     def samples(self, owner, source):
         reps = self.reps(source)
         anchor = self.fit(owner, self.anchor)
         stage = "replicate diagnostics" if source is owner else "cross diagnostics"
-        return self._once(owner, f"diag/{source.id}", stage, replicate_diagnostics,
-                          reps, owner, anchor)
+        return self._once(owner, f"diag/{source.id}", stage,
+                          lambda: replicate_diagnostics(reps, owner, anchor))
 
     def check(self, model) -> CheckOutcome:
         self.fits([(model, self.source), (model, self.anchor)])
         d_rep = self.samples(model, model)
         d_obs = _stage(model.id, "observed diagnostic", validation_diagnostic,
-                       self.x_out, model, self.fit(model, self.anchor),
-                       self.seed.stream(model.id, "diag", "observed"))
+                       self.x_out, model, self.fit(model, self.anchor))
         p = float((d_rep > d_obs).mean())
         return CheckOutcome(p, pass_fail(p, self.config.alpha), d_rep, d_obs, model.id)
 

@@ -346,45 +346,34 @@ def _gmm_logits(values, stack: _GmmStack) -> np.ndarray:
     return np.matmul(stack.coef, terms)
 
 
-def gmm_loglik_diagnostic_batch(x: ReplicateBlock, states, generators) -> np.ndarray:
+def gmm_loglik_diagnostic_batch(x: ReplicateBlock, states) -> np.ndarray:
     """Log-likelihood diagnostic of each of the R replicates of x at each
-    state, one fresh label draw each, R x B; replicate r draws from the
-    r-th of the R generators, and any other number of them raises.
+    state, R x B.
 
-    For every state a class label is drawn per row from its responsibility,
-    which includes the state's mixing weights, and the diagnostic is the
-    Mahalanobis term plus log-determinant penalty summed over rows at those
-    labels.  The logits come from _gmm_logits (the centred expansion of
-    _GmmStack) as K x B x n, so every later pass runs along the rows.
+    At every state and row the diagnostic is the Mahalanobis term plus
+    log-determinant penalty, logit_k - log w_k, taken in expectation over
+    the row's class responsibilities r_k (the softmax of the logits over k,
+    which include the state's mixing weights), and summed over rows.  The
+    logits come from _gmm_logits (the centred expansion of _GmmStack) as
+    K x B x n, so every later pass runs along the rows.
     """
     _require_continuous(x)
     stack = _GmmStack.of(states)
     if stack.centres.shape[1] != x.d:
         raise DimensionError("state dimension does not match data")
-    K = len(stack.centres)
     out = np.empty((len(x), len(states)))
-    for row, values, g in zip(out, x.values, generators, strict=True):
+    for row, values in zip(out, x.values):
         logits = _gmm_logits(values, stack)
-        if K > 1:
-            cum = logits - logits.max(axis=0)
-            np.exp(cum, out=cum)
-            # cumulative unnormalized responsibilities, added in the order
-            # of a sum over axis 0, so that cum[-1] is their total
-            for k in range(1, K):
-                cum[k] += cum[k - 1]
-            # one uniform per row and state, drawn rows first, times the total
-            threshold = cum[-1]
-            threshold *= g.random((len(values), len(threshold))).T
-        # the diagnostic is the logit at the drawn label less its log
-        # weight; with one component the label is 0 and nothing is drawn
+        # unnormalized responsibilities, each row's largest 1; with one
+        # component they are 1 and the expectation below is its term exactly
+        e = logits - logits.max(axis=0)
+        np.exp(e, out=e)
         logits -= stack.log_weights
-        picked = logits[0]
-        # inverse-CDF label draw: cum only grows along k, so the last k with
-        # cum[k - 1] < threshold is the drawn label
-        for k in range(1, K):
-            np.putmask(picked, cum[k - 1] < threshold, logits[k])
+        logits *= e
+        expected = logits.sum(axis=0)
+        expected /= e.sum(axis=0)
         # each state's rows added one after another
-        row[:] = np.ascontiguousarray(picked.T).sum(axis=0)
+        row[:] = np.ascontiguousarray(expected.T).sum(axis=0)
     return out
 
 

@@ -4,12 +4,13 @@ Every adapter exposes the same surface: ``fit`` a dataset to
 PosteriorDraws (even when the "posterior" is a single closed-form or
 maximum-likelihood state), ``replicate`` R datasets shaped like a target
 part as one ReplicateBlock, and ``diagnostic_batch`` of a ReplicateBlock
-of R replicates at B parameter states, R x B values; a diagnostic that
-draws takes replicate r's generator from the r-th of ``generators``.  Each
-adapter also owns its predictive check, so its ``reduction`` says how that
-diagnostic is reduced over the x_val posterior: averaged over the draws,
-or taken at the MAP state.  The mixtures take either; the regression and
-PPCA adapters fit one state and score at it.
+of R replicates at B parameter states, R x B values.  A diagnostic is a
+function of the data and the state alone: an adapter's randomness belongs
+in ``replicate``.  Each adapter also owns its predictive check, so its
+``reduction`` says how that diagnostic is reduced over the x_val
+posterior: averaged over the draws, or taken at the MAP state.  The
+mixtures take either; the regression and PPCA adapters fit one state and
+score at it.
 """
 
 from __future__ import annotations
@@ -49,8 +50,8 @@ class GmmModel:
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.gmm_predictive(fit, like.n, R, stream)
 
-    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
-        return mixtures.gmm_loglik_diagnostic_batch(x, states, generators)
+    def diagnostic_batch(self, x: ReplicateBlock, states) -> np.ndarray:
+        return mixtures.gmm_loglik_diagnostic_batch(x, states)
 
 
 class MultMixModel:
@@ -69,12 +70,12 @@ class MultMixModel:
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return mixtures.multmix_predictive(fit, like.n, R, stream)
 
-    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states) -> np.ndarray:
         return mixtures.multmix_chi2_diagnostic_batch(x, states)
 
 
 class _OneStateModel:
-    """An adapter whose fit is one state and whose diagnostic draws nothing.
+    """An adapter whose fit is one state.
 
     Its ``_score(block, state)`` gives one value per replicate of a
     ReplicateBlock.  Each adapter class calls ``_at_states`` from its own
@@ -126,7 +127,7 @@ class RegressionModelA(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.regression_predictive(fit.states[0], R, stream)
 
-    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):
@@ -145,7 +146,7 @@ class RegressionModelB(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.regression_predictive(fit.states[0], R, stream)
 
-    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):
@@ -171,7 +172,7 @@ class PpcaModel(_OneStateModel):
     def replicate(self, fit, like: Dataset, R: int, stream) -> ReplicateBlock:
         return linear.ppca_predictive(fit.states[0], like.n, R, stream)
 
-    def diagnostic_batch(self, x: ReplicateBlock, states, generators) -> np.ndarray:
+    def diagnostic_batch(self, x: ReplicateBlock, states) -> np.ndarray:
         return self._at_states(x, states)
 
     def _score(self, block, state):

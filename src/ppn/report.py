@@ -135,16 +135,19 @@ def _cell_csv(rows):
 def emit_report(report: StudyReport, out_dir) -> list:
     """Write report.json, per-cell CSVs, and grid.svg; returns the paths.
     Before any file is made, a model id that is not a plain file-name
-    component, and cells that would write one file, raise ParameterError."""
+    component or an unquoted CSV field, and cells that would write one
+    file, raise ParameterError."""
     cells = [((c.model_id, c.model_id), [(c.model_id, float(v)) for v in c.diagnostic_replicates]
               + [("observed", float(c.diagnostic_observed))]) for c in report.diagonal]
     cells += [((p.diagnostic_owner, p.data_source),
                [(p.diagnostic_owner, float(v)) for v in p.samples_a]
                + [(p.data_source, float(v)) for v in p.samples_b]) for p in report.off_diagonal]
     unsafe = sorted({i for ids, _ in cells for i in map(str, ids)
-                     if i in ("", ".", "..") or {"/", "\0", os.sep, os.altsep} & set(i)})
+                     if i in ("", ".", "..")
+                     or {"/", "\0", os.sep, os.altsep, ",", '"', "\r", "\n"} & set(i)})
     if unsafe:
-        raise ParameterError(f"model ids {', '.join(map(repr, unsafe))} cannot name a file")
+        raise ParameterError(f"model ids {', '.join(map(repr, unsafe))} cannot name a file "
+                             "or a CSV field")
     names = [f"cell_{owner}_{source}.csv" for (owner, source), _ in cells]
     shared = [ids for (ids, _), name in zip(cells, names) if names.count(name) > 1]
     if shared:

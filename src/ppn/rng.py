@@ -81,7 +81,7 @@ class VariateStream:
     @functools.cached_property
     def generator(self) -> np.random.Generator:
         """The stream's Philox generator, built on first use: many streams
-        (one per replicate diagnostic, say) are never drawn from."""
+        (a closed-form fit's, say) are never drawn from."""
         return np.random.Generator(np.random.Philox(key=_philox_key(self.seed, self.label)))
 
     def substream(self, *labels) -> "VariateStream":

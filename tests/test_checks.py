@@ -47,7 +47,7 @@ class NormalModel:
             rep[:] = mean + sd * g.standard_normal((like.n, mean.size))
         return ReplicateBlock(block)
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         # mean of one designated column, ignoring the anchoring state: one
         # value per replicate of the block
         means = np.ascontiguousarray(x.values[..., self.column]).mean(axis=-1)
@@ -57,7 +57,7 @@ class NormalModel:
 class SquaredErrorModel(NormalModel):
     """Well-specified unit normal with a chi-square-like realized diagnostic."""
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         sums = []
         for s in states:
             sq = (x.values - s) ** 2
@@ -119,10 +119,10 @@ class FaultyModel(SquaredErrorModel):
             raise StateError("synthetic replicate failure")
         return super().replicate(fit, like, R, stream)
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         if self.score_fails(x):
             raise StateError("synthetic diagnostic failure")
-        return super().diagnostic_batch(x, states, generators)
+        return super().diagnostic_batch(x, states)
 
 
 class SevensModel(NormalModel):
@@ -149,7 +149,7 @@ class ShortModel(NormalModel):
 class FlatModel(NormalModel):
     """Scores a replicate block as if it were one dataset: B values."""
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         return np.zeros(len(states))
 
 
@@ -157,10 +157,10 @@ class ObservedFlatModel(NormalModel):
     """Scores the observed part's block of one as B values, and every other
     block as R x B."""
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         if len(x) == 1:
             return np.zeros(len(states))
-        return super().diagnostic_batch(x, states, generators)
+        return super().diagnostic_batch(x, states)
 
 
 class WarningModel(NormalModel):
@@ -207,7 +207,7 @@ class TestHeldoutCheck:
         # the strict comparison then yields p = 0
         split = _split()
         model = NormalModel()
-        model.diagnostic_batch = lambda x, states, generators: np.zeros(
+        model.diagnostic_batch = lambda x, states: np.zeros(
             x.values.shape[:-2] + (len(states),))
         out = heldout_predictive_check(split, model, R=20, seed=Seed(3))
         assert out.p_value == 0.0
@@ -317,7 +317,7 @@ class TestStudy:
         bad = SquaredErrorModel("bad")
         # the variance diagnostic cannot see the shift, so good passes while
         # bad's squared-error diagnostic fails on the shifted holdout
-        good.diagnostic_batch = lambda x, states, generators: np.stack(
+        good.diagnostic_batch = lambda x, states: np.stack(
             [x.values.reshape(x.values.shape[:-2] + (-1,)).var(axis=-1)] * len(states), -1)
         report = ppn_study(split, [good, bad], seed=Seed(13))
         assert sum(c.passed for c in report.diagonal) == 1
@@ -465,8 +465,8 @@ class TestEngine:
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_non_finite_pair_diagnostics_name_owner_and_source(self, bad):
         class Owner(SquaredErrorModel):
-            def diagnostic_batch(self, x, states, generators):
-                d = super().diagnostic_batch(x, states, generators)
+            def diagnostic_batch(self, x, states):
+                d = super().diagnostic_batch(x, states)
                 return np.full_like(d, bad) if np.all(x.values == 7.0) else d
 
         with pytest.raises(CheckError, match="finite") as exc:

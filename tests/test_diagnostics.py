@@ -29,7 +29,7 @@ class FakeModel:
         self.id = model_id
         self.reduction = reduction
 
-    def diagnostic_batch(self, x, states, generators):
+    def diagnostic_batch(self, x, states):
         return np.array([[self.fn(x, s) for s in states]])
 
 
@@ -42,15 +42,13 @@ class TestValidationDiagnostic:
     def test_single_draw_equals_realized(self):
         model = FakeModel(lambda x, s: s + x.values.sum())
         x = Dataset(np.array([[1.0], [2.0]]))
-        val = validation_diagnostic(x, model, _draws([4.0]),
-                                    Seed(0).stream("d"))
+        val = validation_diagnostic(x, model, _draws([4.0]))
         assert val == 7.0
 
     def test_constant_diagnostic(self):
         model = FakeModel(lambda x, s: 3.25)
         x = Dataset(np.array([[0.0]]))
-        val = validation_diagnostic(x, model,
-                                    _draws([1.0, 2.0, 3.0]), Seed(0).stream("d"))
+        val = validation_diagnostic(x, model, _draws([1.0, 2.0, 3.0]))
         assert val == 3.25
 
     def test_average_is_linear(self):
@@ -59,10 +57,9 @@ class TestValidationDiagnostic:
         mix = lambda x, s: 0.3 * f(x, s) + 0.7 * g(x, s)
         x = Dataset(np.array([[0.0]]))
         states = [1.0, 2.0, 5.0]
-        stream = Seed(0).stream("d")
-        vf = validation_diagnostic(x, FakeModel(f), _draws(states), stream)
-        vg = validation_diagnostic(x, FakeModel(g), _draws(states), stream)
-        vm = validation_diagnostic(x, FakeModel(mix), _draws(states), stream)
+        vf = validation_diagnostic(x, FakeModel(f), _draws(states))
+        vg = validation_diagnostic(x, FakeModel(g), _draws(states))
+        vm = validation_diagnostic(x, FakeModel(mix), _draws(states))
         assert abs(vm - (0.3 * vf + 0.7 * vg)) < 1e-12
 
     def test_regression_a_closed_form(self):
@@ -70,35 +67,33 @@ class TestValidationDiagnostic:
         y_val = Dataset(np.array([[1.0], [2.0], [3.0]]))
         draws = model.fit(y_val, Seed(0).stream("f"))
         x = Dataset(np.array([[0.0], [4.0]]))
-        val = validation_diagnostic(x, model, draws, Seed(0).stream("d"))
+        val = validation_diagnostic(x, model, draws)
         assert abs(val - ((0.0 - 2.0) ** 2 + (4.0 - 2.0) ** 2)) < 1e-12
 
     def test_map_reduction_uses_highest_posterior(self):
         model = FakeModel(lambda x, s: s, reduction="map")
         draws = _draws([10.0, 30.0, 20.0], logpost=[0.1, 0.9, 0.5])
-        val = validation_diagnostic(Dataset(np.array([[0.0]])), model, draws,
-                                    Seed(0).stream("d"))
+        val = validation_diagnostic(Dataset(np.array([[0.0]])), model, draws)
         assert val == 30.0
 
     def test_purity(self):
-        # value is a pure function of (x, model, draws, stream label)
+        # value is a pure function of (x, model, draws)
         model = FakeModel(lambda x, s: s * x.values.sum())
         x = Dataset(np.array([[2.0]]))
         draws = _draws([1.0, 2.0])
-        a = validation_diagnostic(x, model, draws, Seed(0).stream("d"))
-        b = validation_diagnostic(x, model, draws, Seed(0).stream("d"))
+        a = validation_diagnostic(x, model, draws)
+        b = validation_diagnostic(x, model, draws)
         assert a == b
 
     def test_wiring_error(self):
         model = FakeModel(lambda x, s: s, model_id="m1")
         draws = _draws([1.0], model_id="m2")
         with pytest.raises(WiringError):
-            validation_diagnostic(Dataset(np.array([[0.0]])), model,
-                                  draws, Seed(0).stream("d"))
+            validation_diagnostic(Dataset(np.array([[0.0]])), model, draws)
         # replicates that are not one block, such as a list of datasets
         with pytest.raises(WiringError, match="ReplicateBlock"):
             replicate_diagnostics([Dataset(np.array([[0.0]]))], model,
-                                  _draws([1.0], model_id="m1"), Seed(0).stream("d"))
+                                  _draws([1.0], model_id="m1"))
 
     def test_bad_spec(self):
         # the reduction is checked where the adapter is built
@@ -129,9 +124,8 @@ class TestMapReductionOnAMixture:
         model = GmmModel(2, 60, 20, 2, reduction="map")
         out = heldout_predictive_check(split, model, R=10, seed=seed)
         fit_val = model.fit(split.x_val, seed.stream(model.id, "fit-val"))
-        observed = seed.stream(model.id, "diag", "observed")
-        want = gmm_loglik_diagnostic_batch(block_of_one(split.x_out), [fit_val.map_state()],
-                                           [observed.generator])[0, 0]
+        want = gmm_loglik_diagnostic_batch(block_of_one(split.x_out),
+                                           [fit_val.map_state()])[0, 0]
         assert fit_val.B > 1 and out.diagnostic_observed == want
         # the average reduction of the same fit scores something else
         average = heldout_predictive_check(split, GmmModel(2, 60, 20, 2), R=10, seed=seed)

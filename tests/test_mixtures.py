@@ -125,22 +125,19 @@ def _gmm_direct_logits(x, states):
     return logits
 
 
-def _gmm_diagnostic_reference(logits, states, stream):
-    """Reference label step on K x n x B logits: a label array, then the
-    logits and log weights gathered at those labels."""
-    log_weights = np.log(np.stack([s.weights for s in states])).T      # K x B
-    K, n, B = logits.shape
-    e = logits - logits.max(axis=0)
-    np.exp(e, out=e)
-    threshold = stream.generator.random((n, B)) * e.sum(axis=0)
-    labels = np.zeros((n, B), dtype=np.intp)
-    cum = e[0].copy()
-    for k in range(1, K):
-        labels += cum < threshold
-        cum += e[k]
-    picked = np.take_along_axis(logits, labels[None], axis=0)[0]
-    picked -= log_weights[labels, np.arange(B)]
-    return picked.sum(axis=0)
+def _gmm_diagnostic_reference(logits, states):
+    """Reference expectation on K x n x B logits, one state at a time: each
+    row's logits less log weights, weighted by its responsibilities, with
+    the rows added in turn."""
+    values = np.empty(len(states))
+    for b, state in enumerate(states):
+        state_logits = logits[:, :, b]                                     # K x n
+        e = np.exp(state_logits - state_logits.max(axis=0))
+        terms = ((state_logits - np.log(state.weights)[:, None]) * e).sum(axis=0) / e.sum(axis=0)
+        values[b] = 0.0
+        for term in terms:
+            values[b] += term
+    return values
 
 
 def _datasets(block):
@@ -148,11 +145,10 @@ def _datasets(block):
     return [Dataset(rep, block.covariates, block.level_sizes) for rep in block.values]
 
 
-def _gmm_scores(x, states, stream):
-    """The GMM kernel's B values for the Dataset x: its block of one
-    replicate, drawing from stream.generator, as validation_diagnostic
-    scores it."""
-    return gmm_loglik_diagnostic_batch(block_of_one(x), states, [stream.generator])[0]
+def _gmm_scores(x, states):
+    """The GMM kernel's B values for the Dataset x, its block of one
+    replicate, as validation_diagnostic scores it."""
+    return gmm_loglik_diagnostic_batch(block_of_one(x), states)[0]
 
 
 def _multmix_scores(x, states):
@@ -372,21 +368,20 @@ class TestGmmDiagnostic:
     def test_zero_residual_unit_variance(self):
         state = _gmm_state([[1.0, 2.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 2.0]]))
-        assert _gmm_scores(x, [state], Seed(0).stream("d"))[0] == 0.0
+        assert _gmm_scores(x, [state])[0] == 0.0
 
     def test_unit_residual(self):
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         x = Dataset(np.array([[1.0, 0.0]]))
-        assert abs(_gmm_scores(x, [state], Seed(0).stream("d"))[0] + 0.5) < 1e-12
+        assert abs(_gmm_scores(x, [state])[0] + 0.5) < 1e-12
 
     def test_symmetric_components_deterministic(self):
-        # identical components: the label draw cannot change the value
+        # identical components: the expectation is their common term
         state = GmmState(np.array([[0.0, 0.0], [0.0, 0.0]]),
                          np.array([[1.0, 1.0], [1.0, 1.0]]),
                          np.zeros(1, dtype=int), np.array([0.5, 0.5]))
         x = Dataset(np.array([[1.0, 0.0]]))
-        vals = [_gmm_scores(x, [state], Seed(i).stream("d"))[0] for i in range(5)]
-        assert np.allclose(vals, -0.5)
+        assert np.isclose(_gmm_scores(x, [state])[0], -0.5)
 
     def test_label_permutation_invariance_in_expectation(self):
         state = GmmState(np.array([[0.0, 0.0], [3.0, 3.0]]),
@@ -395,56 +390,41 @@ class TestGmmDiagnostic:
         flipped = GmmState(state.means[::-1].copy(), state.variances[::-1].copy(),
                            state.assignments, state.weights[::-1].copy())
         x = gen_gmm_data(40, Seed(12))
-        a = np.mean([_gmm_scores(x, [state], Seed(i).stream("p"))[0]
-                     for i in range(400)])
-        b = np.mean([_gmm_scores(x, [flipped], Seed(i).stream("q"))[0]
-                     for i in range(400)])
-        assert abs(a - b) < 3.0
+        a, b = _gmm_scores(x, [state])[0], _gmm_scores(x, [flipped])[0]
+        assert abs(a - b) <= 1e-9 * abs(a)
 
     def test_batch_shape_and_errors(self):
         states = [_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]) for _ in range(7)]
         x = gen_gmm_data(10, Seed(1))
-        vals = _gmm_scores(x, states, Seed(1).stream("b"))
+        vals = _gmm_scores(x, states)
         assert vals.shape == (7,)
         block = ReplicateBlock(np.stack([x.values] * 3))
-        assert gmm_loglik_diagnostic_batch(
-            block, states, Seed(1).stream("b").substream_generators(3)).shape == (3, 7)
+        assert gmm_loglik_diagnostic_batch(block, states).shape == (3, 7)
         with pytest.raises(DimensionError):
-            gmm_loglik_diagnostic_batch(ReplicateBlock(np.zeros((3, 4, 3))), states,
-                                        Seed(1).stream("b").substream_generators(3))
+            gmm_loglik_diagnostic_batch(ReplicateBlock(np.zeros((3, 4, 3))), states)
         bad = _gmm_state([[0.0, 0.0]], [[1.0, -1.0]])
         with pytest.raises(StateError):
-            _gmm_scores(x, [bad], Seed(1).stream("b"))
-
-    @pytest.mark.parametrize("count", [2, 4])
-    def test_one_generator_per_replicate(self, count):
-        # never a row left unwritten, nor a generator left over
-        x = gen_gmm_data(10, Seed(1))
-        block = ReplicateBlock(np.stack([x.values] * 3))
-        generators = Seed(1).stream("b").substream_generators(count)
-        with pytest.raises(ValueError, match="zip"):
-            gmm_loglik_diagnostic_batch(block, [_gmm_state([[0.0, 0.0]], [[1.0, 1.0]])],
-                                        generators)
+            _gmm_scores(x, [bad])
 
     def test_label_draw_follows_weights(self):
         # at the shared mean, component 0 scores 0 and component 1 scores -1,
-        # so the diagnostic per row is minus the share labelled 1, whose
-        # expectation is w1 e^-1 / (w0 + w1 e^-1)
+        # so the diagnostic per row is minus component 1's responsibility,
+        # w1 e^-1 / (w0 + w1 e^-1)
         x = Dataset(np.zeros((4000, 1)))
         for w1 in (0.5, 0.9):
             state = GmmState(np.zeros((2, 1)), np.array([[1.0], [np.e ** 2]]),
                              np.zeros(1, dtype=int), np.array([1.0 - w1, w1]))
-            share = -_gmm_scores(x, [state], Seed(3).stream("w", w1))[0] / x.n
+            share = -_gmm_scores(x, [state])[0] / x.n
             expected = w1 / np.e / (1.0 - w1 + w1 / np.e)
-            assert abs(share - expected) < 0.03
+            assert abs(share - expected) < 1e-12
 
     def test_stacked_batch_matches_fresh_states(self):
         data = gen_gmm_data(200, Seed(9))
         fit = gmm_gibbs_fit(data, 3, 300, 100, 4, Seed(9).stream("f"))
         x = gen_gmm_data(80, Seed(10))
-        fresh = _gmm_scores(x, list(fit.states), Seed(9).stream("s"))
+        fresh = _gmm_scores(x, list(fit.states))
         for _ in range(2):  # every call stacks the draws' states afresh
-            got = _gmm_scores(x, fit.states, Seed(9).stream("s"))
+            got = _gmm_scores(x, fit.states)
             assert np.all(np.abs(got - fresh) <= 1e-12 * np.abs(fresh))
 
     def test_bad_states_raise_on_every_call_without_warning(self):
@@ -459,26 +439,24 @@ class TestGmmDiagnostic:
                 batch = PosteriorDraws((bad,), "gmm").states
                 for _ in range(2):
                     with pytest.raises(StateError):
-                        _gmm_scores(x, batch, Seed(1).stream("b"))
+                        _gmm_scores(x, batch)
             good = PosteriorDraws((_gmm_state([[0.0, 0.0]], [[1.0, 1.0]]),), "gmm").states
-            _gmm_scores(x, good, Seed(1).stream("b"))
+            _gmm_scores(x, good)
             with pytest.raises(DimensionError):
-                _gmm_scores(Dataset(np.zeros((4, 3))), good, Seed(1).stream("b"))
+                _gmm_scores(Dataset(np.zeros((4, 3))), good)
 
     @pytest.mark.parametrize("K", [1, 2, 3, 4])
     def test_kernel_matches_label_array_reference(self, K):
         fit = gmm_gibbs_fit(gen_gmm_data(150, Seed(40 + K)), K, 80, 40, 2, Seed(K).stream("f"))
         x, other = gen_gmm_data(70, Seed(50 + K)), gen_gmm_data(30, Seed(60 + K))
-        ref = _gmm_diagnostic_reference(_kernel_logits(x, fit.states), fit.states,
-                                        Seed(K).stream("d"))
-        got = _gmm_scores(x, list(fit.states), Seed(K).stream("d"))
+        ref = _gmm_diagnostic_reference(_kernel_logits(x, fit.states), fit.states)
+        got = _gmm_scores(x, list(fit.states))
         assert np.array_equal(got, ref)
         batch = fit.states
         # later calls, also after another size
         for data in (x, x, other, x):
-            want = _gmm_diagnostic_reference(_kernel_logits(data, fit.states), fit.states,
-                                             Seed(K).stream("d", data.n))
-            got = _gmm_scores(data, batch, Seed(K).stream("d", data.n))
+            want = _gmm_diagnostic_reference(_kernel_logits(data, fit.states), fit.states)
+            got = _gmm_scores(data, batch)
             assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("case", ["origin", "offset", "permuted"])
@@ -505,11 +483,11 @@ class TestGmmDiagnostic:
         two = _gmm_state([[0.0, 0.0], [1.0, 1.0]], [[1.0, 1.0], [1.0, 1.0]])
         three = _gmm_state([[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]], np.ones((3, 2)))
         with pytest.raises(StateError):
-            _gmm_scores(x, [two, three], Seed(1).stream("b"))
+            _gmm_scores(x, [two, three])
 
     def test_empty_batch_raises(self):
         with pytest.raises(StateError):
-            _gmm_scores(gen_gmm_data(10, Seed(1)), [], Seed(1).stream("b"))
+            _gmm_scores(gen_gmm_data(10, Seed(1)), [])
 
     @pytest.mark.parametrize("columns", [1, 3])
     def test_variances_of_another_width_raise(self, columns):
@@ -518,16 +496,16 @@ class TestGmmDiagnostic:
         state = GmmState(np.zeros((2, 2)), np.ones((2, columns)), np.zeros(1, dtype=int),
                          np.array([0.5, 0.5]))
         with pytest.raises(StateError):
-            _gmm_scores(x, [state], Seed(1).stream("b"))
+            _gmm_scores(x, [state])
 
     def test_continuous_required(self):
         x = gen_multmix_data(5, seed=Seed(0))
         state = _gmm_state([[0.0, 0.0]], [[1.0, 1.0]])
         with pytest.raises(DataError):
-            _gmm_scores(x, [state], Seed(0).stream("d"))
+            _gmm_scores(x, [state])
         block = ReplicateBlock(x.values[None], level_sizes=x.level_sizes)
         with pytest.raises(DataError):
-            gmm_loglik_diagnostic_batch(block, [state], [Seed(0).stream("d").generator])
+            gmm_loglik_diagnostic_batch(block, [state])
 
 
 class TestMultMixFit:

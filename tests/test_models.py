@@ -56,9 +56,9 @@ def _recorded_calls(monkeypatch, model):
     calls = []
     batch = model.diagnostic_batch
 
-    def recorded(x, states, generators):
+    def recorded(x, states):
         calls.append((x.values.shape, len(states)))
-        return batch(x, states, generators)
+        return batch(x, states)
 
     monkeypatch.setattr(model, "diagnostic_batch", recorded)
     return calls
@@ -136,14 +136,13 @@ class TestReplicateScoring:
         rows = BLOCK_CELLS // (reps.n * reps.d)
         if R > 100:   # several blocks, the last one short
             assert R > rows and R % rows
-        stream = SEED.stream("diag")
         for reduction in ("average", "map"):
             model.reduction = reduction
             alone = np.array([validation_diagnostic(
-                Dataset(reps.values[r], reps.covariates, reps.level_sizes), model, anchor,
-                stream.substream(r)) for r in range(R)])
+                Dataset(reps.values[r], reps.covariates, reps.level_sizes), model, anchor)
+                for r in range(R)])
             calls = _recorded_calls(monkeypatch, model)
-            got = replicate_diagnostics(reps, model, anchor, stream)
+            got = replicate_diagnostics(reps, model, anchor)
             monkeypatch.undo()
             assert got.tobytes() == alone.tobytes()
             # the whole block in one call, at the states the reduction needs
@@ -162,29 +161,26 @@ class TestReplicateScoring:
         cells = len(reps) * reps.n * reps.d * (1 if reduction == "map" else anchor.B)
         assert cells > mixtures._GATHER_CELLS
         assert reduction == "map" or cells > 2 * BLOCK_CELLS
-        stream = SEED.stream("diag")
         alone = np.array([validation_diagnostic(
-            Dataset(rep, level_sizes=reps.level_sizes), owner, anchor, stream.substream(r))
-            for r, rep in enumerate(reps.values)])
+            Dataset(rep, level_sizes=reps.level_sizes), owner, anchor) for rep in reps.values])
         calls = _recorded_calls(monkeypatch, owner)
-        got = replicate_diagnostics(reps, owner, anchor, stream)
+        got = replicate_diagnostics(reps, owner, anchor)
         assert got.tobytes() == alone.tobytes()
         # the whole block in one call, at the states the reduction needs
         assert calls == [(reps.values.shape, 1 if reduction == "map" else anchor.B)]
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_observed_part_scores_as_a_block_of_one(self, name):
-        # the observed part is one more replicate: its block of one, drawing
-        # from the stream's own generator, reduced by the model's rule
+        # the observed part is one more replicate: its block of one, reduced
+        # by the model's rule
         model, split, _ = _replicates(name, 1)
         anchor = model.fit(split.x_val, SEED.stream("val"))
         for reduction in ("average", "map") if anchor.B > 1 else ("map",):
             model.reduction = reduction
-            got = validation_diagnostic(split.x_out, model, anchor, SEED.stream("observed"))
+            got = validation_diagnostic(split.x_out, model, anchor)
             one = anchor.states[:1] if anchor.B == 1 else [anchor.map_state()]
             states = one if reduction == "map" else anchor.states
-            vals = model.diagnostic_batch(block_of_one(split.x_out), states,
-                                          [SEED.stream("observed").generator])
+            vals = model.diagnostic_batch(block_of_one(split.x_out), states)
             want = vals[0, 0] if reduction == "map" else vals[0].mean()
             assert vals.shape == (1, len(states))
             assert np.float64(got).tobytes() == np.float64(want).tobytes()
@@ -193,11 +189,9 @@ class TestReplicateScoring:
         _, split, reps = _replicates("reg-A", 600)
         owner = RegressionModelB()
         anchor = owner.fit(split.x_val, SEED.stream("val"))
-        stream = SEED.stream("diag")
-        alone = [validation_diagnostic(Dataset(rep, reps.covariates), owner, anchor,
-                                       stream.substream(r))
-                 for r, rep in enumerate(reps.values)]
-        assert np.array_equal(replicate_diagnostics(reps, owner, anchor, stream), alone)
+        alone = [validation_diagnostic(Dataset(rep, reps.covariates), owner, anchor)
+                 for rep in reps.values]
+        assert np.array_equal(replicate_diagnostics(reps, owner, anchor), alone)
 
 
 class TestRegressionRefusals:
@@ -211,7 +205,7 @@ class TestRegressionRefusals:
             model.fit(two, SEED.stream("f"))
         state = model.fit(data, SEED.stream("f")).states[0]
         with pytest.raises(DimensionError, match="one response column"):
-            model.diagnostic_batch(block_of_one(two), [state], None)
+            model.diagnostic_batch(block_of_one(two), [state])
         split = split_data(two, (1 / 3, 1 / 3, 1 / 3), SEED)
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(split, model, R=10, seed=SEED)
@@ -231,7 +225,7 @@ class TestRegressionRefusals:
         state = RegressionModelB().fit(data, SEED.stream("f")).states[0]
         wider = Dataset(data.values, np.hstack([data.covariates, data.covariates[:, :1]]))
         with pytest.raises(DimensionError, match="^3 covariate columns for 2 coefficients$"):
-            RegressionModelB().diagnostic_batch(block_of_one(wider), [state], None)
+            RegressionModelB().diagnostic_batch(block_of_one(wider), [state])
 
     @pytest.mark.parametrize("model", [RegressionModelA(), RegressionModelB()])
     def test_level_codes(self, model):
@@ -242,7 +236,7 @@ class TestRegressionRefusals:
                 model.fit(data, SEED.stream("f"))
         state = model.fit(gen_regression_data(60, 2, 2.5, SEED), SEED.stream("f")).states[0]
         with pytest.raises(DataError, match="level codes"):
-            model.diagnostic_batch(block_of_one(one_code), [state], None)
+            model.diagnostic_batch(block_of_one(one_code), [state])
         split = split_data(codes, (1 / 3, 1 / 3, 1 / 3), SEED)
         with pytest.raises(CheckError) as info:
             heldout_predictive_check(split, model, R=10, seed=SEED)

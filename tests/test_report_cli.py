@@ -121,16 +121,19 @@ class TestEmitReport:
         assert {"data: a&b", "data: c<d", "a&b", "c<d"} <= set(texts)
         assert "a&b | data c<d: sym KL = 0.200 (fools)" in texts
 
-    @pytest.mark.parametrize("bad", ["a/b", "", ".", "..", "a\0b"],
-                             ids=["slash", "empty", "dot", "dot-dot", "nul"])
+    @pytest.mark.parametrize("bad", ["a/b", "", ".", "..", "a\0b", "a,b", 'a"b', "a\rb", "a\nb"],
+                             ids=["slash", "empty", "dot", "dot-dot", "nul",
+                                  "comma", "quote", "cr", "lf"])
     def test_ids_that_cannot_name_a_file_write_nothing(self, bad, tmp_path):
+        # the cell CSVs write each row's source id unquoted, so a comma,
+        # quote or line break would split or join their fields
         g = np.random.default_rng(10)
         checks = tuple(CheckOutcome(0.5, True, g.normal(size=40), 0.1, m) for m in ("c", bad))
         out = tmp_path / "out"
         out.mkdir()
         with pytest.raises(ParameterError) as err:
             emit_report(StudyReport(("c", bad), 0.1, 1.0, checks), out)
-        assert str(err.value) == f"model ids {bad!r} cannot name a file"
+        assert str(err.value) == f"model ids {bad!r} cannot name a file or a CSV field"
         assert list(out.iterdir()) == []
 
     def test_cells_that_would_share_a_file_write_nothing(self, tmp_path):
